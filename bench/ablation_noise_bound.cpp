@@ -7,7 +7,7 @@
 
 #include "bench_util.hpp"
 #include "experiments/reporting.hpp"
-#include "experiments/thread_pool.hpp"
+#include "runtime/thread_pool.hpp"
 
 using namespace rt;
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     // `derive` never advances the root, so each run's stream is a pure
     // function of (seed, index) and the sweep parallelizes bit-identically.
     const stats::Rng root(opts.seed);
-    experiments::ThreadPool pool(opts.threads);
+    runtime::ThreadPool pool(opts.threads);
     pool.parallel_for(n, [&](int i) {
       stats::Rng run_rng = root.derive(static_cast<std::uint64_t>(i) + 1);
       const auto scenario_seed = run_rng.engine()();

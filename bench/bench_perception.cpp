@@ -1,6 +1,7 @@
 // Microbenchmarks of the perception substrate (google-benchmark):
-// Hungarian assignment, Kalman updates, MOT steps, fusion, full pipeline,
-// plus end-to-end campaign throughput through the parallel scheduler.
+// Hungarian assignment, Kalman updates, track births, MOT steps, fusion,
+// full pipeline, plus end-to-end campaign throughput through the parallel
+// scheduler.
 
 #include <benchmark/benchmark.h>
 
@@ -40,6 +41,19 @@ void BM_KalmanPredictUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KalmanPredictUpdate);
+
+// What MotTracker pays for every unmatched detection: building a track and
+// its filter.
+void BM_TrackBirth(benchmark::State& state) {
+  perception::Detection d;
+  d.bbox = {100.0, 100.0, 40.0, 40.0};
+  const auto noise = perception::DetectorNoiseModel::paper_defaults().vehicle;
+  for (auto _ : state) {
+    perception::BboxTrack track(1, d, 1.0 / 15.0, noise);
+    benchmark::DoNotOptimize(track);
+  }
+}
+BENCHMARK(BM_TrackBirth);
 
 void BM_MotTrackerStep(benchmark::State& state) {
   const auto n_objects = static_cast<int>(state.range(0));

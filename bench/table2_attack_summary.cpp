@@ -6,7 +6,6 @@
 
 #include "bench_util.hpp"
 #include "experiments/reporting.hpp"
-#include "experiments/thread_pool.hpp"
 #include "obs/clock.hpp"
 
 using namespace rt;

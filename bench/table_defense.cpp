@@ -12,7 +12,7 @@
 #include "defense/monitor_registry.hpp"
 #include "experiments/defense_grid.hpp"
 #include "experiments/reporting.hpp"
-#include "experiments/thread_pool.hpp"
+#include "runtime/thread_pool.hpp"
 
 using namespace rt;
 
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   }
   std::printf("runs per campaign: %d, seed %llu, threads %u\n", cfg.runs,
               static_cast<unsigned long long>(cfg.seed),
-              cfg.threads == 0 ? experiments::ThreadPool::default_threads()
+              cfg.threads == 0 ? runtime::ThreadPool::default_threads()
                                : cfg.threads);
 
   const obs::Stopwatch watch;
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   bench::report_service_stats(*svc);
   bench::maybe_write_bench_json(
       opts, {{"defense_grid", total_runs / elapsed, elapsed * 1000.0,
-              cfg.threads == 0 ? experiments::ThreadPool::default_threads()
+              cfg.threads == 0 ? runtime::ThreadPool::default_threads()
                                : cfg.threads,
               opts.seed}});
 

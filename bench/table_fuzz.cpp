@@ -13,7 +13,7 @@
 #include "bench_util.hpp"
 #include "defense/monitor_registry.hpp"
 #include "experiments/scenario_search.hpp"
-#include "experiments/thread_pool.hpp"
+#include "runtime/thread_pool.hpp"
 
 using namespace rt;
 
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     cfg.executor = svc->executor();
   }
   const unsigned threads = opts.threads == 0
-                               ? experiments::ThreadPool::default_threads()
+                               ? runtime::ThreadPool::default_threads()
                                : opts.threads;
   std::printf("templates: %zu, %d rounds x %d samples, %d runs/sample, "
               "seed %llu, threads %u\n",

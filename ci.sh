@@ -204,7 +204,7 @@ wait "$server_pid" || {
 
 if [ -x build-release/bench/bench_perception ]; then
   ./build-release/bench/bench_perception \
-    --benchmark_filter='BM_CampaignSchedulerThroughput/1|BM_KalmanPredictUpdate' \
+    --benchmark_filter='BM_CampaignSchedulerThroughput/1|BM_KalmanPredictUpdate|BM_TrackBirth' \
     --json BENCH_perception.json >/dev/null
   cat BENCH_perception.json
 fi

@@ -133,6 +133,7 @@ void Robotack::arm(const perception::WorldTrack& target, int k, double time,
   }
 
   th_.begin(v, direction, omega);
+  ads_diverged_ = true;
   k_left_ = k;
   victim_truth_track_ = target.track_id;
   victim_ads_track_ = ads_id;
@@ -208,6 +209,10 @@ void Robotack::maybe_arm(const std::vector<perception::WorldTrack>& world,
 
 void Robotack::process_in_place(perception::CameraFrame& frame,
                                 double ego_speed) {
+  // Until an attack arms, the ADS has received exactly the true frames, so
+  // its replica is the truth replica as of frame t-1.
+  if (!ads_diverged_ && ads_view_needed()) mot_ads_ = mot_truth_;
+
   // Phase 2: reconstruct the world from the hacked camera feed. The truth
   // replica consumes the frame *before* any perturbation is applied.
   mot_truth_.update_into(frame, truth_tracks_scratch_);
@@ -255,15 +260,11 @@ void Robotack::process_in_place(perception::CameraFrame& frame,
     }
   }
 
-  // Keep the ADS-view replica in lockstep with what the ADS receives.
-  mot_ads_.update_into(frame, ads_tracks_scratch_);
-}
-
-perception::CameraFrame Robotack::process(
-    const perception::CameraFrame& true_frame, double ego_speed) {
-  perception::CameraFrame out = true_frame;
-  process_in_place(out, ego_speed);
-  return out;
+  // Keep a diverged ADS-view replica in lockstep with what the ADS
+  // receives, for as long as a burst may still read it.
+  if (ads_diverged_ && ads_view_needed()) {
+    mot_ads_.update_into(frame, ads_tracks_scratch_);
+  }
 }
 
 }  // namespace rt::core

@@ -109,7 +109,7 @@ struct AttackLog {
 /// RoboTack: the smart malware on the camera link (Algorithm 1).
 ///
 /// Sits man-in-the-middle between the camera's detector output and the ADS.
-/// Each camera frame flows through `process`, which
+/// Each camera frame flows through `process_in_place`, which
 ///  1. updates the malware's *truth replica* of the perception stack (its
 ///     own MOT + projection on the unperturbed feed — the paper's
 ///     "Perception(I_t)" giving O_t and S_hat_t);
@@ -120,6 +120,18 @@ struct AttackLog {
 ///     keeps a second *ADS-view replica* tracker in sync with what the ADS
 ///     actually received — the state Eq. 4's association constraint is
 ///     evaluated against.
+///
+/// The two replicas are built with the same dt, MotConfig and noise model,
+/// and the tracker is deterministic. Until the first attack arms, every
+/// outgoing frame equals the incoming one, so both replicas consume the
+/// same frames and hold the same state. The ADS-view replica is therefore
+/// refreshed as a copy of the truth replica (taken before the truth update,
+/// i.e. the state after frame t-1 that `arm` resolves the victim against)
+/// instead of running a second tracker update. From the first successful
+/// arm on it consumes the outgoing frames as in Algorithm 1, and once the
+/// last permitted burst has ended nothing reads it again, so it stops.
+/// Every value the malware reads from it is the one a lockstep replica
+/// would hold: the paper's replica semantics are kept exactly.
 ///
 /// The malware never touches LiDAR, never reads ground truth, and derives
 /// everything (delta_t, relative velocity/acceleration) from its camera-only
@@ -138,10 +150,6 @@ class Robotack {
   /// campaign hot path — zero heap allocations at steady state (the malware
   /// reuses member scratch for its replica trackers and world buffers).
   void process_in_place(perception::CameraFrame& frame, double ego_speed);
-
-  /// Copying wrapper over `process_in_place` (historical API).
-  [[nodiscard]] perception::CameraFrame process(
-      const perception::CameraFrame& true_frame, double ego_speed);
 
   [[nodiscard]] bool attack_active() const { return k_left_ > 0; }
   [[nodiscard]] const AttackLog& log() const { return log_; }
@@ -165,6 +173,11 @@ class Robotack {
                                      double ego_speed) const;
   [[nodiscard]] math::Vec2 accel_estimate(int track_id) const;
   void update_kinematics(const std::vector<perception::WorldTrack>& world);
+  /// False once the last permitted burst has ended: nothing reads the
+  /// ADS-view replica after that.
+  [[nodiscard]] bool ads_view_needed() const {
+    return attack_active() || log_.triggers < config_.max_triggers;
+  }
 
   RobotackConfig config_;
   perception::CameraModel camera_;
@@ -174,8 +187,10 @@ class Robotack {
   // Truth replica (fed with unperturbed frames).
   perception::MotTracker mot_truth_;
   perception::TrackProjector projector_truth_;
-  // ADS-view replica (fed with exactly what the ADS receives).
+  // ADS-view replica (fed with exactly what the ADS receives). A copy of
+  // the truth replica until `ads_diverged_` (see the class comment).
   perception::MotTracker mot_ads_;
+  bool ads_diverged_{false};
 
   ScenarioMatcher sm_;
   SafetyHijacker sh_;

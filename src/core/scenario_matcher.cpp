@@ -1,6 +1,5 @@
 #include "core/scenario_matcher.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/road.hpp"
@@ -29,34 +28,49 @@ LateralTrajectory ScenarioMatcher::classify(
                      : LateralTrajectory::kMovingOut;
 }
 
-std::vector<AttackVector> ScenarioMatcher::admissible(
+namespace {
+
+constexpr unsigned bit(AttackVector v) {
+  return 1u << static_cast<unsigned>(v);
+}
+
+}  // namespace
+
+unsigned ScenarioMatcher::admissible_mask(
     const perception::WorldTrack& target) const {
   const double range = target.rel_position.x;
   if (range < config_.min_target_range || range > config_.max_target_range) {
-    return {};
+    return 0;
   }
   const bool in_lane = sim::Road::in_ego_lane(target.rel_position.y);
+  const unsigned out_or_gone =
+      bit(AttackVector::kMoveOut) | bit(AttackVector::kDisappear);
   switch (classify(target)) {
     case LateralTrajectory::kMovingIn:
       // Only defined for targets outside the lane (Table I row 1).
-      return in_lane ? std::vector<AttackVector>{}
-                     : std::vector<AttackVector>{AttackVector::kMoveOut,
-                                                 AttackVector::kDisappear};
+      return in_lane ? 0 : out_or_gone;
     case LateralTrajectory::kKeep:
-      return in_lane ? std::vector<AttackVector>{AttackVector::kMoveOut,
-                                                 AttackVector::kDisappear}
-                     : std::vector<AttackVector>{AttackVector::kMoveIn};
+      return in_lane ? out_or_gone : bit(AttackVector::kMoveIn);
     case LateralTrajectory::kMovingOut:
-      return in_lane ? std::vector<AttackVector>{AttackVector::kMoveIn}
-                     : std::vector<AttackVector>{};
+      return in_lane ? bit(AttackVector::kMoveIn) : 0;
   }
-  return {};
+  return 0;
+}
+
+std::vector<AttackVector> ScenarioMatcher::admissible(
+    const perception::WorldTrack& target) const {
+  const unsigned mask = admissible_mask(target);
+  std::vector<AttackVector> out;
+  for (const AttackVector v : {AttackVector::kMoveOut, AttackVector::kMoveIn,
+                               AttackVector::kDisappear}) {
+    if (mask & bit(v)) out.push_back(v);
+  }
+  return out;
 }
 
 bool ScenarioMatcher::matches(const perception::WorldTrack& target,
                               AttackVector v) const {
-  const auto vs = admissible(target);
-  return std::find(vs.begin(), vs.end(), v) != vs.end();
+  return (admissible_mask(target) & bit(v)) != 0;
 }
 
 }  // namespace rt::core

@@ -68,6 +68,11 @@ class ScenarioMatcher {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
+  /// Table I as a bit set over AttackVector values. `matches` runs on every
+  /// dormant attacker frame, so it tests a bit instead of building a vector.
+  [[nodiscard]] unsigned admissible_mask(
+      const perception::WorldTrack& target) const;
+
   Config config_;
 };
 

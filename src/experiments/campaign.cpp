@@ -4,9 +4,9 @@
 #include <mutex>
 
 #include "experiments/campaign_grid.hpp"
-#include "experiments/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "stats/summary.hpp"
 
 namespace rt::experiments {
@@ -204,7 +204,8 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
 CampaignScheduler::CampaignScheduler(const CampaignRunner& runner,
                                      unsigned threads)
     : runner_(runner),
-      threads_(threads == 0 ? ThreadPool::default_threads() : threads) {}
+      threads_(threads == 0 ? runtime::ThreadPool::default_threads()
+                            : threads) {}
 
 std::vector<GridCell> grid_cells(const std::vector<CampaignSpec>& specs) {
   std::vector<GridCell> cells;
@@ -253,7 +254,7 @@ std::vector<CampaignResult> CampaignScheduler::run_all(
 
   std::vector<int> done(specs.size(), 0);
   std::mutex progress_mutex;
-  ThreadPool pool(threads_);
+  runtime::ThreadPool pool(threads_);
   pool.parallel_for(static_cast<int>(cells.size()), [&](int c) {
     const GridCell cell = cells[static_cast<std::size_t>(c)];
     results[cell.spec].runs[static_cast<std::size_t>(cell.run)] =

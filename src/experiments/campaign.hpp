@@ -208,7 +208,7 @@ using GridExecutor = std::function<std::vector<CampaignResult>(
 /// pool densely (no per-campaign barrier).
 class CampaignScheduler {
  public:
-  /// `threads == 0` means ThreadPool::default_threads().
+  /// `threads == 0` means runtime::ThreadPool::default_threads().
   explicit CampaignScheduler(const CampaignRunner& runner,
                              unsigned threads = 0);
 

@@ -8,7 +8,7 @@
 #include <filesystem>
 
 #include "experiments/reporting.hpp"
-#include "experiments/thread_pool.hpp"
+#include "runtime/thread_pool.hpp"
 #include "stats/hash.hpp"
 
 namespace rt::experiments {
@@ -116,7 +116,7 @@ nn::Dataset generate_sh_dataset(core::AttackVector v, const LoopConfig& base,
   // pure function of (cfg.seed, grid coordinates) and the grid parallelizes
   // with bit-identical results at any thread count.
   const stats::Rng root(cfg.seed);
-  ThreadPool pool(cfg.threads);
+  runtime::ThreadPool pool(cfg.threads);
   pool.parallel_for(static_cast<int>(cells.size()), [&](int c) {
     const Cell& cell = cells[static_cast<std::size_t>(c)];
     stats::Rng run_rng = root.derive(
@@ -236,9 +236,9 @@ OracleSet load_or_train_oracles(const std::string& cache_dir,
                                              core::AttackVector::kMoveIn,
                                              core::AttackVector::kDisappear};
   const unsigned total_threads =
-      cfg.threads == 0 ? ThreadPool::default_threads() : cfg.threads;
+      cfg.threads == 0 ? runtime::ThreadPool::default_threads() : cfg.threads;
   const unsigned outer = std::min<unsigned>(3, total_threads);
-  ThreadPool pool(outer);
+  runtime::ThreadPool pool(outer);
   std::array<std::shared_ptr<core::SafetyOracle>, 3> slots;
   pool.parallel_for(3, [&](int i) {
     ShTrainingConfig inner = cfg;

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "experiments/reporting.hpp"
-#include "experiments/thread_pool.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace rt::experiments {
 
@@ -84,14 +84,14 @@ TransferMatrix run_transfer_matrix(const TransferConfig& cfg,
   const std::vector<std::string> families(family_set.begin(),
                                           family_set.end());
   const unsigned total_threads =
-      cfg.threads == 0 ? ThreadPool::default_threads() : cfg.threads;
+      cfg.threads == 0 ? runtime::ThreadPool::default_threads() : cfg.threads;
   std::vector<std::pair<nn::Dataset, nn::Dataset>> family_splits(
       families.size());
   {
     const unsigned outer = std::min<unsigned>(
         static_cast<unsigned>(std::max<std::size_t>(1, families.size())),
         total_threads);
-    ThreadPool pool(outer);
+    runtime::ThreadPool pool(outer);
     pool.parallel_for(static_cast<int>(families.size()), [&](int i) {
       const std::string& family = families[static_cast<std::size_t>(i)];
       const core::AttackVector v = transfer_vector_for(family);
@@ -120,7 +120,7 @@ TransferMatrix run_transfer_matrix(const TransferConfig& cfg,
     const unsigned outer = std::min<unsigned>(
         static_cast<unsigned>(std::max<std::size_t>(1, train_sets.size())),
         total_threads);
-    ThreadPool pool(outer);
+    runtime::ThreadPool pool(outer);
     pool.parallel_for(static_cast<int>(train_sets.size()), [&](int ti) {
       const TransferTrainSet& t = train_sets[static_cast<std::size_t>(ti)];
       std::vector<nn::Dataset> parts;

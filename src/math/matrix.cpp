@@ -255,50 +255,6 @@ void transposed_multiply_rows_into(const Matrix& a, const Matrix& b,
   }
 }
 
-namespace {
-
-/// Gauss-Jordan with partial pivoting over compile-time N — the SAME
-/// statement sequence as the generic loop below with the trip counts fixed,
-/// so every divide/subtract happens in the identical order and the result
-/// is bit-identical. N=4 serves the KF innovation covariance S, the single
-/// inversion on the per-frame tracker path.
-template <std::size_t N>
-void invert_fixed(double* s, double* o) {
-  for (std::size_t i = 0; i < N * N; ++i) o[i] = 0.0;
-  for (std::size_t i = 0; i < N; ++i) o[i * N + i] = 1.0;
-  for (std::size_t col = 0; col < N; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < N; ++r) {
-      if (std::abs(s[r * N + col]) > std::abs(s[pivot * N + col])) pivot = r;
-    }
-    if (std::abs(s[pivot * N + col]) < 1e-12) {
-      throw std::domain_error("Matrix::inverse: singular matrix");
-    }
-    if (pivot != col) {
-      for (std::size_t j = 0; j < N; ++j) {
-        std::swap(s[col * N + j], s[pivot * N + j]);
-        std::swap(o[col * N + j], o[pivot * N + j]);
-      }
-    }
-    const double d = s[col * N + col];
-    for (std::size_t j = 0; j < N; ++j) {
-      s[col * N + j] /= d;
-      o[col * N + j] /= d;
-    }
-    for (std::size_t r = 0; r < N; ++r) {
-      if (r == col) continue;
-      const double f = s[r * N + col];
-      if (f == 0.0) continue;
-      for (std::size_t j = 0; j < N; ++j) {
-        s[r * N + j] -= f * s[col * N + j];
-        o[r * N + j] -= f * o[col * N + j];
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void invert_into(const Matrix& a, Matrix& scratch, Matrix& out) {
   require_no_alias(a, scratch, out);
   if (&scratch == &a || &scratch == &out) {
@@ -310,9 +266,6 @@ void invert_into(const Matrix& a, Matrix& scratch, Matrix& out) {
   const std::size_t n = a.rows();
   scratch = a;
   out.resize(n, n);
-  if (n == 4) {
-    return invert_fixed<4>(scratch.data().data(), out.data().data());
-  }
   std::fill(out.data().begin(), out.data().end(), 0.0);
   for (std::size_t i = 0; i < n; ++i) out(i, i) = 1.0;
   for (std::size_t col = 0; col < n; ++col) {

@@ -1,18 +1,20 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <initializer_list>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace rt::math {
 
 /// A small dense row-major matrix of doubles.
 ///
-/// Sized dynamically because the same type backs both the Kalman filters
-/// (4x4..8x8) and the neural-network layers (up to a few hundred rows).
+/// Sized dynamically: it backs the neural-network layers (up to a few
+/// hundred rows) and the tracker's association cost matrices.
 /// All operations validate dimensions and throw `std::invalid_argument` on
 /// mismatch — in this codebase a dimension mismatch is always a programming
 /// error, and failing loudly is preferred over UB.
@@ -100,8 +102,8 @@ class Matrix {
 ///
 /// Each writes its result into a caller-owned `out`, reusing `out`'s storage
 /// (allocation-free once `out` has seen the shape's footprint) — the hot
-/// loops (Kalman steps, NN forwards) call these with per-object or workspace
-/// scratch instead of chaining the allocating operators above.
+/// loops (NN forwards, oracle batches) call these with workspace scratch
+/// instead of chaining the allocating operators above.
 ///
 /// Contract: every kernel reproduces the corresponding allocating-operator
 /// expression *bit for bit* — same i-k-j accumulation order, same
@@ -111,9 +113,8 @@ class Matrix {
 /// (`std::invalid_argument` otherwise); shape mismatches throw like the
 /// operators they mirror.
 
-/// out = a * b. Mirrors `a * b`. Defined inline below: the Kalman hot loop
-/// issues millions of these on 4x4..8x8 operands, where the call itself is
-/// measurable.
+/// out = a * b. Mirrors `a * b`. Defined inline below: oracle inference
+/// issues these per query, where the call itself is measurable.
 inline void multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a * b^T. Mirrors `a * b.transposed()` without materializing b^T.
 inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
@@ -161,18 +162,17 @@ namespace detail {
 [[noreturn]] void throw_kernel_alias();
 [[noreturn]] void throw_inner_mismatch();
 
-/// Fixed-dimension kernel bodies (PR 8). The campaign hot loop is dominated
-/// by the bbox tracker's 6-state/4-measurement Kalman algebra — a handful
-/// of shapes issued millions of times — where the generic kernels pay for
-/// runtime trip counts on every call. These templates run the SAME
-/// element-order contract with compile-time bounds so the compiler fully
-/// unrolls them and keeps each output row's accumulators in registers.
+/// Fixed-dimension kernel bodies for the bbox tracker's constant-velocity
+/// Kalman filter (perception/kalman_filter.hpp), whose 6-state/4-measurement
+/// algebra runs millions of times per campaign on plain arrays. The SAME
+/// element-order contract as the generic kernels with compile-time bounds,
+/// so the compiler fully unrolls them and keeps each output row's
+/// accumulators in registers.
 ///
 /// Bit-identity: per output element the terms still sum in ascending k with
 /// the identical skip-exact-zero-lhs shortcut, and no element's sum ever
 /// mixes with another's — accumulating in a local `acc` array instead of
-/// the output memory reorders nothing. Every pinned golden is invariant
-/// under this dispatch by construction.
+/// the output memory reorders nothing.
 
 /// out = a * b with compile-time shape (R x K) * (K x C).
 template <std::size_t R, std::size_t K, std::size_t C>
@@ -188,18 +188,43 @@ inline void multiply_fixed(const double* a, const double* b, double* out) {
   }
 }
 
-/// out = a * b^T with compile-time shape (R x K) * (C x K)^T.
-template <std::size_t R, std::size_t K, std::size_t C>
-inline void multiply_transposed_fixed(const double* a, const double* b,
-                                      double* out) {
-  for (std::size_t i = 0; i < R; ++i) {
-    double acc[C] = {};
-    for (std::size_t k = 0; k < K; ++k) {
-      const double v = a[i * K + k];
-      if (v == 0.0) continue;
-      for (std::size_t j = 0; j < C; ++j) acc[j] += v * b[j * K + k];
+/// o = s^-1 for an N x N row-major `s`, which is destroyed: Gauss-Jordan
+/// with partial pivoting — the SAME statement sequence as `invert_into`
+/// with the trip counts fixed, so every divide/subtract happens in the
+/// identical order and the result is bit-identical. Throws
+/// `std::domain_error` on a singular matrix.
+template <std::size_t N>
+void invert_fixed(double* s, double* o) {
+  for (std::size_t i = 0; i < N * N; ++i) o[i] = 0.0;
+  for (std::size_t i = 0; i < N; ++i) o[i * N + i] = 1.0;
+  for (std::size_t col = 0; col < N; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < N; ++r) {
+      if (std::abs(s[r * N + col]) > std::abs(s[pivot * N + col])) pivot = r;
     }
-    for (std::size_t j = 0; j < C; ++j) out[i * C + j] = acc[j];
+    if (std::abs(s[pivot * N + col]) < 1e-12) {
+      throw std::domain_error("Matrix::inverse: singular matrix");
+    }
+    if (pivot != col) {
+      for (std::size_t j = 0; j < N; ++j) {
+        std::swap(s[col * N + j], s[pivot * N + j]);
+        std::swap(o[col * N + j], o[pivot * N + j]);
+      }
+    }
+    const double d = s[col * N + col];
+    for (std::size_t j = 0; j < N; ++j) {
+      s[col * N + j] /= d;
+      o[col * N + j] /= d;
+    }
+    for (std::size_t r = 0; r < N; ++r) {
+      if (r == col) continue;
+      const double f = s[r * N + col];
+      if (f == 0.0) continue;
+      for (std::size_t j = 0; j < N; ++j) {
+        s[r * N + j] -= f * s[col * N + j];
+        o[r * N + j] -= f * o[col * N + j];
+      }
+    }
   }
 }
 }  // namespace detail
@@ -211,35 +236,8 @@ inline void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t inner = a.cols();
   const std::size_t cols = b.cols();
   out.resize(rows, cols);
-  {
-    // Fixed-shape dispatch for the tracker KF's product set (n = 6 states,
-    // m = 4 measurements): F*P / (I-KH)*P (6,6,6), H*P (4,6,6), K*H
-    // (6,4,6), (P H^T)*S^-1 (6,4,4), and the column products F*x, H*x,
-    // K*y, (y^T S^-1)*y. Same element order as the generic paths below —
-    // see detail::multiply_fixed.
-    const double* ad = a.data().data();
-    const double* bd = b.data().data();
-    double* od = out.data().data();
-    if (inner == 6) {
-      if (rows == 6) {
-        if (cols == 6) return detail::multiply_fixed<6, 6, 6>(ad, bd, od);
-        if (cols == 1) return detail::multiply_fixed<6, 6, 1>(ad, bd, od);
-      } else if (rows == 4) {
-        if (cols == 6) return detail::multiply_fixed<4, 6, 6>(ad, bd, od);
-        if (cols == 1) return detail::multiply_fixed<4, 6, 1>(ad, bd, od);
-      }
-    } else if (inner == 4) {
-      if (rows == 6) {
-        if (cols == 4) return detail::multiply_fixed<6, 4, 4>(ad, bd, od);
-        if (cols == 6) return detail::multiply_fixed<6, 4, 6>(ad, bd, od);
-        if (cols == 1) return detail::multiply_fixed<6, 4, 1>(ad, bd, od);
-      } else if (rows == 1 && cols == 1) {
-        return detail::multiply_fixed<1, 4, 1>(ad, bd, od);
-      }
-    }
-  }
   if (cols == 1) {
-    // Column fast path (Kalman column updates, batch-1 NN inference): each
+    // Column fast path (batch-1 NN inference): each
     // output element is an ordered dot product, so accumulate in registers
     // — four independent row chains at a time to hide FP-add latency.
     // Every element still sums its terms in ascending k with the same
@@ -324,23 +322,6 @@ inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
   const std::size_t inner = a.cols();
   const std::size_t cols = b.rows();
   out.resize(rows, cols);
-  if (inner == 6) {
-    // Fixed-shape dispatch for the KF's B^T products: (F P)*F^T (6,6,6),
-    // (H P)*H^T (4,6,4), P*H^T (6,6,4). Same element order — see
-    // detail::multiply_transposed_fixed.
-    const double* ad = a.data().data();
-    const double* bd = b.data().data();
-    double* od = out.data().data();
-    if (rows == 6 && cols == 6) {
-      return detail::multiply_transposed_fixed<6, 6, 6>(ad, bd, od);
-    }
-    if (rows == 4 && cols == 4) {
-      return detail::multiply_transposed_fixed<4, 6, 4>(ad, bd, od);
-    }
-    if (rows == 6 && cols == 4) {
-      return detail::multiply_transposed_fixed<6, 6, 4>(ad, bd, od);
-    }
-  }
   // out(i, j) = sum_k a(i, k) * b(j, k): rows of both operands stream
   // sequentially, and register accumulation (four independent j chains)
   // replaces the historical `a * b.transposed()` materialization. Per

@@ -20,24 +20,17 @@ constexpr double kVelProcessSigma = 14.0;  // px/s / frame
 
 }  // namespace
 
-void BboxTrack::measurement_noise_into(const math::Bbox& b,
-                                       math::Matrix& out) const {
+CvKalmanFilter::Measurement BboxTrack::measurement_noise(
+    const math::Bbox& b) const {
   const double su = std::max(kMeasSigmaFloorPx, meas_sigma_x_ * b.w);
   const double sv = std::max(kMeasSigmaFloorPx, meas_sigma_y_ * b.h);
   const double sw = std::max(kMeasSigmaFloorPx, 0.08 * b.w);
   const double sh = std::max(kMeasSigmaFloorPx, 0.08 * b.h);
-  const double entries[] = {su * su, sv * sv, sw * sw, sh * sh};
-  out.resize(4, 4);
-  std::fill(out.data().begin(), out.data().end(), 0.0);
-  for (std::size_t i = 0; i < 4; ++i) out(i, i) = entries[i];
+  return {su * su, sv * sv, sw * sw, sh * sh};
 }
 
-void BboxTrack::to_measurement_into(const math::Bbox& b, math::Matrix& out) {
-  out.resize(4, 1);
-  out(0, 0) = b.cx;
-  out(1, 0) = b.cy;
-  out(2, 0) = b.w;
-  out(3, 0) = b.h;
+CvKalmanFilter::Measurement BboxTrack::to_measurement(const math::Bbox& b) {
+  return {b.cx, b.cy, b.w, b.h};
 }
 
 BboxTrack::BboxTrack(int id, const Detection& first, double dt,
@@ -48,36 +41,23 @@ BboxTrack::BboxTrack(int id, const Detection& first, double dt,
                                kMeasSigmaFracMin, kMeasSigmaFracMax)),
       meas_sigma_y_(std::clamp(kRobustFraction * noise.center_y.sigma,
                                kMeasSigmaFracMin, kMeasSigmaFracMax)),
+      predicted_(first.bbox),
       last_truth_id_(first.truth_id) {
   // State: [u, v, w, h, vu, vv]; constant-velocity center, random-walk size.
-  math::Matrix f = math::Matrix::identity(6);
-  f(0, 4) = dt;
-  f(1, 5) = dt;
-  math::Matrix h(4, 6);
-  h(0, 0) = h(1, 1) = h(2, 2) = h(3, 3) = 1.0;
-
   const double qp = kPosProcessSigma * kPosProcessSigma;
   const double qs = kSizeProcessSigma * kSizeProcessSigma;
   const double qv = kVelProcessSigma * kVelProcessSigma;
-  const double q_entries[] = {qp, qp, qs, qs, qv, qv};
-  math::Matrix q = math::Matrix::diagonal(q_entries);
-
-  const double x0_entries[] = {first.bbox.cx, first.bbox.cy, first.bbox.w,
-                               first.bbox.h, 0.0, 0.0};
-  math::Matrix x0 = math::Matrix::column(x0_entries);
-
   // Generous initial velocity uncertainty: the first few updates lock it in.
-  const double p0_entries[] = {25.0, 25.0, 25.0, 25.0, 2500.0, 2500.0};
-  math::Matrix p0 = math::Matrix::diagonal(p0_entries);
-
-  measurement_noise_into(first.bbox, r_scratch_);
-  kf_ = KalmanFilter(f, q, h, r_scratch_, x0, p0);
-  predicted_ = first.bbox;
+  kf_ = CvKalmanFilter(dt, {qp, qp, qs, qs, qv, qv},
+                       {first.bbox.cx, first.bbox.cy, first.bbox.w,
+                        first.bbox.h, 0.0, 0.0},
+                       {25.0, 25.0, 25.0, 25.0, 2500.0, 2500.0},
+                       measurement_noise(first.bbox));
 }
 
 math::Bbox BboxTrack::bbox() const {
   const auto& x = kf_.state();
-  return {x(0, 0), x(1, 0), std::max(1.0, x(2, 0)), std::max(1.0, x(3, 0))};
+  return {x[0], x[1], std::max(1.0, x[2]), std::max(1.0, x[3])};
 }
 
 void BboxTrack::predict() {
@@ -88,19 +68,18 @@ void BboxTrack::predict() {
 
 void BboxTrack::update(const Detection& det) {
   // Refresh the size-proportional measurement noise before the update.
-  measurement_noise_into(det.bbox, r_scratch_);
-  kf_.set_measurement_noise(r_scratch_);
-  to_measurement_into(det.bbox, z_scratch_);
+  kf_.set_measurement_noise(measurement_noise(det.bbox));
   // Record the pre-update innovation for the runtime attack monitors. Pure
   // observation: the Mahalanobis distance falls out of the update's own
-  // innovation/S^-1 computation (see KalmanFilter::last_update_mahalanobis2),
-  // so the filter state (and every pinned golden) is unchanged and the
-  // bookkeeping costs one 4x4 quadratic form.
+  // innovation/S^-1 computation (see
+  // CvKalmanFilter::last_update_mahalanobis2), so the filter state (and
+  // every pinned golden) is unchanged and the bookkeeping costs one 4x4
+  // quadratic form.
   last_innovation_x_ =
       (det.bbox.cx - predicted_.cx) / std::max(1.0, det.bbox.w);
   last_innovation_y_ =
       (det.bbox.cy - predicted_.cy) / std::max(1.0, det.bbox.h);
-  kf_.update(z_scratch_);
+  kf_.update(to_measurement(det.bbox));
   last_innovation_m2_ = kf_.last_update_mahalanobis2();
   ++hits_;
   consecutive_misses_ = 0;
@@ -115,8 +94,7 @@ void BboxTrack::mark_missed() {
 }
 
 double BboxTrack::mahalanobis2(const math::Bbox& z) const {
-  to_measurement_into(z, z_scratch_);
-  return kf_.mahalanobis2(z_scratch_);
+  return kf_.mahalanobis2(to_measurement(z));
 }
 
 }  // namespace rt::perception

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <type_traits>
+
 #include "math/bbox.hpp"
 #include "perception/detection.hpp"
 #include "perception/kalman_filter.hpp"
@@ -14,6 +16,10 @@ namespace rt::perception {
 /// This per-object KF is the paper's "F" — and the component §III-B singles
 /// out as the vulnerable link: it happily integrates biased measurements as
 /// long as each one stays within its Gaussian noise budget.
+///
+/// A plain value: the filter lives in fixed arrays, so spawning, copying
+/// and retiring a track never touches the heap (the trackers hold tracks in
+/// a vector and the attacker copies whole trackers).
 class BboxTrack {
  public:
   /// `noise` is the characterized detector noise for this object's class:
@@ -38,8 +44,8 @@ class BboxTrack {
   /// matcher associates against, and what the attacker pushes away from.
   [[nodiscard]] math::Bbox predicted_bbox() const { return predicted_; }
   /// Image-space velocity estimate (px/frame-rate units: px/s).
-  [[nodiscard]] double vu() const { return kf_.state()(4, 0); }
-  [[nodiscard]] double vv() const { return kf_.state()(5, 0); }
+  [[nodiscard]] double vu() const { return kf_.state()[4]; }
+  [[nodiscard]] double vv() const { return kf_.state()[5]; }
 
   /// Advances the KF one frame and caches the predicted bbox.
   void predict();
@@ -63,21 +69,18 @@ class BboxTrack {
   [[nodiscard]] double last_innovation_y() const { return last_innovation_y_; }
 
  private:
-  /// Fills `out` (4 x 1) with the measurement vector for `b`.
-  static void to_measurement_into(const math::Bbox& b, math::Matrix& out);
+  /// The measurement vector for `b`.
+  static CvKalmanFilter::Measurement to_measurement(const math::Bbox& b);
 
-  /// Fills `out` (4 x 4) with the size-proportional measurement covariance.
-  void measurement_noise_into(const math::Bbox& b, math::Matrix& out) const;
+  /// Diagonal of the size-proportional measurement covariance for `b`.
+  [[nodiscard]] CvKalmanFilter::Measurement measurement_noise(
+      const math::Bbox& b) const;
 
   int id_;
   sim::ActorType cls_;
   double meas_sigma_x_;  ///< robust measurement sigma, fraction of bbox w
   double meas_sigma_y_;  ///< robust measurement sigma, fraction of bbox h
-  KalmanFilter kf_;
-  /// Scratch for the per-update measurement vector/covariance, reused so a
-  /// track step allocates nothing; mutable because `mahalanobis2` is const.
-  mutable math::Matrix z_scratch_;
-  mutable math::Matrix r_scratch_;
+  CvKalmanFilter kf_;
   math::Bbox predicted_;
   int hits_{1};
   int consecutive_misses_{0};
@@ -87,5 +90,8 @@ class BboxTrack {
   double last_innovation_x_{0.0};
   double last_innovation_y_{0.0};
 };
+
+static_assert(std::is_trivially_copyable_v<BboxTrack>,
+              "a track birth or tracker copy must not allocate");
 
 }  // namespace rt::perception

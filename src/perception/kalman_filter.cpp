@@ -1,7 +1,6 @@
 #include "perception/kalman_filter.hpp"
 
-#include <stdexcept>
-#include <utility>
+#include "math/matrix.hpp"
 
 namespace rt::perception {
 
@@ -14,75 +13,32 @@ inline double through_unit(double v) { return v != 0.0 ? v : 0.0; }
 
 }  // namespace
 
-KalmanFilter::KalmanFilter(math::Matrix f, math::Matrix q, math::Matrix h,
-                           math::Matrix r, math::Matrix x0, math::Matrix p0)
-    : f_(std::move(f)),
-      q_(std::move(q)),
-      h_(std::move(h)),
-      r_(std::move(r)),
-      x_(std::move(x0)),
-      p_(std::move(p0)) {
-  const std::size_t n = f_.rows();
-  const std::size_t m = h_.rows();
-  if (f_.cols() != n || q_.rows() != n || q_.cols() != n || h_.cols() != n ||
-      r_.rows() != m || r_.cols() != m || x_.rows() != n || x_.cols() != 1 ||
-      p_.rows() != n || p_.cols() != n) {
-    throw std::invalid_argument("KalmanFilter: inconsistent dimensions");
-  }
-  // Detect the bbox tracker's constant-velocity structure: H = [I4 | 0] and
-  // F = I6 except the two position<-velocity couplings F(0,4), F(1,5). F and
-  // H have no setters, so this holds for the filter's lifetime.
-  if (n == 6 && m == 4) {
-    bool structured = f_(0, 4) != 0.0 && f_(1, 5) != 0.0;
-    for (std::size_t i = 0; structured && i < 4; ++i) {
-      for (std::size_t j = 0; j < 6; ++j) {
-        if (h_(i, j) != (i == j ? 1.0 : 0.0)) structured = false;
-      }
-    }
-    for (std::size_t i = 0; structured && i < 6; ++i) {
-      for (std::size_t j = 0; j < 6; ++j) {
-        if ((i == 0 && j == 4) || (i == 1 && j == 5)) continue;
-        if (f_(i, j) != (i == j ? 1.0 : 0.0)) structured = false;
-      }
-    }
-    cv_fast_ = structured;
-  }
+CvKalmanFilter::CvKalmanFilter(double dt, const State& q_diag,
+                               const State& x0, const State& p0_diag,
+                               const Measurement& r_diag)
+    : dt_(dt), q_(q_diag), r_(r_diag), x_(x0) {
+  for (std::size_t i = 0; i < 6; ++i) p_[i * 6 + i] = p0_diag[i];
 }
 
-void KalmanFilter::predict() {
-  if (cv_fast_) {
-    predict_cv_();
-    return;
-  }
-  // x <- F x;  P <- F P F^T + Q — via the fixed scratch, no allocations.
-  math::multiply_into(f_, x_, t_x_);
-  std::swap(x_, t_x_);
-  math::multiply_into(f_, p_, t_nn1_);
-  math::multiply_transposed_into(t_nn1_, f_, t_nn2_);
-  t_nn2_ += q_;
-  std::swap(p_, t_nn2_);
-}
-
-void KalmanFilter::predict_cv_() {
-  // Specialized F P F^T + Q for F = I + dt couplings. Bit-identity: per
-  // output element this replays the generic kernels' term sequence — each
-  // F*[.] row k-sum touches only k = i (weight 1.0) and, for rows 0/1, the
-  // coupling column; the [.]*F^T column j-sum likewise only k = j plus the
-  // coupling. Terms the generic loop skips (exact-zero lhs) or that
+void CvKalmanFilter::predict() {
+  // F P F^T + Q for F = I + dt couplings. Bit-identity: per output element
+  // this replays the dense kernels' term sequence — each F*[.] row k-sum
+  // touches only k = i (weight 1.0) and, for rows 0/1, the coupling
+  // column; the [.]*F^T column j-sum likewise only k = j plus the
+  // coupling. Terms the dense loop skips (exact-zero lhs) or that
   // contribute v*0.0 (rhs structural zeros) provably never change the
   // accumulator value: adding +-0.0 to a running sum only normalizes a zero
-  // accumulator to +0.0, which `through_unit` reproduces.
-  const double f04 = f_(0, 4);
-  const double f15 = f_(1, 5);
-  double* x = x_.data().data();
-  const double nx0 = through_unit(x[0]) + f04 * x[4];
-  const double nx1 = through_unit(x[1]) + f15 * x[5];
+  // accumulator to +0.0, which `through_unit` reproduces. Q's structural
+  // zeros are added like the dense `+= Q`.
+  const double f = dt_;
+  double* x = x_.data();
+  const double nx0 = through_unit(x[0]) + f * x[4];
+  const double nx1 = through_unit(x[1]) + f * x[5];
   x[0] = nx0;
   x[1] = nx1;
   for (std::size_t i = 2; i < 6; ++i) x[i] = through_unit(x[i]);
 
-  const double* q = q_.data().data();
-  double* p = p_.data().data();
+  double* p = p_.data();
   const double* p4 = p + 4 * 6;
   const double* p5 = p + 5 * 6;
   double fp[6];
@@ -92,108 +48,77 @@ void KalmanFilter::predict_cv_() {
     // overwritten on their own iteration, after this read).
     for (std::size_t j = 0; j < 6; ++j) {
       double v = through_unit(pi[j]);
-      if (i == 0) v += f04 * p4[j];
-      if (i == 1) v += f15 * p5[j];
+      if (i == 0) v += f * p4[j];
+      if (i == 1) v += f * p5[j];
       fp[j] = v;
     }
     // Row i of (F P) F^T + Q, written over P in place.
     double c0 = through_unit(fp[0]);
-    if (fp[4] != 0.0) c0 += fp[4] * f04;
+    if (fp[4] != 0.0) c0 += fp[4] * f;
     double c1 = through_unit(fp[1]);
-    if (fp[5] != 0.0) c1 += fp[5] * f15;
-    const double* qi = q + i * 6;
-    pi[0] = c0 + qi[0];
-    pi[1] = c1 + qi[1];
-    for (std::size_t j = 2; j < 6; ++j) pi[j] = through_unit(fp[j]) + qi[j];
-  }
-}
-
-void KalmanFilter::update(const math::Matrix& z) {
-  if (cv_fast_ && z.rows() == 4 && z.cols() == 1) {
-    update_cv_(z);
-    return;
-  }
-  // y = z - H x
-  math::multiply_into(h_, x_, t_hx_);
-  math::subtract_into(z, t_hx_, t_y_);
-  // S = H P H^T + R
-  math::multiply_into(h_, p_, t_mn_);
-  math::multiply_transposed_into(t_mn_, h_, t_mm1_);
-  t_mm1_ += r_;
-  math::invert_into(t_mm1_, t_mm2_, t_s_inv_);
-  // Record the innovation's squared Mahalanobis distance while y and S^-1
-  // are at hand — the same kernel sequence as `mahalanobis2`, so the value
-  // is bitwise identical to a pre-update call (t_mn_/t_hx_ are free here).
-  math::transposed_multiply_into(t_y_, t_s_inv_, t_mn_);
-  math::multiply_into(t_mn_, t_y_, t_hx_);
-  last_update_m2_ = t_hx_(0, 0);
-  // K = P H^T S^-1
-  math::multiply_transposed_into(p_, h_, t_nm_);
-  math::multiply_into(t_nm_, t_s_inv_, t_k_);
-  // x <- x + K y
-  math::multiply_into(t_k_, t_y_, t_x_);
-  x_ += t_x_;
-  // P <- (I - K H) P
-  math::multiply_into(t_k_, h_, t_nn1_);
-  t_nn2_.resize(p_.rows(), p_.cols());
-  for (std::size_t i = 0; i < t_nn2_.rows(); ++i) {
-    for (std::size_t j = 0; j < t_nn2_.cols(); ++j) {
-      t_nn2_(i, j) = (i == j ? 1.0 : 0.0) - t_nn1_(i, j);
+    if (fp[5] != 0.0) c1 += fp[5] * f;
+    pi[0] = c0 + (i == 0 ? q_[0] : 0.0);
+    pi[1] = c1 + (i == 1 ? q_[1] : 0.0);
+    for (std::size_t j = 2; j < 6; ++j) {
+      pi[j] = through_unit(fp[j]) + (i == j ? q_[i] : 0.0);
     }
   }
-  math::multiply_into(t_nn2_, p_, t_nn1_);
-  std::swap(p_, t_nn1_);
 }
 
-void KalmanFilter::update_cv_(const math::Matrix& z) {
-  // Specialized measurement update for H = [I4 | 0]. The selection rows
-  // collapse H x / H P / (H P) H^T / P H^T / K H to `through_unit` copies of
-  // the corresponding state/covariance/gain blocks — exactly what the
-  // generic skip-zero kernels accumulate element by element (see
-  // predict_cv_ for the +-0.0 argument). The dense remainders (S^-1
-  // products, (I - K H) P) run the same fixed kernels the generic dispatch
-  // selects, in the same order.
-  const double* zd = z.data().data();
-  double* x = x_.data().data();
-  const double* p = p_.data().data();
-  const double* r = r_.data().data();
-  // y = z - H x
-  t_y_.resize(4, 1);
-  double* y = t_y_.data().data();
-  for (std::size_t i = 0; i < 4; ++i) y[i] = zd[i] - through_unit(x[i]);
-  // S = H P H^T + R: top-left 4x4 block of P, plus R.
-  t_mm1_.resize(4, 4);
-  double* s = t_mm1_.data().data();
+double CvKalmanFilter::innovation_m2_(const Measurement& y,
+                                      std::array<double, 16>& s_inv) const {
+  // S = H P H^T + R: the selection rows reduce H P H^T to `through_unit`
+  // copies of P's top-left 4x4 block; R's structural zeros are added like
+  // the dense `+= R`.
+  std::array<double, 16> s;
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
-      s[i * 4 + j] = through_unit(p[i * 6 + j]) + r[i * 4 + j];
+      s[i * 4 + j] = through_unit(p_[i * 6 + j]) + (i == j ? r_[i] : 0.0);
     }
   }
-  math::invert_into(t_mm1_, t_mm2_, t_s_inv_);
-  // Innovation Mahalanobis bookkeeping — same kernel calls as the generic
-  // update, so `last_update_mahalanobis2` keeps its bitwise contract.
-  math::transposed_multiply_into(t_y_, t_s_inv_, t_mn_);
-  math::multiply_into(t_mn_, t_y_, t_hx_);
-  last_update_m2_ = t_hx_(0, 0);
+  math::detail::invert_fixed<4>(s.data(), s_inv.data());
+  // y^T S^-1 (the dense a^T * b kernel: zero-filled sums over ascending k,
+  // skipping exact-zero y), then (y^T S^-1) y (ascending k, skipping
+  // exact-zero lhs).
+  double ys[4] = {};
+  for (std::size_t k = 0; k < 4; ++k) {
+    const double v = y[k];
+    if (v == 0.0) continue;
+    for (std::size_t j = 0; j < 4; ++j) ys[j] += v * s_inv[k * 4 + j];
+  }
+  double m2 = 0.0;
+  math::detail::multiply_fixed<1, 4, 1>(ys, y.data(), &m2);
+  return m2;
+}
+
+void CvKalmanFilter::update(const Measurement& z) {
+  // Measurement update for H = [I4 | 0]. The selection rows collapse
+  // H x / P H^T / K H to `through_unit` copies of the state/covariance/gain
+  // blocks — exactly what the dense skip-zero kernels accumulate element by
+  // element (see predict for the +-0.0 argument). The dense remainders
+  // (S^-1 products, (I - K H) P) run the fixed kernels in the same order.
+  double* x = x_.data();
+  const double* p = p_.data();
+  // y = z - H x
+  Measurement y;
+  for (std::size_t i = 0; i < 4; ++i) y[i] = z[i] - through_unit(x[i]);
+  std::array<double, 16> s_inv;
+  last_update_m2_ = innovation_m2_(y, s_inv);
   // K = (P H^T) S^-1: P H^T is the left 6x4 block of P.
-  t_nm_.resize(6, 4);
-  double* pht = t_nm_.data().data();
+  double pht[6 * 4];
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
       pht[i * 4 + j] = through_unit(p[i * 6 + j]);
     }
   }
-  t_k_.resize(6, 4);
-  double* k = t_k_.data().data();
-  math::detail::multiply_fixed<6, 4, 4>(pht, t_s_inv_.data().data(), k);
+  double k[6 * 4];
+  math::detail::multiply_fixed<6, 4, 4>(pht, s_inv.data(), k);
   // x <- x + K y
-  t_x_.resize(6, 1);
-  double* ky = t_x_.data().data();
-  math::detail::multiply_fixed<6, 4, 1>(k, y, ky);
+  double ky[6];
+  math::detail::multiply_fixed<6, 4, 1>(k, y.data(), ky);
   for (std::size_t i = 0; i < 6; ++i) x[i] += ky[i];
   // P <- (I - K H) P, with K H = [K | 0] through the selection columns.
-  t_nn2_.resize(6, 6);
-  double* ikh = t_nn2_.data().data();
+  double ikh[6 * 6];
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
       ikh[i * 6 + j] = (i == j ? 1.0 : 0.0) - through_unit(k[i * 4 + j]);
@@ -202,26 +127,16 @@ void KalmanFilter::update_cv_(const math::Matrix& z) {
       ikh[i * 6 + j] = (i == j ? 1.0 : 0.0) - 0.0;
     }
   }
-  t_nn1_.resize(6, 6);
-  math::detail::multiply_fixed<6, 6, 6>(ikh, p, t_nn1_.data().data());
-  std::swap(p_, t_nn1_);
+  Covariance next;
+  math::detail::multiply_fixed<6, 6, 6>(ikh, p, next.data());
+  p_ = next;
 }
 
-math::Matrix KalmanFilter::innovation(const math::Matrix& z) const {
-  return z - h_ * x_;
-}
-
-double KalmanFilter::mahalanobis2(const math::Matrix& z) const {
-  // y = z - H x;  d = y^T S^-1 y — same scratch, zero allocations.
-  math::multiply_into(h_, x_, t_hx_);
-  math::subtract_into(z, t_hx_, t_y_);
-  math::multiply_into(h_, p_, t_mn_);
-  math::multiply_transposed_into(t_mn_, h_, t_mm1_);
-  t_mm1_ += r_;
-  math::invert_into(t_mm1_, t_mm2_, t_s_inv_);
-  math::transposed_multiply_into(t_y_, t_s_inv_, t_mn_);
-  math::multiply_into(t_mn_, t_y_, t_hx_);
-  return t_hx_(0, 0);
+double CvKalmanFilter::mahalanobis2(const Measurement& z) const {
+  Measurement y;
+  for (std::size_t i = 0; i < 4; ++i) y[i] = z[i] - through_unit(x_[i]);
+  std::array<double, 16> s_inv;
+  return innovation_m2_(y, s_inv);
 }
 
 }  // namespace rt::perception

@@ -1,13 +1,15 @@
 #pragma once
 
-#include "math/matrix.hpp"
+#include <array>
 
 namespace rt::perception {
 
-/// Generic linear Kalman filter ("F" in Fig. 1).
+/// Constant-velocity Kalman filter of the bbox tracker ("F" in Fig. 1).
 ///
-/// Maintains state estimate x and covariance P under the usual linear
-/// Gaussian model:
+/// State x = [u, v, w, h, vu, vv] (bbox center, size, pixel velocity) and
+/// measurement z = [u, v, w, h], under the fixed model
+///   F = I6 plus the couplings F(0,4) = F(1,5) = dt,   H = [I4 | 0],
+/// with diagonal process noise Q and diagonal measurement noise R:
 ///   predict:  x <- F x,          P <- F P F^T + Q
 ///   update:   y = z - H x,       S = H P H^T + R
 ///             K = P H^T S^-1,    x <- x + K y,   P <- (I - K H) P
@@ -16,80 +18,62 @@ namespace rt::perception {
 /// the KF assumes zero-mean Gaussian measurement noise, so an adversary who
 /// injects *biased* noise within +-1 sigma drags the state estimate without
 /// ever producing an innovation large enough to flag.
-class KalmanFilter {
+///
+/// The shapes are types, so the filter is a plain value over `std::array`:
+/// construction and copies allocate nothing. Every step replays, per
+/// element, the term sequence of the dense skip-exact-zero kernels in
+/// math/matrix.hpp on the explicit F and H matrices, so results are bit-
+/// identical to that generic algebra (derivation comments in the .cpp).
+class CvKalmanFilter {
  public:
-  KalmanFilter() = default;
+  using State = std::array<double, 6>;
+  using Measurement = std::array<double, 4>;
+  using Covariance = std::array<double, 36>;  ///< row-major 6 x 6
 
-  /// Constructs a filter with the given matrices. Dimensions:
-  /// F: n x n, Q: n x n, H: m x n, R: m x m, x0: n x 1, P0: n x n.
-  KalmanFilter(math::Matrix f, math::Matrix q, math::Matrix h, math::Matrix r,
-               math::Matrix x0, math::Matrix p0);
+  CvKalmanFilter() = default;
+  /// Diagonals of Q, P0 and R; x0 is the initial state.
+  CvKalmanFilter(double dt, const State& q_diag, const State& x0,
+                 const State& p0_diag, const Measurement& r_diag);
 
   /// Time update. Safe to call repeatedly (coasting through missed frames).
   void predict();
 
-  /// Measurement update with z (m x 1).
-  void update(const math::Matrix& z);
-
-  /// Innovation z - Hx for a hypothetical measurement (no state change).
-  [[nodiscard]] math::Matrix innovation(const math::Matrix& z) const;
+  /// Measurement update with z under the current R.
+  void update(const Measurement& z);
 
   /// Squared Mahalanobis distance of a measurement under the innovation
   /// covariance S = H P H^T + R. Used by gating logic and by the IDS.
-  [[nodiscard]] double mahalanobis2(const math::Matrix& z) const;
+  [[nodiscard]] double mahalanobis2(const Measurement& z) const;
 
   /// Squared Mahalanobis distance of the measurement consumed by the last
   /// `update` (-1 before the first). Recorded inside the update from the
-  /// already-computed innovation and S^-1, so it is bitwise identical to
-  /// calling `mahalanobis2(z)` immediately before the update at a tiny
-  /// fraction of the cost (no second S inversion). Consumed by the
+  /// already-computed innovation and S^-1 — the same sequence as
+  /// `mahalanobis2`, so it is bitwise identical to calling
+  /// `mahalanobis2(z)` immediately before the update. Consumed by the
   /// runtime attack monitors via BboxTrack/TrackView.
   [[nodiscard]] double last_update_mahalanobis2() const {
     return last_update_m2_;
   }
 
-  [[nodiscard]] const math::Matrix& state() const { return x_; }
-  [[nodiscard]] const math::Matrix& covariance() const { return p_; }
-  [[nodiscard]] math::Matrix predicted_measurement() const { return h_ * x_; }
+  [[nodiscard]] const State& state() const { return x_; }
 
-  void set_state(const math::Matrix& x) { x_ = x; }
-
-  /// Replaces the measurement-noise covariance R (m x m). Trackers whose
-  /// measurement noise scales with the object (e.g. bbox-size-proportional
-  /// pixel noise) refresh R before each update.
-  void set_measurement_noise(const math::Matrix& r) { r_ = r; }
+  /// Replaces the diagonal of R. Trackers whose measurement noise scales
+  /// with the object (bbox-size-proportional pixel noise) refresh it before
+  /// each update.
+  void set_measurement_noise(const Measurement& r_diag) { r_ = r_diag; }
 
  private:
-  /// Structured fast path for the bbox tracker's constant-velocity model
-  /// (n = 6, m = 4, H an exact 0/1 selection block, F identity plus the two
-  /// dt couplings). Detected once at construction; F and H are immutable
-  /// afterwards. Both bodies replay the generic skip-zero kernels' exact
-  /// per-element term sequences (see the derivation comments in the .cpp),
-  /// so every result is bit-identical to the generic path.
-  void predict_cv_();
-  void update_cv_(const math::Matrix& z);
+  /// y^T S^-1 y for innovation y under the current P and R; leaves S^-1 in
+  /// `s_inv` (row-major 4 x 4) for the gain.
+  [[nodiscard]] double innovation_m2_(const Measurement& y,
+                                      std::array<double, 16>& s_inv) const;
 
-  math::Matrix f_, q_, h_, r_, x_, p_;
+  double dt_{0.0};
+  State q_{};
+  Measurement r_{};
+  State x_{};
+  Covariance p_{};
   double last_update_m2_{-1.0};
-  bool cv_fast_{false};
-
-  // Fixed scratch reused by every predict/update/mahalanobis2 so a filter
-  // step performs zero heap allocations at steady state (the campaign hot
-  // loop runs millions of them). Sized lazily by the `*_into` kernels;
-  // mutable because `mahalanobis2` is logically const. Results are bit-
-  // identical to the historical allocating expressions (see the kernel
-  // contract in math/matrix.hpp).
-  mutable math::Matrix t_x_;       // n x 1: F x, K y
-  mutable math::Matrix t_y_;       // m x 1: innovation
-  mutable math::Matrix t_hx_;      // m x 1: H x
-  mutable math::Matrix t_nn1_;     // n x n
-  mutable math::Matrix t_nn2_;     // n x n
-  mutable math::Matrix t_mn_;      // m x n: H P
-  mutable math::Matrix t_nm_;      // n x m: P H^T
-  mutable math::Matrix t_k_;       // n x m: Kalman gain
-  mutable math::Matrix t_mm1_;     // m x m: S
-  mutable math::Matrix t_mm2_;     // m x m: Gauss-Jordan scratch
-  mutable math::Matrix t_s_inv_;   // m x m: S^-1
 };
 
 }  // namespace rt::perception

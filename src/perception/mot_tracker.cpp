@@ -104,13 +104,12 @@ void MotTracker::update_into(const CameraFrame& frame,
     if (!track_matched[j]) tracks_[j].mark_missed();
   }
 
-  // 4. Retire stale tracks — compacting in place (moves, not copies: a
-  //    BboxTrack carries KF scratch matrices that are expensive to clone).
+  // 4. Retire stale tracks, compacting in place.
   std::size_t kept = 0;
   matched_flags_.resize(tracks_.size());
   for (std::size_t j = 0; j < tracks_.size(); ++j) {
     if (tracks_[j].consecutive_misses() <= config_.max_misses) {
-      if (kept != j) tracks_[kept] = std::move(tracks_[j]);
+      if (kept != j) tracks_[kept] = tracks_[j];
       matched_flags_[kept] = track_matched[j];
       ++kept;
     }

@@ -1,6 +1,6 @@
 // Heap-allocation pins for the destination-passing kernel work: the
-// campaign hot paths (Kalman step, oracle inference) must not allocate at
-// steady state. A counting global operator new is the only reliable
+// campaign hot paths (track step and birth, oracle inference) must not
+// allocate at steady state. A counting global operator new is the only reliable
 // observer, so these live in their own binary — the counter covers every
 // allocation in the process, including gtest's own.
 
@@ -18,7 +18,7 @@
 #include "obs/trace.hpp"
 #include "perception/bbox_track.hpp"
 #include "perception/detector_model.hpp"
-#include "perception/kalman_filter.hpp"
+#include "perception/mot_tracker.hpp"
 
 namespace {
 
@@ -58,14 +58,13 @@ std::uint64_t allocations() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
-TEST(AllocationPins, KalmanFilterStepIsAllocationFreeAfterWarmup) {
+TEST(AllocationPins, BboxTrackStepIsAllocationFreeAfterWarmup) {
   if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
   perception::Detection d;
   d.bbox = {100.0, 100.0, 40.0, 40.0};
   perception::BboxTrack track(
       1, d, 1.0 / 15.0,
       perception::DetectorNoiseModel::paper_defaults().vehicle);
-  // Warm-up: first steps size the fixed scratch matrices.
   for (int i = 0; i < 3; ++i) {
     track.predict();
     track.update(d);
@@ -79,8 +78,34 @@ TEST(AllocationPins, KalmanFilterStepIsAllocationFreeAfterWarmup) {
     (void)track.mahalanobis2(d.bbox);
   }
   EXPECT_EQ(allocations(), before)
-      << "KalmanFilter predict/update/mahalanobis2 allocated on the steady "
+      << "BboxTrack predict/update/mahalanobis2 allocated on the steady "
          "state path";
+}
+
+TEST(AllocationPins, TrackBirthIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // A track is a plain value: once the tracker's vectors have seen three
+  // tracks, spawning one allocates nothing.
+  perception::MotTracker mot(1.0 / 15.0);
+  std::vector<perception::TrackView> out;
+  perception::Detection a;
+  a.bbox = {300.0, 500.0, 80.0, 60.0};
+  perception::Detection b = a;
+  b.bbox.cx = 900.0;
+  perception::Detection c = a;
+  c.bbox.cx = 1500.0;
+  perception::CameraFrame frame;
+  frame.detections = {a, b, c};
+  for (int i = 0; i < 5; ++i) mot.update_into(frame, out);
+  // Retire b and c: the vectors keep their capacity.
+  frame.detections = {a};
+  for (int i = 0; i < 12; ++i) mot.update_into(frame, out);
+  ASSERT_EQ(mot.live_track_count(), 1u);
+  frame.detections.push_back(c);
+  const std::uint64_t before = allocations();
+  mot.update_into(frame, out);
+  EXPECT_EQ(allocations(), before) << "a track birth allocated";
+  EXPECT_EQ(mot.live_track_count(), 2u);
 }
 
 TEST(AllocationPins, MlpPredictIsAllocationFreeAfterWarmup) {
@@ -140,6 +165,39 @@ TEST(AllocationPins, RobotackAttackOnPathIsAllocationFreeAfterWarmup) {
       << "Robotack::process_in_place allocated on the active-attack path";
   EXPECT_TRUE(bot.attack_active());
   EXPECT_GT(bot.log().frames_perturbed, 0);
+}
+
+TEST(AllocationPins, DormantRobotackIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // The dormant step: truth-replica update, the ADS-view replica refreshed
+  // as a copy of the truth replica, victim selection and the timing check.
+  core::RobotackConfig cfg;
+  cfg.vector = core::AttackVector::kMoveOut;
+  cfg.timing = core::TimingPolicy::kAtDeltaThreshold;
+  cfg.delta_trigger = -1e9;  // never fires
+  core::Robotack bot(cfg, perception::CameraModel{},
+                     perception::DetectorNoiseModel::paper_defaults(),
+                     perception::MotConfig{}, 99);
+  perception::Detection det;
+  det.cls = sim::ActorType::kVehicle;
+  det.bbox = {960.0, 580.0, 96.0, 80.0};
+  perception::Detection ped;
+  ped.cls = sim::ActorType::kPedestrian;
+  ped.bbox = {400.0, 560.0, 20.0, 50.0};
+  perception::CameraFrame frame;
+  auto step = [&] {
+    frame.time += cfg.dt;
+    frame.detections.clear();
+    frame.detections.push_back(det);
+    frame.detections.push_back(ped);
+    bot.process_in_place(frame, 10.0);
+  };
+  for (int i = 0; i < 20; ++i) step();
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 200; ++i) step();
+  EXPECT_EQ(allocations(), before)
+      << "Robotack::process_in_place allocated on the dormant path";
+  EXPECT_FALSE(bot.log().triggered);
 }
 
 TEST(AllocationPins, MonitorStackObserveIsAllocationFreeAfterWarmup) {
@@ -253,7 +311,7 @@ TEST(AllocationPins, SafetyOraclePredictBatchIsAllocationFreeAfterWarmup) {
 // allocation tracing ever makes is the one-time per-thread ring
 // acquisition, which the warm-up span absorbs.
 
-TEST(AllocationPins, TracedKalmanFilterStepIsAllocationFree) {
+TEST(AllocationPins, TracedBboxTrackStepIsAllocationFree) {
   if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
   obs::Tracer::global().arm(obs::TraceConfig{1 << 12});
   perception::Detection d;
@@ -276,7 +334,7 @@ TEST(AllocationPins, TracedKalmanFilterStepIsAllocationFree) {
     (void)track.mahalanobis2(d.bbox);
   }
   EXPECT_EQ(allocations(), before)
-      << "traced KalmanFilter step allocated — span recording must be free";
+      << "traced BboxTrack step allocated — span recording must be free";
   EXPECT_GE(obs::Tracer::global().span_count(), 200u);
   obs::Tracer::global().disarm();
   obs::Tracer::global().clear();

@@ -9,10 +9,12 @@
 #include "experiments/campaign.hpp"
 #include "experiments/campaign_grid.hpp"
 #include "experiments/sh_training.hpp"
-#include "experiments/thread_pool.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace rt::experiments {
 namespace {
+
+using runtime::ThreadPool;
 
 // --------------------------------------------------------- ThreadPool
 

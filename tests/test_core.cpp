@@ -8,6 +8,8 @@
 #include "core/safety_hijacker.hpp"
 #include "core/scenario_matcher.hpp"
 #include "core/trajectory_hijacker.hpp"
+#include "stats/hash.hpp"
+#include "stats/rng.hpp"
 
 namespace rt::core {
 namespace {
@@ -365,7 +367,8 @@ TEST(Robotack, DormantWithoutOracle) {
                perception::MotConfig{}, 1);
   perception::CameraFrame frame;
   frame.time = 0.0;
-  const auto out = bot.process(frame, 12.5);
+  perception::CameraFrame out = frame;
+  bot.process_in_place(out, 12.5);
   EXPECT_FALSE(bot.attack_active());
   EXPECT_FALSE(bot.log().triggered);
   EXPECT_TRUE(out.detections.empty());
@@ -398,7 +401,8 @@ TEST(Robotack, ScriptedTriggerPerturbsFrames) {
     d.cls = obj.type;
     d.truth_id = obj.id;
     frame.detections.push_back(d);
-    const auto out = bot.process(frame, 12.5);
+    perception::CameraFrame out = frame;
+    bot.process_in_place(out, 12.5);
     if (out.detections.empty()) ++suppressed;
   }
   EXPECT_TRUE(bot.log().triggered);
@@ -432,9 +436,81 @@ TEST(Robotack, MaxTriggersRespected) {
     d.cls = obj.type;
     d.truth_id = obj.id;
     frame.detections.push_back(d);
-    (void)bot.process(frame, 12.5);
+    perception::CameraFrame out = frame;
+    bot.process_in_place(out, 12.5);
   }
   EXPECT_EQ(bot.log().triggers, 1);
+}
+
+// A scripted Move_Out attacker allowed three bursts over a jittered
+// two-object stream. After the first burst ends the ADS-view replica holds
+// state the truth replica never saw (the perturbed frames), and the later
+// bursts resolve the victim and push against that replica — the path no
+// single-trigger campaign golden covers. The hash folds every outgoing
+// frame and the final AttackLog, pinned before the replica bookkeeping was
+// reworked.
+TEST(Robotack, MultiTriggerReplicaTraceIsPinned) {
+  const perception::CameraModel cam;
+  RobotackConfig cfg;
+  cfg.vector = AttackVector::kMoveOut;
+  cfg.timing = TimingPolicy::kAtDeltaThreshold;
+  cfg.delta_trigger = 100.0;
+  cfg.fixed_k = 7;
+  cfg.max_triggers = 3;
+  Robotack bot(cfg, cam, perception::DetectorNoiseModel::paper_defaults(),
+               perception::MotConfig{}, 11);
+
+  sim::GroundTruthObject car;
+  car.id = 1;
+  car.type = sim::ActorType::kVehicle;
+  car.dims = sim::default_dimensions(car.type);
+  sim::GroundTruthObject ped;
+  ped.id = 2;
+  ped.type = sim::ActorType::kPedestrian;
+  ped.dims = sim::default_dimensions(ped.type);
+
+  stats::Rng rng(31);
+  std::uint64_t h = stats::kFnv1aOffset;
+  perception::CameraFrame frame;
+  for (int f = 0; f < 120; ++f) {
+    frame.time = f / 15.0;
+    frame.detections.clear();
+    car.rel_position = {40.0 - 0.1 * f, 0.2};
+    ped.rel_position = {25.0, -6.0 + 0.02 * f};
+    for (const auto* obj : {&car, &ped}) {
+      const auto box = cam.project(*obj);
+      if (!box || rng.bernoulli(0.05)) continue;
+      perception::Detection d;
+      d.bbox = box->translated(rng.normal(0.0, 0.1 * box->w),
+                               rng.normal(0.0, 0.1 * box->h));
+      d.cls = obj->type;
+      d.truth_id = obj->id;
+      frame.detections.push_back(d);
+    }
+    bot.process_in_place(frame, 12.5);
+    h = stats::fnv1a_u64(h, frame.detections.size());
+    for (const auto& d : frame.detections) {
+      for (const double v : {d.bbox.cx, d.bbox.cy, d.bbox.w, d.bbox.h}) {
+        h = stats::fnv1a_double(h, v);
+      }
+      h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(d.truth_id));
+    }
+  }
+  const AttackLog& log = bot.log();
+  ASSERT_EQ(log.triggers, 3);
+  for (const double v :
+       {log.start_time, log.delta_at_launch, log.v_rel_at_launch.x,
+        log.v_rel_at_launch.y, log.a_rel_at_launch.x, log.a_rel_at_launch.y,
+        log.predicted_delta, log.omega_target}) {
+    h = stats::fnv1a_double(h, v);
+  }
+  for (const int v : {log.triggers, log.planned_k, log.frames_perturbed,
+                      log.k_prime, static_cast<int>(log.vector),
+                      static_cast<int>(log.victim_cls),
+                      static_cast<int>(log.victim_truth_id)}) {
+    h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(v));
+  }
+  EXPECT_EQ(h, 0xef2901da3c361c10ULL);
 }
 
 }  // namespace

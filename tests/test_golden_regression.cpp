@@ -9,10 +9,11 @@
 #include <vector>
 
 #include "core/scenario_matcher.hpp"
+#include "experiments/campaign_serde.hpp"
 #include "experiments/campaign.hpp"
 #include "experiments/sh_training.hpp"
-#include "experiments/thread_pool.hpp"
 #include "sim/road.hpp"
+#include "stats/hash.hpp"
 
 namespace rt {
 namespace {
@@ -136,6 +137,32 @@ TEST(GoldenTableII, Ds1DisappearMiniCampaign) {
   EXPECT_EQ(result.min_deltas().size(), 8u);
   // Disappear runs are excluded from K' (Fig. 7) by construction.
   EXPECT_TRUE(result.k_primes().empty());
+}
+
+// --------------------------- multi-burst closed loop (pinned run digest)
+
+// DS-1 with a scripted Move_Out attacker allowed two bursts: the second
+// burst resolves its victim against an ADS-view replica that has consumed
+// the first burst's perturbed frames. No campaign golden sets
+// max_triggers > 1, so this digest of the serialized RunResult is what
+// pins that replica path.
+TEST(GoldenClosedLoop, Ds1TwoBurstMoveOutRunDigest) {
+  experiments::LoopConfig loop;
+  stats::Rng rng(7);
+  sim::Scenario sc = sim::make_scenario("DS-1", rng);
+  experiments::ClosedLoop cl(sc, loop, 1001);
+  auto cfg = experiments::make_attacker_config(
+      loop, AttackVector::kMoveOut, core::TimingPolicy::kAtDeltaThreshold);
+  cfg.delta_trigger = 30.0;
+  cfg.fixed_k = 15;
+  cfg.max_triggers = 2;
+  cl.set_attacker(std::make_unique<core::Robotack>(
+      cfg, loop.camera, loop.noise, loop.mot, 2002));
+  const experiments::RunResult r = cl.run();
+  ASSERT_EQ(r.attack.triggers, 2);
+  EXPECT_EQ(stats::fnv1a_str(stats::kFnv1aOffset,
+                             experiments::serialize_run_result(r)),
+            0x37ba887a0910ad4bULL);
 }
 
 }  // namespace

@@ -196,44 +196,48 @@ TEST(Hungarian, EmptyInputs) {
 
 // ---------------------------------------------------------------- kalman
 
-TEST(KalmanFilter, ConvergesOnConstantVelocityTarget) {
+TEST(CvKalmanFilter, ConvergesOnConstantVelocityTarget) {
   const double dt = 0.1;
-  math::Matrix f{{1.0, dt}, {0.0, 1.0}};
-  math::Matrix q{{0.01, 0.0}, {0.0, 0.01}};
-  math::Matrix h{{1.0, 0.0}};
-  math::Matrix r{{1.0}};
-  math::Matrix x0{{0.0}, {0.0}};
-  math::Matrix p0{{10.0, 0.0}, {0.0, 10.0}};
-  KalmanFilter kf(f, q, h, r, x0, p0);
+  CvKalmanFilter kf(dt, {0.01, 0.01, 0.01, 0.01, 0.01, 0.01},
+                    {0.0, 0.0, 10.0, 10.0, 0.0, 0.0},
+                    {10.0, 10.0, 10.0, 10.0, 10.0, 10.0},
+                    {1.0, 1.0, 1.0, 1.0});
 
   stats::Rng rng(5);
-  double pos = 0.0;
-  const double vel = 3.0;
+  double u = 0.0;
+  double v = 0.0;
+  const double vu = 3.0;
+  const double vv = -2.0;
   for (int i = 0; i < 300; ++i) {
-    pos += vel * dt;
+    u += vu * dt;
+    v += vv * dt;
     kf.predict();
-    math::Matrix z{{pos + rng.normal(0.0, 1.0)}};
-    kf.update(z);
+    kf.update({u + rng.normal(0.0, 1.0), v + rng.normal(0.0, 1.0),
+               10.0 + rng.normal(0.0, 1.0), 10.0 + rng.normal(0.0, 1.0)});
   }
-  EXPECT_NEAR(kf.state()(1, 0), vel, 0.4);
-  EXPECT_NEAR(kf.state()(0, 0), pos, 1.5);
+  EXPECT_NEAR(kf.state()[4], vu, 0.4);
+  EXPECT_NEAR(kf.state()[5], vv, 0.4);
+  EXPECT_NEAR(kf.state()[0], u, 1.5);
+  EXPECT_NEAR(kf.state()[1], v, 1.5);
+  EXPECT_NEAR(kf.state()[2], 10.0, 1.5);
 }
 
-TEST(KalmanFilter, MahalanobisGrowsWithInnovation) {
-  math::Matrix f = math::Matrix::identity(1);
-  math::Matrix q{{0.1}};
-  math::Matrix h{{1.0}};
-  math::Matrix r{{1.0}};
-  KalmanFilter kf(f, q, h, r, math::Matrix{{0.0}}, math::Matrix{{1.0}});
-  EXPECT_LT(kf.mahalanobis2(math::Matrix{{0.5}}),
-            kf.mahalanobis2(math::Matrix{{5.0}}));
-}
-
-TEST(KalmanFilter, DimensionValidation) {
-  EXPECT_THROW(KalmanFilter(math::Matrix(2, 2), math::Matrix(3, 3),
-                            math::Matrix(1, 2), math::Matrix(1, 1),
-                            math::Matrix(2, 1), math::Matrix(2, 2)),
-               std::invalid_argument);
+TEST(CvKalmanFilter, MahalanobisGrowsWithInnovation) {
+  CvKalmanFilter kf(1.0 / 15.0, {0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
+                    {100.0, 100.0, 40.0, 40.0, 0.0, 0.0},
+                    {1.0, 1.0, 1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0});
+  EXPECT_LT(kf.mahalanobis2({100.5, 100.0, 40.0, 40.0}),
+            kf.mahalanobis2({105.0, 100.0, 40.0, 40.0}));
+  EXPECT_LT(kf.mahalanobis2({100.0, 100.0, 40.0, 40.5}),
+            kf.mahalanobis2({100.0, 100.0, 40.0, 45.0}));
+  // The update records the distance of the measurement it consumed, bit
+  // for bit what a call just before the update returns.
+  EXPECT_EQ(kf.last_update_mahalanobis2(), -1.0);
+  kf.predict();
+  const CvKalmanFilter::Measurement z{103.0, 99.0, 41.0, 40.0};
+  const double before = kf.mahalanobis2(z);
+  kf.update(z);
+  EXPECT_EQ(kf.last_update_mahalanobis2(), before);
 }
 
 // ------------------------------------------------------------------- MOT
