@@ -24,12 +24,17 @@ for required in test_golden_regression test_sh_training test_transfer_matrix \
 done
 
 # Smoke-run the guided examples so they cannot silently rot: quickstart
-# (trains or loads the cached oracles) and the scenario-registry showcase
-# (registers a custom family + grid campaign; hermetic, few runs).
+# (trains or loads the cached oracles), the scenario-registry showcase
+# (registers a custom family + grid campaign; hermetic, few runs), and the
+# perception, DS-2 attack and oracle-training walkthroughs (each a few
+# seconds at most).
 echo "==> example smoke runs"
 ./build-release/examples/quickstart
 ./build-release/examples/scenario_showcase 3
 ./build-release/examples/defense_demo 4
+./build-release/examples/perception_pipeline_demo
+./build-release/examples/pedestrian_crossing_attack
+./build-release/examples/train_safety_hijacker
 
 # Smoke-run the transfer-matrix driver so the curriculum-training +
 # transfer path is exercised on every build (2 campaign runs per cell
@@ -43,7 +48,7 @@ echo "==> fig_transfer smoke run"
 # the repository's perf trajectory — campaign-grid throughput from the
 # table2 driver, plus the scheduler/NN microbenchmarks when google-benchmark
 # is available. Single-threaded so runs/sec is comparable across PRs on the
-# 1-core CI container.
+# 4-core CI host.
 #
 # The driver runs twice, untraced and traced (--trace): the CSVs must be
 # byte-identical (tracing is passive or it is broken), the trace must parse
@@ -67,7 +72,7 @@ cmp build-release/table2_untraced.csv build-release/table2_traced.csv || {
   grid_request campaign_cell
 # Merge both records into the canonical BENCH_campaign.json and check the
 # overhead: warn past the 3% budget, fail only at a loose 25% bound (the
-# 1-core CI container is noisy at --runs 8).
+# shared 4-core CI host is noisy at --runs 8).
 grep -h '"bench"' BENCH_campaign_untraced.json BENCH_campaign_traced.json \
   | sed 's/,$//' \
   | awk 'BEGIN{print "["} {l[NR]=$0} END{for(i=1;i<=NR;i++) print l[i] (i<NR?",":""); print "]"}' \

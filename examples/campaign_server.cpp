@@ -58,6 +58,7 @@
 #include <cstring>
 #include <ctime>
 #include <deque>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -382,7 +383,7 @@ void append_result(const experiments::CampaignResult& r, bool json,
 /// typed `error <code> <name> <message>` line per incomplete one (same in
 /// JSON mode, as an error object). Deterministic: the same request against
 /// the same cache state renders the same bytes.
-std::string render_response(const service::GridResponse& response,
+std::string render_response(const experiments::GridOutcome& response,
                             bool json) {
   std::string out;
   if (!json && !response.results.empty()) out += kCsvHeader;
@@ -417,7 +418,7 @@ std::string render_response(const service::GridResponse& response,
 /// and the outcome ("ok" or the first typed error code). Also feeds the
 /// request-latency histogram, so the `stats` verb and the log agree.
 void log_request_stats(const service::CampaignService& svc,
-                       const service::GridResponse& response,
+                       const experiments::GridOutcome& response,
                        std::uint64_t id) {
   const auto& rs = svc.last_request();
   request_latency_histogram().observe(rs.wall_ms);
@@ -507,6 +508,34 @@ ParsedLine parse_line(const std::string& line, const ServerOptions& opts) {
   return out;
 }
 
+/// Executes one `run` request for either front-end: assigns its id, runs
+/// the grid under `request_execute`, renders it under `request_serialize`,
+/// hands the body to `reply`, then logs the request. A queued request
+/// passes its `enqueue_ns`, recorded as its `request_queue_wait` span.
+void execute_request(service::CampaignService& svc, const ServerOptions& opts,
+                     const service::GridRequest& request,
+                     std::optional<std::uint64_t> enqueue_ns,
+                     const std::function<void(const std::string&)>& reply) {
+  const std::uint64_t id =
+      g_request_id.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (enqueue_ns) {
+    obs::record_span("request_queue_wait", "server", *enqueue_ns,
+                     obs::Tracer::now_ns(), id, "request");
+  }
+  experiments::GridOutcome response;
+  {
+    RT_TRACE_SPAN("request_execute", "server", id, "request");
+    response = svc.run_grid_checked(request);
+  }
+  std::string body;
+  {
+    RT_TRACE_SPAN("request_serialize", "server", id, "request");
+    body = render_response(response, opts.json);
+  }
+  reply(body);
+  log_request_stats(svc, response, id);
+}
+
 /// Serves the stdin batch: every line is a request, EOF or quit ends the
 /// batch, and the cumulative cache summary is the last stderr line.
 int serve_stdin(service::CampaignService& svc, const ServerOptions& opts) {
@@ -521,22 +550,11 @@ int serve_stdin(service::CampaignService& svc, const ServerOptions& opts) {
       continue;
     }
     if (parsed.verb != Verb::kRun) continue;
-    const std::uint64_t id =
-        g_request_id.fetch_add(1, std::memory_order_relaxed) + 1;
-    service::GridRequest request{parsed.specs, parsed.deadline_ms};
-    service::GridResponse response;
-    {
-      RT_TRACE_SPAN("request_execute", "server", id, "request");
-      response = svc.run_grid_checked(request);
-    }
-    std::string body;
-    {
-      RT_TRACE_SPAN("request_serialize", "server", id, "request");
-      body = render_response(response, opts.json);
-    }
-    std::fwrite(body.data(), 1, body.size(), stdout);
-    std::fflush(stdout);
-    log_request_stats(svc, response, id);
+    execute_request(svc, opts, {parsed.specs, parsed.deadline_ms},
+                    std::nullopt, [](const std::string& body) {
+                      std::fwrite(body.data(), 1, body.size(), stdout);
+                      std::fflush(stdout);
+                    });
   }
   print_cache_summary(svc);
   return 0;
@@ -717,24 +735,10 @@ void executor_loop(service::CampaignService& svc, JobQueue& queue,
       job->conn->send(render_stats() + "end\n");
       continue;
     }
-    const std::uint64_t id =
-        g_request_id.fetch_add(1, std::memory_order_relaxed) + 1;
-    obs::record_span("request_queue_wait", "server", job->enqueue_ns,
-                     obs::Tracer::now_ns(), id, "request");
-    service::GridRequest request{std::move(job->specs), job->deadline_ms};
-    service::GridResponse response;
-    {
-      RT_TRACE_SPAN("request_execute", "server", id, "request");
-      response = svc.run_grid_checked(request);
-    }
-    std::string body;
-    {
-      RT_TRACE_SPAN("request_serialize", "server", id, "request");
-      body = render_response(response, opts.json);
-      body += "end\n";
-    }
-    job->conn->send(body);
-    log_request_stats(svc, response, id);
+    execute_request(svc, opts, {std::move(job->specs), job->deadline_ms},
+                    job->enqueue_ns, [&](const std::string& body) {
+                      job->conn->send(body + "end\n");
+                    });
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "experiments/campaign_grid.hpp"
 #include "obs/metrics.hpp"
@@ -215,56 +217,99 @@ std::vector<GridCell> grid_cells(const std::vector<CampaignSpec>& specs) {
   return cells;
 }
 
-void run_cells(const CampaignRunner& runner,
-               const std::vector<CampaignSpec>& specs,
-               const std::vector<GridCell>& cells,
-               const std::vector<std::size_t>& indices,
-               const std::function<void(std::size_t cell_index,
-                                        const RunResult& run)>& sink) {
-  for (const std::size_t ci : indices) {
-    const GridCell& cell = cells.at(ci);
-    sink(ci, runner.run_one(specs.at(cell.spec), cell.run));
+std::vector<CampaignResult> GridOutcome::complete_or_throw() && {
+  if (first_failure) std::rethrow_exception(first_failure);
+  if (!errors.empty()) {
+    throw std::runtime_error("grid run incomplete: " +
+                             errors.front().message);
+  }
+  return std::move(results);
+}
+
+GridSlots::GridSlots(const std::vector<CampaignSpec>& specs)
+    : cells_(grid_cells(specs)), filled_(cells_.size(), 0) {
+  out_.results.resize(specs.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    out_.results[s].spec = specs[s];
+    out_.results[s].runs.resize(
+        static_cast<std::size_t>(std::max(0, specs[s].runs)));
   }
 }
 
-void run_cell_range(const CampaignRunner& runner,
-                    const std::vector<CampaignSpec>& specs,
-                    const std::vector<GridCell>& cells, std::size_t begin,
-                    std::size_t end,
-                    const std::function<void(std::size_t cell_index,
-                                             const RunResult& run)>& sink) {
-  std::vector<std::size_t> indices;
-  indices.reserve(end > begin ? end - begin : 0);
-  for (std::size_t i = begin; i < end && i < cells.size(); ++i) {
-    indices.push_back(i);
+std::vector<std::size_t> GridSlots::unfilled() const {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (!filled_[i]) out.push_back(i);
   }
-  run_cells(runner, specs, cells, indices, sink);
+  return out;
+}
+
+void GridSlots::fill(std::size_t cell, RunResult run) {
+  const GridCell& c = cells_[cell];
+  out_.results[c.spec].runs[static_cast<std::size_t>(c.run)] = std::move(run);
+  filled_[cell] = 1;
+}
+
+void GridSlots::run(const CampaignRunner& runner,
+                    const std::vector<std::size_t>& cell_indices,
+                    unsigned threads, const GridDeadline& deadline) {
+  if (cell_indices.empty()) return;
+  std::mutex failure_mutex;
+  runtime::ThreadPool pool(threads);
+  pool.parallel_for(static_cast<int>(cell_indices.size()), [&](int i) {
+    if (deadline_passed(deadline)) return;  // stop at the cell boundary
+    const std::size_t ci = cell_indices[static_cast<std::size_t>(i)];
+    const GridCell& c = cells_[ci];
+    try {
+      fill(ci, runner.run_one(out_.results[c.spec].spec, c.run));
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(failure_mutex);
+      if (!out_.first_failure) out_.first_failure = std::current_exception();
+    }
+  });
+}
+
+GridOutcome GridSlots::finish(bool deadline_expired) && {
+  std::vector<int> missing(out_.results.size(), 0);
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (!filled_[i]) ++missing[cells_[i].spec];
+  }
+  for (std::size_t s = 0; s < missing.size(); ++s) {
+    if (missing[s] == 0) continue;
+    CampaignError err{s, CampaignErrorCode::kExecutionFailed,
+                      "campaign run failed"};
+    if (deadline_expired) {
+      err.code = CampaignErrorCode::kDeadlineExceeded;
+      err.message = "deadline expired with " + std::to_string(missing[s]) +
+                    "/" + std::to_string(out_.results[s].runs.size()) +
+                    " cells missing";
+    } else if (out_.first_failure) {
+      try {
+        std::rethrow_exception(out_.first_failure);
+      } catch (const std::exception& ex) {
+        err.message = ex.what();
+      } catch (...) {
+      }
+    }
+    // A result is complete or absent, never silently partial: zero-filled
+    // RunResults would parse as real data.
+    out_.results[s].runs.clear();
+    out_.errors.push_back(std::move(err));
+  }
+  return std::move(out_);
+}
+
+GridOutcome CampaignScheduler::run_all_checked(
+    const std::vector<CampaignSpec>& specs,
+    const GridDeadline& deadline) const {
+  GridSlots slots(specs);
+  slots.run(runner_, slots.unfilled(), threads_, deadline);
+  return std::move(slots).finish(deadline_passed(deadline));
 }
 
 std::vector<CampaignResult> CampaignScheduler::run_all(
-    const std::vector<CampaignSpec>& specs,
-    const CampaignProgressFn& on_progress) const {
-  std::vector<CampaignResult> results(specs.size());
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    results[s].spec = specs[s];
-    results[s].runs.resize(
-        static_cast<std::size_t>(std::max(0, specs[s].runs)));
-  }
-  const std::vector<GridCell> cells = grid_cells(specs);
-
-  std::vector<int> done(specs.size(), 0);
-  std::mutex progress_mutex;
-  runtime::ThreadPool pool(threads_);
-  pool.parallel_for(static_cast<int>(cells.size()), [&](int c) {
-    const GridCell cell = cells[static_cast<std::size_t>(c)];
-    results[cell.spec].runs[static_cast<std::size_t>(cell.run)] =
-        runner_.run_one(specs[cell.spec], cell.run);
-    if (on_progress) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      on_progress(cell.spec, ++done[cell.spec], specs[cell.spec].runs);
-    }
-  });
-  return results;
+    const std::vector<CampaignSpec>& specs) const {
+  return run_all_checked(specs).complete_or_throw();
 }
 
 CampaignResult CampaignScheduler::run(const CampaignSpec& spec) const {

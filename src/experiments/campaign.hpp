@@ -1,6 +1,8 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -117,6 +119,31 @@ struct CampaignError {
   std::string message;
 };
 
+/// A checked grid run, the one result type of every grid executor (the
+/// in-process scheduler, the multi-process sharder, the campaign service):
+/// complete campaigns in `results` (spec order; an errored spec's `runs` is
+/// empty, never partially filled) and one typed error per incomplete
+/// campaign in `errors` (spec_index ascending).
+struct GridOutcome {
+  std::vector<CampaignResult> results;
+  std::vector<CampaignError> errors;
+  /// First exception a cell raised, when one caused the errors.
+  std::exception_ptr first_failure{};
+
+  /// The results of a run without a deadline: rethrows the first cell
+  /// exception (or throws on any other error), so callers get complete
+  /// campaigns or an exception, never a silently partial grid.
+  [[nodiscard]] std::vector<CampaignResult> complete_or_throw() &&;
+};
+
+/// Optional hard deadline of a grid run: execution stops at the next cell
+/// boundary once it has passed. nullopt = unbounded.
+using GridDeadline = std::optional<std::chrono::steady_clock::time_point>;
+
+[[nodiscard]] inline bool deadline_passed(const GridDeadline& deadline) {
+  return deadline && std::chrono::steady_clock::now() >= *deadline;
+}
+
 /// The trained per-vector oracles RoboTack deploys with.
 using OracleSet =
     std::map<core::AttackVector, std::shared_ptr<core::SafetyOracle>>;
@@ -152,12 +179,6 @@ class CampaignRunner {
   OracleSet oracles_;
 };
 
-/// Per-run completion callback: (spec index in the batch, runs finished in
-/// that campaign so far, spec.runs). Invoked under a scheduler-internal
-/// mutex — callbacks never race each other but must stay cheap.
-using CampaignProgressFn =
-    std::function<void(std::size_t spec_index, int done, int total)>;
-
 /// One <spec, run_index> cell of a campaign grid — the unit the in-process
 /// scheduler, the multi-process sharder (rt::service) and the result cache
 /// all operate on.
@@ -173,25 +194,43 @@ struct GridCell {
 [[nodiscard]] std::vector<GridCell> grid_cells(
     const std::vector<CampaignSpec>& specs);
 
-/// Runs the listed cells serially (in list order) and hands each finished
-/// result to `sink` with its index into `cells`. This is the sharded
-/// worker's entry point: because it calls CampaignRunner::run_one exactly
-/// like the in-process scheduler, any partition of the cell list across
-/// processes reassembles into bit-identical campaign results.
-void run_cells(const CampaignRunner& runner,
-               const std::vector<CampaignSpec>& specs,
-               const std::vector<GridCell>& cells,
-               const std::vector<std::size_t>& indices,
-               const std::function<void(std::size_t cell_index,
-                                        const RunResult& run)>& sink);
+/// The slots one grid run fills: every campaign's `runs` pre-sized and one
+/// filled flag per grid_cells() index. Each cell writes only its own slot,
+/// so any mix of executors (a thread pool, forked workers, both) that fills
+/// every cell reassembles bit-identical campaigns, and finish() is the one
+/// place where unfilled cells become typed errors.
+class GridSlots {
+ public:
+  explicit GridSlots(const std::vector<CampaignSpec>& specs);
 
-/// Convenience: the contiguous half-open cell range [begin, end).
-void run_cell_range(const CampaignRunner& runner,
-                    const std::vector<CampaignSpec>& specs,
-                    const std::vector<GridCell>& cells, std::size_t begin,
-                    std::size_t end,
-                    const std::function<void(std::size_t cell_index,
-                                             const RunResult& run)>& sink);
+  [[nodiscard]] const std::vector<GridCell>& cells() const { return cells_; }
+  [[nodiscard]] bool filled(std::size_t cell) const {
+    return filled_[cell] != 0;
+  }
+  /// Indices of the cells not filled yet, ascending.
+  [[nodiscard]] std::vector<std::size_t> unfilled() const;
+  /// Stores one cell's result. Distinct cells may be filled concurrently.
+  void fill(std::size_t cell, RunResult run);
+
+  /// Runs the listed cells over a `threads`-thread pool (0 = one per core),
+  /// each into its slot. Cells not yet started when `deadline` passes are
+  /// skipped; a cell that throws stays unfilled, and the first exception is
+  /// kept for finish().
+  void run(const CampaignRunner& runner,
+           const std::vector<std::size_t>& cell_indices, unsigned threads,
+           const GridDeadline& deadline);
+
+  /// Hands the results over. Every campaign with an unfilled cell loses its
+  /// runs and becomes one CampaignError: kDeadlineExceeded when
+  /// `deadline_expired`, else kExecutionFailed with the first exception's
+  /// text as its message.
+  [[nodiscard]] GridOutcome finish(bool deadline_expired) &&;
+
+ private:
+  std::vector<GridCell> cells_;
+  std::vector<char> filled_;
+  GridOutcome out_;
+};
 
 /// Pluggable campaign-batch executor: runs every spec and returns results
 /// in spec order. Grid harnesses (defense grid, scenario search) accept one
@@ -212,10 +251,17 @@ class CampaignScheduler {
   explicit CampaignScheduler(const CampaignRunner& runner,
                              unsigned threads = 0);
 
-  /// Runs every spec to completion and returns results in spec order.
+  /// Runs every spec to completion and returns results in spec order;
+  /// rethrows the first exception a run raised.
   [[nodiscard]] std::vector<CampaignResult> run_all(
+      const std::vector<CampaignSpec>& specs) const;
+
+  /// Like run_all, but stops at `deadline` and degrades instead of
+  /// throwing: campaigns that could not be completed come back as typed
+  /// errors next to the completed results.
+  [[nodiscard]] GridOutcome run_all_checked(
       const std::vector<CampaignSpec>& specs,
-      const CampaignProgressFn& on_progress = nullptr) const;
+      const GridDeadline& deadline = {}) const;
 
   /// Convenience: single-spec batch.
   [[nodiscard]] CampaignResult run(const CampaignSpec& spec) const;

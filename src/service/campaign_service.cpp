@@ -1,24 +1,18 @@
 #include "service/campaign_service.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstddef>
-#include <mutex>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace rt::service {
 
 using experiments::CampaignError;
-using experiments::CampaignErrorCode;
 using experiments::CampaignResult;
 using experiments::CampaignSpec;
-using experiments::GridCell;
+using experiments::GridOutcome;
 
 namespace {
 
@@ -44,75 +38,6 @@ const ServiceCounters& service_counters() {
   return c;
 }
 
-bool expired(const RunControl& ctl) {
-  return ctl.deadline && Clock::now() >= *ctl.deadline;
-}
-
-/// In-process (threaded) analogue of the sharder's run_all_checked, for
-/// workers == 0: every cell into its pre-assigned slot, expiry skips cells
-/// at the boundary, a throwing cell becomes a typed error instead of
-/// unwinding the request.
-GridOutcome run_threaded_checked(const experiments::CampaignRunner& runner,
-                                 const std::vector<CampaignSpec>& specs,
-                                 unsigned threads, const RunControl& ctl) {
-  GridOutcome out;
-  out.results.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    out.results[i].spec = specs[i];
-    out.results[i].runs.resize(
-        static_cast<std::size_t>(std::max(specs[i].runs, 0)));
-  }
-  const std::vector<GridCell> cells = experiments::grid_cells(specs);
-  std::vector<char> filled(cells.size(), 0);
-  if (!cells.empty()) {
-    std::mutex failure_mutex;
-    runtime::ThreadPool pool(threads);
-    pool.parallel_for(static_cast<int>(cells.size()), [&](int i) {
-      if (expired(ctl)) return;
-      const GridCell& c = cells[static_cast<std::size_t>(i)];
-      try {
-        out.results[c.spec].runs[static_cast<std::size_t>(c.run)] =
-            runner.run_one(specs[c.spec], c.run);
-        filled[static_cast<std::size_t>(i)] = 1;
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(failure_mutex);
-        if (!out.first_failure) out.first_failure = std::current_exception();
-      }
-    });
-  }
-  const bool deadline_expired = expired(ctl);
-  std::vector<int> spec_missing(specs.size(), 0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!filled[i]) ++spec_missing[cells[i].spec];
-  }
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    if (spec_missing[s] == 0) continue;
-    const std::size_t total = out.results[s].runs.size();
-    out.results[s].runs.clear();
-    CampaignError err;
-    err.spec_index = s;
-    if (deadline_expired) {
-      err.code = CampaignErrorCode::kDeadlineExceeded;
-      err.message = "deadline expired with " +
-                    std::to_string(spec_missing[s]) + "/" +
-                    std::to_string(total) + " cells missing";
-    } else {
-      err.code = CampaignErrorCode::kExecutionFailed;
-      err.message = "campaign run failed";
-      if (out.first_failure) {
-        try {
-          std::rethrow_exception(out.first_failure);
-        } catch (const std::exception& ex) {
-          err.message = ex.what();
-        } catch (...) {
-        }
-      }
-    }
-    out.errors.push_back(std::move(err));
-  }
-  return out;
-}
-
 }  // namespace
 
 CampaignService::CampaignService(const experiments::CampaignRunner& runner,
@@ -127,18 +52,10 @@ std::vector<CampaignResult> CampaignService::run_grid(
     const std::vector<CampaignSpec>& specs) {
   GridRequest request;
   request.specs = specs;
-  GridResponse response = run_grid_checked(request);
-  // Historical contract: an unbounded run_grid either completes in full or
-  // throws. Without a deadline, errors always stem from a failure below.
-  if (response.first_failure) std::rethrow_exception(response.first_failure);
-  if (!response.errors.empty()) {
-    throw std::runtime_error("CampaignService::run_grid: " +
-                             response.errors.front().message);
-  }
-  return std::move(response.results);
+  return run_grid_checked(request).complete_or_throw();
 }
 
-GridResponse CampaignService::run_grid_checked(const GridRequest& request) {
+GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   RT_TRACE_SPAN("grid_request", "service",
                 static_cast<std::uint64_t>(request.specs.size()), "specs");
   service_counters().requests.inc();
@@ -147,14 +64,14 @@ GridResponse CampaignService::run_grid_checked(const GridRequest& request) {
   request_stats_.specs = request.specs.size();
   shard_stats_ = ShardStats{};
 
-  RunControl ctl;
+  experiments::GridDeadline deadline;
   if (request.deadline_ms > 0.0) {
-    ctl.deadline = t0 + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                request.deadline_ms));
+    deadline = t0 + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double, std::milli>(
+                            request.deadline_ms));
   }
 
-  GridResponse response;
+  GridOutcome response;
   response.results.resize(request.specs.size());
   std::vector<std::size_t> miss_indices;
   std::vector<CampaignSpec> miss_specs;
@@ -176,11 +93,11 @@ GridResponse CampaignService::run_grid_checked(const GridRequest& request) {
       ShardOptions shard = config_.shard;
       shard.workers = config_.workers;
       const ShardedCampaignScheduler sharded(runner_, shard);
-      outcome = sharded.run_all_checked(miss_specs, ctl);
+      outcome = sharded.run_all_checked(miss_specs, deadline);
       shard_stats_ = sharded.stats();
     } else {
-      outcome = run_threaded_checked(runner_, miss_specs,
-                                     config_.threads, ctl);
+      outcome = experiments::CampaignScheduler(runner_, config_.threads)
+                    .run_all_checked(miss_specs, deadline);
     }
     response.first_failure = outcome.first_failure;
     for (CampaignError& err : outcome.errors) {

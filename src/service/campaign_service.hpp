@@ -47,17 +47,6 @@ struct GridRequest {
   double deadline_ms{0.0};
 };
 
-/// The answer: complete campaigns in `results` (spec order; an errored
-/// spec's `runs` is empty), one typed error per incomplete campaign in
-/// `errors` (spec_index ascending, indexing into the request's specs).
-struct GridResponse {
-  std::vector<experiments::CampaignResult> results;
-  std::vector<experiments::CampaignError> errors;
-  /// First underlying exception, when one caused the errors (run_grid
-  /// rethrows it; checked callers may log `errors` and move on).
-  std::exception_ptr first_failure{};
-};
-
 /// The campaign-as-a-service facade: one long-lived object that answers
 /// grid requests, consulting the content-hash cache first and executing
 /// only the misses (in-process or via forked shards), then storing fresh
@@ -75,16 +64,17 @@ class CampaignService {
   CampaignService(const experiments::CampaignRunner& runner,
                   ServiceConfig config);
 
-  /// Runs (or recalls) every spec; results in spec order. Throws on an
-  /// execution failure (historical contract — use run_grid_checked for
-  /// typed degradation instead).
+  /// Runs (or recalls) every spec; results in spec order. Rethrows the
+  /// first execution failure (run_grid_checked degrades to typed errors
+  /// instead).
   [[nodiscard]] std::vector<experiments::CampaignResult> run_grid(
       const std::vector<experiments::CampaignSpec>& specs);
 
   /// Like run_grid, but honours the request deadline and degrades instead
   /// of throwing: campaigns that cannot be completed come back as typed
   /// error records next to the completed results.
-  [[nodiscard]] GridResponse run_grid_checked(const GridRequest& request);
+  [[nodiscard]] experiments::GridOutcome run_grid_checked(
+      const GridRequest& request);
 
   /// Stats of the most recent run_grid.
   [[nodiscard]] const RequestStats& last_request() const {

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,12 +25,11 @@ namespace rt::service {
 
 namespace {
 
-using experiments::CampaignError;
-using experiments::CampaignErrorCode;
-using experiments::CampaignResult;
 using experiments::CampaignRunner;
 using experiments::CampaignSpec;
-using experiments::GridCell;
+using experiments::GridDeadline;
+using experiments::GridOutcome;
+using experiments::deadline_passed;
 
 using Clock = std::chrono::steady_clock;
 
@@ -89,10 +87,6 @@ int ms_until(Clock::time_point t) {
   return static_cast<int>(std::min<long long>(ms, 1ll << 30));
 }
 
-bool expired(const RunControl& ctl) {
-  return ctl.deadline && Clock::now() >= *ctl.deadline;
-}
-
 void sleep_ms(int ms) {
   struct timespec ts {};
   ts.tv_sec = ms / 1000;
@@ -107,14 +101,14 @@ void sleep_ms(int ms) {
 /// on a full read, 0 on clean EOF at the first byte (nothing read), -1 on
 /// error, timeout, deadline, or EOF mid-buffer (a truncated frame).
 int read_exact(int fd, void* data, std::size_t len, int timeout_ms,
-               const RunControl& ctl) {
+               const GridDeadline& deadline) {
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
   const Clock::time_point budget_end =
       Clock::now() + std::chrono::milliseconds(timeout_ms);
   while (got < len) {
     Clock::time_point wait_end = budget_end;
-    if (ctl.deadline && *ctl.deadline < wait_end) wait_end = *ctl.deadline;
+    if (deadline && *deadline < wait_end) wait_end = *deadline;
     const int remaining = ms_until(wait_end);
     if (remaining <= 0) return -1;
     struct pollfd pfd {};
@@ -146,16 +140,17 @@ struct Frame {
 /// payload length, payload FNV-1a}. The checksum is what turns a corrupted
 /// pipe byte from silent result corruption into a detected worker death
 /// (and thus a re-run of the affected cells).
-int read_frame(int fd, int timeout_ms, const RunControl& ctl, Frame& out) {
+int read_frame(int fd, int timeout_ms, const GridDeadline& deadline,
+               Frame& out) {
   std::uint64_t header[4] = {0, 0, 0, 0};
-  const int hr = read_exact(fd, header, sizeof header, timeout_ms, ctl);
+  const int hr = read_exact(fd, header, sizeof header, timeout_ms, deadline);
   if (hr <= 0) return hr;
   if (header[0] != kFrameMagic || header[2] > kMaxFramePayload) return -1;
   out.cell = header[1];
   out.payload.resize(static_cast<std::size_t>(header[2]));
   if (!out.payload.empty() &&
       read_exact(fd, out.payload.data(), out.payload.size(), timeout_ms,
-                 ctl) != 1) {
+                 deadline) != 1) {
     return -1;
   }
   if (payload_checksum(out.payload) != header[3]) return -1;
@@ -172,16 +167,6 @@ void write_frame(int fd, std::uint64_t cell, const std::string& payload,
                     payload.size());
 }
 
-const char* exception_message(const std::exception_ptr& e) {
-  try {
-    std::rethrow_exception(e);
-  } catch (const std::exception& ex) {
-    return ex.what();
-  } catch (...) {
-    return "unknown exception";
-  }
-}
-
 }  // namespace
 
 ShardedCampaignScheduler::ShardedCampaignScheduler(
@@ -189,17 +174,12 @@ ShardedCampaignScheduler::ShardedCampaignScheduler(
     : runner_(runner), opts_(opts) {}
 
 GridOutcome ShardedCampaignScheduler::run_all_checked(
-    const std::vector<CampaignSpec>& specs, const RunControl& ctl) const {
+    const std::vector<CampaignSpec>& specs,
+    const GridDeadline& deadline) const {
   stats_ = ShardStats{};
-  GridOutcome out;
-  out.results.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    out.results[i].spec = specs[i];
-    out.results[i].runs.resize(
-        static_cast<std::size_t>(std::max(specs[i].runs, 0)));
-  }
-  const std::vector<GridCell> cells = experiments::grid_cells(specs);
-  if (cells.empty()) return out;
+  experiments::GridSlots slots(specs);
+  const std::vector<experiments::GridCell>& cells = slots.cells();
+  if (cells.empty()) return std::move(slots).finish(false);
 
   unsigned workers = opts_.workers == 0
                          ? runtime::ThreadPool::default_threads()
@@ -207,14 +187,6 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
   workers = std::max(
       1u, std::min(workers, static_cast<unsigned>(cells.size())));
   stats_.workers = workers;
-
-  std::vector<char> filled(cells.size(), 0);
-  const auto fill = [&](std::size_t cell_index, experiments::RunResult rr) {
-    const GridCell& c = cells[cell_index];
-    out.results[c.spec].runs[static_cast<std::size_t>(c.run)] =
-        std::move(rr);
-    filled[cell_index] = 1;
-  };
 
   // Deterministic worker ids (fork order), folded into the fault-injection
   // schedule stream so distinct workers draw distinct — but reproducible —
@@ -235,14 +207,14 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     bool ok = true;
     int sent = 0;
     try {
-      experiments::run_cells(
-          runner_, specs, cells, indices,
-          [&](std::size_t cell_index, const experiments::RunResult& run) {
-            if (crash_after >= 0 && sent == crash_after) ::_exit(42);
-            write_frame(wfd, cell_index,
-                        experiments::serialize_run_result(run), ok);
-            ++sent;
-          });
+      for (const std::size_t ci : indices) {
+        const experiments::GridCell& c = cells[ci];
+        const experiments::RunResult run =
+            runner_.run_one(specs[c.spec], c.run);
+        if (crash_after >= 0 && sent == crash_after) ::_exit(42);
+        write_frame(wfd, ci, experiments::serialize_run_result(run), ok);
+        ++sent;
+      }
     } catch (...) {
       ::_exit(3);
     }
@@ -318,13 +290,14 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
       if (!dead) {
         RT_TRACE_SPAN("shard_drain", "shard", wids[s], "worker");
         while (true) {
-          if (expired(ctl)) {
+          if (deadline_passed(deadline)) {
             stats_.deadline_expired = true;
             dead = true;
             break;
           }
           Frame f;
-          const int fr = read_frame(rfds[s], opts_.read_timeout_ms, ctl, f);
+          const int fr =
+              read_frame(rfds[s], opts_.read_timeout_ms, deadline, f);
           if (fr == 0) break;  // clean EOF: worker finished its stream
           if (fr < 0) {
             dead = true;
@@ -337,12 +310,13 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
             obs::Tracer::global().absorb(f.payload, wids[s]);
             continue;
           }
-          if (f.cell >= cells.size() || filled[f.cell]) {
+          if (f.cell >= cells.size() || slots.filled(f.cell)) {
             dead = true;  // out-of-range or duplicate cell: corrupt stream
             break;
           }
           try {
-            fill(f.cell, experiments::deserialize_run_result(f.payload));
+            slots.fill(f.cell,
+                       experiments::deserialize_run_result(f.payload));
           } catch (const experiments::SerdeError&) {
             dead = true;
             break;
@@ -379,19 +353,16 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
   // exponential backoff — a worker killed by resource pressure gets
   // breathing room instead of an immediate re-fork into the same pressure.
   for (int attempt = 0; attempt < opts_.max_retries; ++attempt) {
-    std::vector<std::size_t> missing;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (!filled[i]) missing.push_back(i);
-    }
+    std::vector<std::size_t> missing = slots.unfilled();
     if (missing.empty()) break;
-    if (expired(ctl)) break;
+    if (deadline_passed(deadline)) break;
     int backoff = opts_.retry_backoff_ms > 0
                       ? std::min(opts_.retry_backoff_ms << attempt,
                                  opts_.retry_backoff_max_ms)
                       : 0;
-    if (ctl.deadline) backoff = std::min(backoff, ms_until(*ctl.deadline));
+    if (deadline) backoff = std::min(backoff, ms_until(*deadline));
     if (backoff > 0) sleep_ms(backoff);
-    if (expired(ctl)) break;
+    if (deadline_passed(deadline)) break;
     ++stats_.shard_retries;
     RT_TRACE_SPAN("shard_retry_wave", "shard",
                   static_cast<std::uint64_t>(attempt) + 1, "attempt");
@@ -400,14 +371,10 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
 
   // Last resort: the parent runs whatever is still missing itself, fanned
   // over a thread pool (so total fork failure degrades to threaded, not
-  // serial, execution). Each cell writes its pre-assigned slot, so the
-  // results are still bit-identical; a cell that throws or misses the
-  // deadline stays unfilled and becomes a typed error below.
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!filled[i]) missing.push_back(i);
-  }
-  if (!missing.empty() && !expired(ctl)) {
+  // serial, execution). A cell that throws or misses the deadline stays
+  // unfilled and becomes a typed error in finish().
+  const std::vector<std::size_t> missing = slots.unfilled();
+  if (!missing.empty() && !deadline_passed(deadline)) {
     RT_TRACE_SPAN("shard_fallback", "shard",
                   static_cast<std::uint64_t>(missing.size()), "cells");
     stats_.cells_recovered_in_process += static_cast<int>(missing.size());
@@ -416,22 +383,9 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     threads = std::max(
         1u, std::min(threads, static_cast<unsigned>(missing.size())));
     stats_.fallback_threads = threads;
-    std::mutex failure_mutex;
-    runtime::ThreadPool pool(threads);
-    pool.parallel_for(static_cast<int>(missing.size()), [&](int i) {
-      const std::size_t ci = missing[static_cast<std::size_t>(i)];
-      if (expired(ctl)) return;  // cancel cleanly at the cell boundary
-      try {
-        const GridCell& c = cells[ci];
-        experiments::RunResult rr = runner_.run_one(specs[c.spec], c.run);
-        fill(ci, std::move(rr));  // distinct slot per cell: no lock needed
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(failure_mutex);
-        if (!out.first_failure) out.first_failure = std::current_exception();
-      }
-    });
+    slots.run(runner_, missing, threads, deadline);
   }
-  if (expired(ctl)) stats_.deadline_expired = true;
+  if (deadline_passed(deadline)) stats_.deadline_expired = true;
 
   // Mirror this grid's ShardStats into the process-wide registry (the
   // wave counter is bumped live inside run_wave). Forked workers keep
@@ -450,42 +404,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     if (stats_.deadline_expired) c.deadline_expirations.inc();
   }
 
-  // Typed per-campaign error records for anything incomplete. An errored
-  // campaign's runs are cleared: a result is complete or absent, never
-  // silently partial (zero-filled RunResults would parse as real data).
-  std::vector<int> spec_missing(specs.size(), 0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!filled[i]) ++spec_missing[cells[i].spec];
-  }
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    if (spec_missing[s] == 0) continue;
-    const std::size_t total = out.results[s].runs.size();
-    out.results[s].runs.clear();
-    CampaignError err;
-    err.spec_index = s;
-    if (stats_.deadline_expired) {
-      err.code = CampaignErrorCode::kDeadlineExceeded;
-      err.message = "deadline expired with " +
-                    std::to_string(spec_missing[s]) + "/" +
-                    std::to_string(total) + " cells missing";
-    } else {
-      err.code = CampaignErrorCode::kExecutionFailed;
-      err.message = out.first_failure
-                        ? exception_message(out.first_failure)
-                        : "cells missing after retries";
-    }
-    out.errors.push_back(std::move(err));
-  }
-  return out;
-}
-
-std::vector<CampaignResult> ShardedCampaignScheduler::run_all(
-    const std::vector<CampaignSpec>& specs) const {
-  GridOutcome out = run_all_checked(specs, RunControl{});
-  // Preserve the historical contract: no deadline means the grid either
-  // completes in full or the first underlying failure propagates.
-  if (out.first_failure) std::rethrow_exception(out.first_failure);
-  return std::move(out.results);
+  return std::move(slots).finish(stats_.deadline_expired);
 }
 
 }  // namespace rt::service

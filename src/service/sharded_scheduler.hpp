@@ -1,9 +1,5 @@
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-#include <exception>
-#include <optional>
 #include <vector>
 
 #include "experiments/campaign.hpp"
@@ -43,13 +39,6 @@ struct ShardOptions {
   int crash_after_cells{0};
 };
 
-/// Per-request execution controls (deadline today; cancellation later).
-struct RunControl {
-  /// Hard deadline: execution stops at the next cell/frame boundary once
-  /// passed. Campaigns with missing cells become typed error records.
-  std::optional<std::chrono::steady_clock::time_point> deadline{};
-};
-
 /// What a sharded run observed about its workers.
 struct ShardStats {
   unsigned workers{0};          ///< workers actually forked in the first wave
@@ -58,18 +47,7 @@ struct ShardStats {
   int fork_failures{0};         ///< fork() calls that failed (EAGAIN etc.)
   int cells_recovered_in_process{0};  ///< cells the parent ran itself
   unsigned fallback_threads{0};  ///< threads of the in-process fallback (0 = unused)
-  bool deadline_expired{false};  ///< the RunControl deadline fired mid-grid
-};
-
-/// A checked grid run: complete campaigns in `results` (spec order; an
-/// errored spec's `runs` is left empty, never partially filled), one typed
-/// error per incomplete campaign in `errors` (spec_index ascending).
-struct GridOutcome {
-  std::vector<experiments::CampaignResult> results;
-  std::vector<experiments::CampaignError> errors;
-  /// First exception a fallback cell raised (run_all rethrows it to keep
-  /// its always-complete contract; run_all_checked types it instead).
-  std::exception_ptr first_failure{};
+  bool deadline_expired{false};  ///< the request deadline fired mid-grid
 };
 
 /// Multi-process campaign grid execution: forks N workers over disjoint,
@@ -95,16 +73,13 @@ class ShardedCampaignScheduler {
   explicit ShardedCampaignScheduler(const experiments::CampaignRunner& runner,
                                     ShardOptions opts = {});
 
-  /// Runs every spec to completion and returns results in spec order.
-  /// (Rethrows a runner exception, like the in-process scheduler.)
-  [[nodiscard]] std::vector<experiments::CampaignResult> run_all(
-      const std::vector<experiments::CampaignSpec>& specs) const;
-
-  /// Like run_all, but honours `ctl` and converts failures into typed
-  /// per-campaign error records instead of throwing or hanging.
-  [[nodiscard]] GridOutcome run_all_checked(
+  /// Runs every spec, stopping at `deadline`; failures become typed
+  /// per-campaign error records instead of exceptions or hangs. Cells no
+  /// worker delivered go through the same experiments::GridSlots fan-out
+  /// and error pass as CampaignScheduler::run_all_checked.
+  [[nodiscard]] experiments::GridOutcome run_all_checked(
       const std::vector<experiments::CampaignSpec>& specs,
-      const RunControl& ctl) const;
+      const experiments::GridDeadline& deadline) const;
 
   /// Stats of the most recent run.
   [[nodiscard]] const ShardStats& stats() const { return stats_; }

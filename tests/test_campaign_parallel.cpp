@@ -131,7 +131,7 @@ TEST(CampaignScheduler, HardwareConcurrencyMatchesOneThread) {
   expect_identical(one, over);
 }
 
-TEST(CampaignScheduler, GridKeepsSpecOrderAndReportsProgress) {
+TEST(CampaignScheduler, GridKeepsSpecOrder) {
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   std::vector<CampaignSpec> specs{
@@ -143,25 +143,11 @@ TEST(CampaignScheduler, GridKeepsSpecOrderAndReportsProgress) {
        AttackMode::kNoSh, 4, 3},
   };
   CampaignScheduler scheduler(runner, 4);
-  std::vector<int> completions(specs.size(), 0);
-  int last_done_c = 0;
-  const auto results = scheduler.run_all(
-      specs, [&](std::size_t spec, int done, int total) {
-        ASSERT_LT(spec, specs.size());
-        EXPECT_EQ(total, specs[spec].runs);
-        completions[spec]++;
-        if (spec == 2) {
-          // Per-spec completion counts are monotonically increasing even
-          // when runs finish out of order across the grid.
-          EXPECT_EQ(done, last_done_c + 1);
-          last_done_c = done;
-        }
-      });
+  const auto results = scheduler.run_all(specs);
   ASSERT_EQ(results.size(), specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
     EXPECT_EQ(results[s].spec.name, specs[s].name);
     EXPECT_EQ(results[s].n(), specs[s].runs);
-    EXPECT_EQ(completions[s], specs[s].runs);
   }
 }
 

@@ -82,7 +82,10 @@ TEST(ShardedScheduler, BitIdenticalToInProcessAtAnyWorkerCount) {
     ShardOptions opts;
     opts.workers = workers;
     const ShardedCampaignScheduler sharded(runner, opts);
-    const auto results = sharded.run_all(specs);
+    const auto out = sharded.run_all_checked(specs, {});
+    EXPECT_TRUE(out.errors.empty()) << workers << " workers";
+    EXPECT_FALSE(out.first_failure) << workers << " workers";
+    const auto& results = out.results;
     EXPECT_EQ(grid_bytes(results), reference) << workers << " workers";
     EXPECT_EQ(sharded.stats().workers, workers);
     EXPECT_EQ(sharded.stats().worker_deaths, 0) << workers << " workers";
@@ -97,7 +100,10 @@ TEST(ShardedScheduler, MoreWorkersThanCellsClampsAndCompletes) {
   ShardOptions opts;
   opts.workers = 16;
   const ShardedCampaignScheduler sharded(runner, opts);
-  const auto results = sharded.run_all(specs);
+  const auto out = sharded.run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
+  const auto& results = out.results;
   EXPECT_EQ(sharded.stats().workers, 2u);
   EXPECT_EQ(grid_bytes(results),
             grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
@@ -107,7 +113,10 @@ TEST(ShardedScheduler, EmptyGridReturnsEmptyResults) {
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const ShardedCampaignScheduler sharded(runner, {});
-  EXPECT_TRUE(sharded.run_all({}).empty());
+  const auto out = sharded.run_all_checked({}, {});
+  EXPECT_TRUE(out.results.empty());
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
 }
 
 TEST(ShardedScheduler, WorkerDeathIsRetriedToIdenticalResults) {
@@ -125,7 +134,10 @@ TEST(ShardedScheduler, WorkerDeathIsRetriedToIdenticalResults) {
   opts.crash_shard = 0;
   opts.crash_after_cells = 1;
   const ShardedCampaignScheduler sharded(runner, opts);
-  const auto results = sharded.run_all(specs);
+  const auto out = sharded.run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
+  const auto& results = out.results;
   EXPECT_EQ(grid_bytes(results), reference);
   EXPECT_GE(sharded.stats().worker_deaths, 1);
   EXPECT_GE(sharded.stats().shard_retries, 1);
@@ -144,7 +156,10 @@ TEST(ShardedScheduler, ExhaustedRetriesFallBackInProcess) {
   opts.crash_shard = 1;
   opts.crash_after_cells = 0;
   const ShardedCampaignScheduler sharded(runner, opts);
-  const auto results = sharded.run_all(specs);
+  const auto out = sharded.run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
+  const auto& results = out.results;
   EXPECT_EQ(grid_bytes(results),
             grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
   EXPECT_GE(sharded.stats().worker_deaths, 1);
@@ -170,7 +185,10 @@ TEST(ShardedScheduler, TwoWorkerTraceMergesParentAndBothWorkers) {
   ShardOptions opts;
   opts.workers = 2;
   const ShardedCampaignScheduler sharded(runner, opts);
-  const auto results = sharded.run_all(specs);
+  const auto out = sharded.run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
+  const auto& results = out.results;
   obs::Tracer::global().disarm();
 
   EXPECT_EQ(grid_bytes(results), reference) << "tracing changed the bytes";

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +55,7 @@ using experiments::CampaignResult;
 using experiments::CampaignRunner;
 using experiments::CampaignScheduler;
 using experiments::CampaignSpec;
+using experiments::GridOutcome;
 using experiments::LoopConfig;
 using Clock = std::chrono::steady_clock;
 
@@ -296,7 +298,7 @@ TEST(ChaosMatrix, EveryFaultSiteRecoversToBitIdenticalResults) {
       ArmedFaults armed(one_rule(seed, entry.site, entry.type, entry.rate,
                                  entry.max_faults,
                                  /*skip_ops=*/s % 3));
-      const GridOutcome out = sharded.run_all_checked(specs, RunControl{});
+      const GridOutcome out = sharded.run_all_checked(specs, {});
       EXPECT_TRUE(out.errors.empty()) << label;
       EXPECT_FALSE(out.first_failure) << label;
       EXPECT_EQ(grid_bytes(out.results), reference) << label;
@@ -336,7 +338,7 @@ TEST(ChaosMatrix, EightFamilyGridSurvivesAMixedFaultPlan) {
   plan.rules.push_back(
       {FaultSite::kPipeRead, FaultType::kIoError, 0.1, -1, 0});
   ArmedFaults armed(std::move(plan));
-  const GridOutcome out = sharded.run_all_checked(specs, RunControl{});
+  const GridOutcome out = sharded.run_all_checked(specs, {});
   EXPECT_TRUE(out.errors.empty());
   EXPECT_EQ(grid_bytes(out.results), reference);
 }
@@ -376,7 +378,7 @@ TEST(ChaosMatrix, SameSeedSameFaultSequenceAcrossRunsAndWorkerCounts) {
     const ShardedCampaignScheduler sharded(runner, opts);
     ArmedFaults armed(
         one_rule(9, FaultSite::kPipeWrite, FaultType::kIoError, 0.5));
-    const GridOutcome out = sharded.run_all_checked(specs, RunControl{});
+    const GridOutcome out = sharded.run_all_checked(specs, {});
     EXPECT_TRUE(out.errors.empty()) << workers;
     EXPECT_EQ(grid_bytes(out.results), reference) << workers;
   }
@@ -400,7 +402,10 @@ TEST(ShardedScheduler, TotalForkFailureDegradesToThreadedExecution) {
   const ShardedCampaignScheduler sharded(runner, opts);
   ArmedFaults armed(
       one_rule(2, FaultSite::kFork, FaultType::kForkEagain, 1.0));
-  const auto results = sharded.run_all(specs);
+  const auto out = sharded.run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
+  const auto& results = out.results;
   EXPECT_EQ(grid_bytes(results), reference);
   EXPECT_GE(sharded.stats().fork_failures, 3);
   EXPECT_EQ(sharded.stats().fallback_threads, 2u);
@@ -425,7 +430,10 @@ TEST(ShardedScheduler, HungWorkerIsKilledWithinTheReadTimeout) {
   ArmedFaults armed(one_rule(6, FaultSite::kPipeWrite, FaultType::kHang,
                              1.0, /*max_faults=*/1));
   const auto t0 = Clock::now();
-  const auto results = sharded.run_all(specs);
+  const auto out = sharded.run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
+  const auto& results = out.results;
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
   EXPECT_EQ(grid_bytes(results), reference);
@@ -447,10 +455,9 @@ TEST(ShardedScheduler, DeadlineExpiryYieldsTypedErrorsNotHangs) {
   const ShardedCampaignScheduler sharded(runner, opts);
   ArmedFaults armed(
       one_rule(8, FaultSite::kPipeWrite, FaultType::kHang, 1.0, 1));
-  RunControl ctl;
-  ctl.deadline = Clock::now() + std::chrono::milliseconds(300);
+  const auto deadline = Clock::now() + std::chrono::milliseconds(300);
   const auto t0 = Clock::now();
-  const GridOutcome out = sharded.run_all_checked(specs, ctl);
+  const GridOutcome out = sharded.run_all_checked(specs, deadline);
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
   EXPECT_LT(wall_s, 30.0);
@@ -486,7 +493,10 @@ TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
   opts.crash_shard = 0;       // first-wave worker for shard 0 ...
   opts.crash_after_cells = 1; // ... dies after streaming one cell
   const ShardedCampaignScheduler sharded(runner, opts);
-  const auto results = sharded.run_all(specs);
+  const auto out = sharded.run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_FALSE(out.first_failure);
+  const auto& results = out.results;
   obs::Tracer::global().disarm();
   const auto after = obs::MetricsRegistry::global().snapshot();
 
@@ -713,7 +723,7 @@ TEST(CampaignServiceFaults, DeadlineProducesTypedErrorsInProcess) {
   GridRequest request;
   request.specs = chaos_grid();
   request.deadline_ms = 1e-6;  // expired before the first cell boundary
-  const GridResponse response = svc.run_grid_checked(request);
+  const GridOutcome response = svc.run_grid_checked(request);
   ASSERT_EQ(response.errors.size(), request.specs.size());
   for (const auto& err : response.errors) {
     EXPECT_EQ(err.code, CampaignErrorCode::kDeadlineExceeded);
@@ -732,7 +742,7 @@ TEST(CampaignServiceFaults, DeadlineProducesTypedErrorsSharded) {
   GridRequest request;
   request.specs = chaos_grid();
   request.deadline_ms = 1e-6;
-  const GridResponse response = svc.run_grid_checked(request);
+  const GridOutcome response = svc.run_grid_checked(request);
   ASSERT_EQ(response.errors.size(), request.specs.size());
   for (const auto& err : response.errors) {
     EXPECT_EQ(err.code, CampaignErrorCode::kDeadlineExceeded);
@@ -749,10 +759,63 @@ TEST(CampaignServiceFaults, CheckedRequestsMatchUncheckedBytes) {
   CampaignService svc(runner, cfg);
   GridRequest request;
   request.specs = chaos_grid();
-  const GridResponse response = svc.run_grid_checked(request);
+  const GridOutcome response = svc.run_grid_checked(request);
   EXPECT_TRUE(response.errors.empty());
   EXPECT_EQ(grid_bytes(response.results),
             grid_bytes(CampaignScheduler(runner, 1).run_all(request.specs)));
+}
+
+TEST(CampaignServiceFaults, ExecutionFailureIsTypedAtTheFailingSpec) {
+  // Every run of an unknown scenario throws. On each execution path the
+  // request must come back with exactly one kExecutionFailed record at that
+  // spec, carrying the runner's exception text and no partial runs, while
+  // the good neighbour completes bit-identically and alone reaches the
+  // cache. The spec is built by hand: CampaignGridBuilder rejects DS-99.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const CampaignSpec good = small_spec("good", 31);
+  CampaignSpec bad = small_spec("bad", 32);
+  bad.scenario = "DS-99";
+  const std::vector<CampaignSpec> specs{good, bad};
+  const std::string reference =
+      grid_bytes(CampaignScheduler(runner, 1).run_all({good}));
+
+  const auto check = [&](const ServiceConfig& cfg, const std::string& label) {
+    CampaignService svc(runner, cfg);
+    GridRequest request;
+    request.specs = specs;
+    const auto response = svc.run_grid_checked(request);
+    ASSERT_EQ(response.errors.size(), 1u) << label;
+    const auto& err = response.errors.front();
+    EXPECT_EQ(err.spec_index, 1u) << label;
+    EXPECT_EQ(err.code, CampaignErrorCode::kExecutionFailed) << label;
+    EXPECT_NE(err.message.find("DS-99"), std::string::npos)
+        << label << ": " << err.message;
+    ASSERT_EQ(response.results.size(), 2u) << label;
+    EXPECT_TRUE(response.results[1].runs.empty()) << label;
+    EXPECT_EQ(grid_bytes({response.results[0]}), reference) << label;
+    if (svc.cache() != nullptr) {
+      EXPECT_EQ(svc.cache_stats().stores, 1u) << label;
+      EXPECT_TRUE(svc.cache()->lookup(good).has_value()) << label;
+      EXPECT_FALSE(svc.cache()->lookup(bad).has_value()) << label;
+    }
+    EXPECT_THROW((void)svc.run_grid(specs), std::out_of_range) << label;
+  };
+
+  ServiceConfig threaded;
+  threaded.threads = 2;
+  check(threaded, "threads=2");
+
+  ServiceConfig sharded;
+  sharded.workers = 2;
+  sharded.shard.max_retries = 0;
+  sharded.shard.retry_backoff_ms = 1;
+  check(sharded, "workers=2");
+
+  ServiceConfig cached;
+  cached.threads = 2;
+  cached.cache = CacheConfig{scratch_dir("chaos_exec_failed")};
+  check(cached, "cache");
 }
 
 #ifdef RT_CAMPAIGN_SERVER_BIN
