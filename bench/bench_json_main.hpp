@@ -3,10 +3,12 @@
 // Custom main for the google-benchmark binaries: adds the same `--json
 // PATH` flag the grid drivers have, so CI can track microbenchmark numbers
 // (BENCH_nn.json / BENCH_perception.json) alongside the campaign-grid
-// records. Every non-aggregate benchmark run becomes one BenchJsonRecord:
-// runs_per_sec is the benchmark's items_per_second counter when present
-// (campaign runs/sec for the scheduler benchmark), otherwise iterations
-// per second; wall_ms is the mean real time per iteration.
+// records. Each benchmark becomes one BenchJsonRecord under its plain name:
+// with --benchmark_repetitions=N (N > 1) the record is the `median`
+// aggregate over the N repetitions, otherwise the single run. runs_per_sec
+// is the benchmark's items_per_second counter when present (campaign
+// runs/sec for the scheduler benchmark), otherwise iterations per second;
+// wall_ms is the real time per iteration.
 
 #include <benchmark/benchmark.h>
 
@@ -24,14 +26,16 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      if (run.error_occurred) continue;
+      const bool repeated = run.repetitions > 1;
+      if (run.run_type == Run::RT_Iteration ? repeated
+                                            : run.aggregate_name != "median") {
+        continue;
+      }
       experiments::BenchJsonRecord rec;
-      rec.bench = run.benchmark_name();
-      const double wall_s =
-          run.iterations > 0
-              ? run.real_accumulated_time /
-                    static_cast<double>(run.iterations)
-              : run.real_accumulated_time;
+      rec.bench = run.run_name.str();
+      const double wall_s = run.GetAdjustedRealTime() /
+                            benchmark::GetTimeUnitMultiplier(run.time_unit);
       rec.wall_ms = wall_s * 1e3;
       const auto it = run.counters.find("items_per_second");
       rec.runs_per_sec = it != run.counters.end()

@@ -210,12 +210,14 @@ wait "$server_pid" || {
 if [ -x build-release/bench/bench_perception ]; then
   ./build-release/bench/bench_perception \
     --benchmark_filter='BM_CampaignSchedulerThroughput/1|BM_KalmanPredictUpdate|BM_TrackBirth' \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
     --json BENCH_perception.json >/dev/null
   cat BENCH_perception.json
 fi
 if [ -x build-release/bench/bench_nn ]; then
   ./build-release/bench/bench_nn \
     --benchmark_filter='BM_OracleInference|BM_OracleBatchInference|BM_SafetyHijackerDecision' \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
     --json BENCH_nn.json >/dev/null
   cat BENCH_nn.json
 fi

@@ -209,9 +209,13 @@ void Robotack::maybe_arm(const std::vector<perception::WorldTrack>& world,
 
 void Robotack::process_in_place(perception::CameraFrame& frame,
                                 double ego_speed) {
+  // A spent attacker is a pass-through: nothing reads its replicas, its
+  // projector or its kinematics again, and no burst can arm.
+  if (spent()) return;
+
   // Until an attack arms, the ADS has received exactly the true frames, so
   // its replica is the truth replica as of frame t-1.
-  if (!ads_diverged_ && ads_view_needed()) mot_ads_ = mot_truth_;
+  if (!ads_diverged_) mot_ads_ = mot_truth_;
 
   // Phase 2: reconstruct the world from the hacked camera feed. The truth
   // replica consumes the frame *before* any perturbation is applied.
@@ -261,10 +265,8 @@ void Robotack::process_in_place(perception::CameraFrame& frame,
   }
 
   // Keep a diverged ADS-view replica in lockstep with what the ADS
-  // receives, for as long as a burst may still read it.
-  if (ads_diverged_ && ads_view_needed()) {
-    mot_ads_.update_into(frame, ads_tracks_scratch_);
-  }
+  // receives.
+  if (ads_diverged_) mot_ads_.update_into(frame, ads_tracks_scratch_);
 }
 
 }  // namespace rt::core

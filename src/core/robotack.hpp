@@ -120,6 +120,10 @@ struct AttackLog {
 ///     keeps a second *ADS-view replica* tracker in sync with what the ADS
 ///     actually received — the state Eq. 4's association constraint is
 ///     evaluated against.
+/// Once the last permitted burst has ended (`max_triggers` reached and the
+/// burst over) the attacker is spent: nothing can read its replicas, its
+/// projector or its kinematics again, so `process_in_place` returns at its
+/// first line and the frame passes through unchanged.
 ///
 /// The two replicas are built with the same dt, MotConfig and noise model,
 /// and the tracker is deterministic. Until the first attack arms, every
@@ -128,10 +132,10 @@ struct AttackLog {
 /// refreshed as a copy of the truth replica (taken before the truth update,
 /// i.e. the state after frame t-1 that `arm` resolves the victim against)
 /// instead of running a second tracker update. From the first successful
-/// arm on it consumes the outgoing frames as in Algorithm 1, and once the
-/// last permitted burst has ended nothing reads it again, so it stops.
-/// Every value the malware reads from it is the one a lockstep replica
-/// would hold: the paper's replica semantics are kept exactly.
+/// arm on it consumes the outgoing frames as in Algorithm 1, until the
+/// attacker is spent. Every value the malware reads from it is the one a
+/// lockstep replica would hold: the paper's replica semantics are kept
+/// exactly.
 ///
 /// The malware never touches LiDAR, never reads ground truth, and derives
 /// everything (delta_t, relative velocity/acceleration) from its camera-only
@@ -173,10 +177,10 @@ class Robotack {
                                      double ego_speed) const;
   [[nodiscard]] math::Vec2 accel_estimate(int track_id) const;
   void update_kinematics(const std::vector<perception::WorldTrack>& world);
-  /// False once the last permitted burst has ended: nothing reads the
-  /// ADS-view replica after that.
-  [[nodiscard]] bool ads_view_needed() const {
-    return attack_active() || log_.triggers < config_.max_triggers;
+  /// True once the last permitted burst has ended (or when none is
+  /// permitted): `process_in_place` then returns at once.
+  [[nodiscard]] bool spent() const {
+    return !attack_active() && log_.triggers >= config_.max_triggers;
   }
 
   RobotackConfig config_;

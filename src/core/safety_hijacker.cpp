@@ -38,7 +38,7 @@ ShDecision SafetyHijacker::decide(AttackVector v, sim::ActorType cls,
   if (it == oracles_.end() || !it->second || !it->second->trained()) {
     return out;
   }
-  SafetyOracle& oracle = *it->second;
+  const SafetyOracle& oracle = *it->second;
   const int kmax = k_max(v, cls);
   const bool move_in = v == AttackVector::kMoveIn;
   if (move_in && delta > config_.max_launch_delta_move_in) return out;
@@ -54,15 +54,20 @@ ShDecision SafetyHijacker::decide(AttackVector v, sim::ActorType cls,
   if (best > gamma) return out;
 
   // Binary search for the minimal sufficient k (f_alpha non-increasing).
+  // `at_hi` is the prediction already made for `hi`, so the answer needs
+  // no extra query.
   int lo = config_.k_min;
   int hi = kmax;
-  if (predict(lo) <= gamma) {
+  double at_hi = best;
+  if (const double at_lo = predict(lo); at_lo <= gamma) {
     hi = lo;
+    at_hi = at_lo;
   } else {
     while (lo + 1 < hi) {
       const int mid = (lo + hi) / 2;
-      if (predict(mid) <= gamma) {
+      if (const double at_mid = predict(mid); at_mid <= gamma) {
         hi = mid;
+        at_hi = at_mid;
       } else {
         lo = mid;
       }
@@ -70,7 +75,7 @@ ShDecision SafetyHijacker::decide(AttackVector v, sim::ActorType cls,
   }
   out.attack = true;
   out.k = hi;
-  out.predicted_delta = predict(hi);
+  out.predicted_delta = at_hi;
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "core/safety_oracle.hpp"
 
+#include <array>
 #include <cctype>
 #include <fstream>
 #include <stdexcept>
@@ -37,33 +38,26 @@ std::vector<double> SafetyOracle::features(double delta, math::Vec2 v_rel,
 }
 
 double SafetyOracle::predict(double delta, math::Vec2 v_rel,
-                             math::Vec2 a_rel, double k) {
-  // Thread-local scratch column: the whole inference path (feature fill,
-  // standardization, network forward) allocates nothing at steady state,
-  // and stays safe on a shared oracle (each thread owns its scratch).
-  thread_local math::Matrix x;
-  x.resize(kInputDim, 1);
-  x(0, 0) = delta;
-  x(1, 0) = v_rel.x;
-  x(2, 0) = v_rel.y;
-  x(3, 0) = a_rel.x;
-  x(4, 0) = a_rel.y;
-  x(5, 0) = k;
+                             math::Vec2 a_rel, double k) const {
+  std::array<double, kInputDim> x{delta, v_rel.x, v_rel.y, a_rel.x, a_rel.y,
+                                  k};
   scaler_.transform_in_place(x);
-  return net_.predict(x)(0, 0);
+  double y = 0.0;
+  frozen_.predict(x, {&y, 1});
+  return y;
 }
 
 void SafetyOracle::predict_batch(std::span<const OracleQuery> queries,
-                                 std::span<double> out) {
+                                 std::span<double> out) const {
   if (out.size() != queries.size()) {
     throw std::invalid_argument(
         "SafetyOracle::predict_batch: out.size() != queries.size()");
   }
   if (queries.empty()) return;
-  // Thread-local gather matrix + workspace, mirroring predict's scratch:
-  // once a thread has seen a batch width, serving that width allocates
-  // nothing, and a shared trained oracle stays safe under concurrent
-  // callers (forward mutates only the caller-thread workspace).
+  // Thread-local gather matrix + workspace: once a thread has seen a batch
+  // width, serving that width allocates nothing, and a shared trained
+  // oracle stays safe under concurrent callers (forward mutates only the
+  // caller-thread workspace).
   thread_local math::Matrix x;
   thread_local nn::Mlp::Workspace ws;
   x.resize(kInputDim, queries.size());
@@ -87,7 +81,8 @@ OracleBatchBuffer::OracleBatchBuffer(std::size_t capacity)
   results_.reserve(capacity_);
 }
 
-std::span<const double> OracleBatchBuffer::flush(SafetyOracle& oracle) {
+std::span<const double> OracleBatchBuffer::flush(
+    const SafetyOracle& oracle) {
   RT_TRACE_SPAN("oracle_batch_flush", "oracle",
                 static_cast<std::uint64_t>(pending_.size()), "width");
   if (!pending_.empty()) {
@@ -99,7 +94,7 @@ std::span<const double> OracleBatchBuffer::flush(SafetyOracle& oracle) {
   return results_;
 }
 
-std::uint64_t SafetyOracle::content_hash() {
+std::uint64_t SafetyOracle::content_hash() const {
   std::uint64_t h = net_.content_hash();
   for (const double v : scaler_.means()) h = stats::fnv1a_double(h, v);
   for (const double v : scaler_.stddevs()) h = stats::fnv1a_double(h, v);
@@ -110,11 +105,12 @@ nn::TrainResult SafetyOracle::train(const nn::Dataset& data,
                                     nn::TrainConfig config) {
   nn::Trainer trainer(config);
   const nn::TrainResult result = trainer.train(net_, data, scaler_);
+  frozen_ = nn::FrozenMlp(net_);
   trained_ = true;
   return result;
 }
 
-void SafetyOracle::save(const std::string& path) {
+void SafetyOracle::save(const std::string& path) const {
   std::ofstream os(path);
   if (!os) {
     throw std::runtime_error("SafetyOracle::save: cannot open " + path);
@@ -140,6 +136,7 @@ bool SafetyOracle::load(const std::string& path) {
   std::ifstream is(path);
   if (!is) return false;
   nn::load_model(is, net_, scaler_);
+  frozen_ = nn::FrozenMlp(net_);
   provenance_ = Provenance{};
   std::string tag;
   if (is >> tag && tag == "oracle-meta") {

@@ -8,6 +8,7 @@
 
 #include "math/vec2.hpp"
 #include "nn/dataset.hpp"
+#include "nn/frozen_mlp.hpp"
 #include "nn/mlp.hpp"
 #include "nn/trainer.hpp"
 
@@ -59,10 +60,11 @@ class SafetyOracle {
                                                     math::Vec2 a_rel,
                                                     double k);
 
-  /// Predicted delta_{t+k}. Read-only (inference forward mutates nothing),
-  /// so one trained oracle may be shared across parallel campaign runs.
+  /// Predicted delta_{t+k}. Runs on the frozen inference copy of the
+  /// network from stack buffers: const, allocation-free, and safe to call
+  /// concurrently on one oracle shared across parallel campaign runs.
   [[nodiscard]] double predict(double delta, math::Vec2 v_rel,
-                               math::Vec2 a_rel, double k);
+                               math::Vec2 a_rel, double k) const;
 
   /// Batched inference: serves all queries through ONE matrix-matrix
   /// forward (Mlp::predict_batch_into) instead of |queries| matrix-vector
@@ -73,29 +75,37 @@ class SafetyOracle {
   /// capacity (thread-local gather matrix + workspace), and safe to call
   /// concurrently on one shared trained oracle.
   void predict_batch(std::span<const OracleQuery> queries,
-                     std::span<double> out);
+                     std::span<double> out) const;
 
   /// Trains on the dataset (features per `features()`, target ground-truth
-  /// delta_{t+k}); fits the input scaler internally.
+  /// delta_{t+k}); fits the input scaler internally and refreshes the
+  /// frozen inference copy.
   nn::TrainResult train(const nn::Dataset& data, nn::TrainConfig config = {});
 
-  /// Weight caching for the benchmark harness.
-  void save(const std::string& path);
+  /// Weight caching for the benchmark harness. `load` refreshes the frozen
+  /// inference copy.
+  void save(const std::string& path) const;
   [[nodiscard]] bool load(const std::string& path);
 
   [[nodiscard]] bool trained() const { return trained_; }
-  [[nodiscard]] nn::Mlp& net() { return net_; }
+  /// Read-only: `predict` runs on a frozen copy taken by `train` and
+  /// `load`, so the weights change only through those.
+  [[nodiscard]] const nn::Mlp& net() const { return net_; }
 
   /// Bit-exact digest of the trained model: network weights
   /// (Mlp::content_hash) folded with the fitted scaler's means and stddevs.
   /// Golden tests pin training pipelines on this.
-  [[nodiscard]] std::uint64_t content_hash();
+  [[nodiscard]] std::uint64_t content_hash() const;
 
   [[nodiscard]] const Provenance& provenance() const { return provenance_; }
   void set_provenance(Provenance p) { provenance_ = std::move(p); }
 
  private:
   nn::Mlp net_;
+  /// Inference copy of net_ (see `net()`). None until `train` or `load`:
+  /// an untrained oracle's unfitted scaler makes `predict` throw before
+  /// it would read the copy, and each copy is ~128 KB.
+  nn::FrozenMlp frozen_;
   nn::StandardScaler scaler_;
   Provenance provenance_{};
   bool trained_{false};
@@ -129,7 +139,7 @@ class OracleBatchBuffer {
   /// Serves every pending query through one batched forward and clears the
   /// buffer. The returned span (one prediction per pushed query, in push
   /// order) points at internal storage valid until the next `flush`.
-  std::span<const double> flush(SafetyOracle& oracle);
+  std::span<const double> flush(const SafetyOracle& oracle);
 
  private:
   std::size_t capacity_;

@@ -76,6 +76,50 @@ void require_no_alias(const Matrix& a, const Matrix& b, const Matrix& out) {
 
 }  // namespace
 
+void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
+  if (&out == &a || &out == &b) detail::throw_kernel_alias();
+  if (a.cols() != b.rows()) detail::throw_inner_mismatch();
+  const std::size_t rows = a.rows();
+  const std::size_t inner = a.cols();
+  const std::size_t cols = b.cols();
+  out.resize(rows, cols);
+  // Register-tiled path (batched NN forwards): accumulate each
+  // output row in fixed-width column tiles held in a local array, so the
+  // compiler keeps the whole tile in registers instead of dragging a
+  // load-add-store chain through `out`, whose aliasing it cannot prove.
+  // Per output element the terms still sum in ascending k with the same
+  // skip-exact-zero-lhs shortcut — bit-identical to the plain i-k-j loop
+  // this replaces.
+  constexpr std::size_t kTile = 16;
+  const double* ad = a.data().data();
+  const double* bd = b.data().data();
+  double* od = out.data().data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* arow = ad + i * inner;
+    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
+      const std::size_t width = std::min(kTile, cols - j0);
+      double acc[kTile] = {};
+      if (width == kTile) {
+        for (std::size_t k = 0; k < inner; ++k) {
+          const double v = arow[k];
+          if (v == 0.0) continue;
+          const double* brow = bd + k * cols + j0;
+          for (std::size_t j = 0; j < kTile; ++j) acc[j] += v * brow[j];
+        }
+      } else {
+        for (std::size_t k = 0; k < inner; ++k) {
+          const double v = arow[k];
+          if (v == 0.0) continue;
+          const double* brow = bd + k * cols + j0;
+          for (std::size_t j = 0; j < width; ++j) acc[j] += v * brow[j];
+        }
+      }
+      double* orow = od + i * cols + j0;
+      for (std::size_t j = 0; j < width; ++j) orow[j] = acc[j];
+    }
+  }
+}
+
 void transposed_multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
   require_no_alias(a, b, out);
   if (a.rows() != b.rows()) {
@@ -157,30 +201,14 @@ void affine_rows_into(const Matrix& w, const Matrix& x, const Matrix& bias,
   require_row_range(out, w.rows(), x.cols(), row_begin, row_end);
   const std::size_t inner = w.cols();
   const std::size_t cols = x.cols();
-  if (cols == 1) {
-    // Mirrors multiply_into's column fast path: each element is an ordered
-    // dot product (ascending k, skip exact-zero lhs), so restricting the
-    // row range cannot change any value.
-    const auto xd = x.data();
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = w(i, k);
-        if (v != 0.0) s += v * xd[k];
-      }
-      out(i, 0) = s;
-      out(i, 0) += bias(i, 0);
-    }
-    return;
-  }
-  // Register-tiled wide path, mirroring multiply_into's: per output row,
+  // Register-tiled path, mirroring multiply_into's: per output row,
   // fixed-width column tiles accumulate in a local array (registers), then
   // the bias adds once per element. Ascending-k sums with the same
   // skip-exact-zero shortcut — bit-identical to the memory-accumulating
   // loop this replaces, for any row partition.
   constexpr std::size_t kTile = 16;
   const double* wd = w.data().data();
-  const double* xd2 = x.data().data();
+  const double* xd = x.data().data();
   double* od = out.data().data();
   for (std::size_t i = row_begin; i < row_end; ++i) {
     const double* wrow = wd + i * inner;
@@ -192,14 +220,14 @@ void affine_rows_into(const Matrix& w, const Matrix& x, const Matrix& bias,
         for (std::size_t k = 0; k < inner; ++k) {
           const double v = wrow[k];
           if (v == 0.0) continue;
-          const double* xrow = xd2 + k * cols + j0;
+          const double* xrow = xd + k * cols + j0;
           for (std::size_t j = 0; j < kTile; ++j) acc[j] += v * xrow[j];
         }
       } else {
         for (std::size_t k = 0; k < inner; ++k) {
           const double v = wrow[k];
           if (v == 0.0) continue;
-          const double* xrow = xd2 + k * cols + j0;
+          const double* xrow = xd + k * cols + j0;
           for (std::size_t j = 0; j < width; ++j) acc[j] += v * xrow[j];
         }
       }

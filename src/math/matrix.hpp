@@ -113,9 +113,8 @@ class Matrix {
 /// (`std::invalid_argument` otherwise); shape mismatches throw like the
 /// operators they mirror.
 
-/// out = a * b. Mirrors `a * b`. Defined inline below: oracle inference
-/// issues these per query, where the call itself is measurable.
-inline void multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
+/// out = a * b. Mirrors `a * b`.
+void multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a * b^T. Mirrors `a * b.transposed()` without materializing b^T.
 inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
                                      Matrix& out);
@@ -228,91 +227,6 @@ void invert_fixed(double* s, double* o) {
   }
 }
 }  // namespace detail
-
-inline void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  if (&out == &a || &out == &b) detail::throw_kernel_alias();
-  if (a.cols() != b.rows()) detail::throw_inner_mismatch();
-  const std::size_t rows = a.rows();
-  const std::size_t inner = a.cols();
-  const std::size_t cols = b.cols();
-  out.resize(rows, cols);
-  if (cols == 1) {
-    // Column fast path (batch-1 NN inference): each
-    // output element is an ordered dot product, so accumulate in registers
-    // — four independent row chains at a time to hide FP-add latency.
-    // Every element still sums its terms in ascending k with the same
-    // skip-exact-zero shortcut, hence bit-identical to the general loop,
-    // which would drag a serial load-add-store chain through memory here.
-    const auto bd = b.data();
-    const auto od = out.data();
-    std::size_t i = 0;
-    for (; i + 4 <= rows; i += 4) {
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double x = bd[k];
-        const double a0 = a(i, k);
-        const double a1 = a(i + 1, k);
-        const double a2 = a(i + 2, k);
-        const double a3 = a(i + 3, k);
-        if (a0 != 0.0) s0 += a0 * x;
-        if (a1 != 0.0) s1 += a1 * x;
-        if (a2 != 0.0) s2 += a2 * x;
-        if (a3 != 0.0) s3 += a3 * x;
-      }
-      od[i] = s0;
-      od[i + 1] = s1;
-      od[i + 2] = s2;
-      od[i + 3] = s3;
-    }
-    for (; i < rows; ++i) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = a(i, k);
-        if (v != 0.0) s += v * bd[k];
-      }
-      od[i] = s;
-    }
-    return;
-  }
-  // Register-tiled wide path (batched NN forwards, PR 8): accumulate each
-  // output row in fixed-width column tiles held in a local array, so the
-  // compiler keeps the whole tile in registers instead of dragging a
-  // load-add-store chain through `out`, whose aliasing it cannot prove.
-  // Per output element the terms still sum in ascending k with the same
-  // skip-exact-zero-lhs shortcut — bit-identical to the plain i-k-j loop
-  // this replaces.
-  constexpr std::size_t kTile = 16;
-  const double* ad = a.data().data();
-  const double* bd = b.data().data();
-  double* od = out.data().data();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* arow = ad + i * inner;
-    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
-      const std::size_t width = std::min(kTile, cols - j0);
-      double acc[kTile] = {};
-      if (width == kTile) {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = arow[k];
-          if (v == 0.0) continue;
-          const double* brow = bd + k * cols + j0;
-          for (std::size_t j = 0; j < kTile; ++j) acc[j] += v * brow[j];
-        }
-      } else {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = arow[k];
-          if (v == 0.0) continue;
-          const double* brow = bd + k * cols + j0;
-          for (std::size_t j = 0; j < width; ++j) acc[j] += v * brow[j];
-        }
-      }
-      double* orow = od + i * cols + j0;
-      for (std::size_t j = 0; j < width; ++j) orow[j] = acc[j];
-    }
-  }
-}
 
 inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
                                      Matrix& out) {

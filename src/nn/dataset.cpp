@@ -178,6 +178,15 @@ void StandardScaler::transform_in_place(math::Matrix& x) const {
   }
 }
 
+void StandardScaler::transform_in_place(std::span<double> features) const {
+  if (mean_.size() != features.size()) {
+    throw std::invalid_argument("StandardScaler: dimension mismatch");
+  }
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    features[i] = (features[i] - mean_[i]) / std_[i];
+  }
+}
+
 std::vector<double> StandardScaler::transform(
     const std::vector<double>& features) const {
   if (mean_.size() != features.size()) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "math/matrix.hpp"
@@ -61,10 +62,13 @@ class StandardScaler {
   [[nodiscard]] math::Matrix transform(const math::Matrix& x) const;
   [[nodiscard]] std::vector<double> transform(
       const std::vector<double>& features) const;
-  /// In-place standardization of a (features x batch) matrix — the batch-1
-  /// inference hot path uses this on a reused scratch column. Same
-  /// arithmetic as `transform`.
+  /// In-place standardization of a (features x batch) matrix — batched
+  /// inference uses this on a reused gather matrix. Same arithmetic as
+  /// `transform`.
   void transform_in_place(math::Matrix& x) const;
+  /// In-place standardization of one feature vector (single-query
+  /// inference on a stack array). Same arithmetic as `transform`.
+  void transform_in_place(std::span<double> features) const;
 
   [[nodiscard]] const std::vector<double>& means() const { return mean_; }
   [[nodiscard]] const std::vector<double>& stddevs() const { return std_; }

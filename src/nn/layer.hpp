@@ -16,9 +16,10 @@ namespace rt::nn {
 /// input vectors of dimension D is a D x B matrix.
 ///
 /// The primitives are destination-passing (`forward_into` / `backward_into`)
-/// so the hot paths — batch-1 oracle inference inside campaign runs, and the
-/// trainer's minibatch loop — run over caller-owned workspace buffers with
-/// zero per-call heap allocations (see Mlp::Workspace). The allocating
+/// so the hot paths — batched oracle serving and the trainer's minibatch
+/// loop — run over caller-owned workspace buffers with zero per-call heap
+/// allocations (see Mlp::Workspace). Single-query oracle inference runs on
+/// a FrozenMlp copy instead. The allocating
 /// `forward` / `backward` wrappers keep the historical API: `forward` caches
 /// the input when training so a later `backward` can run without an
 /// externally managed workspace.
@@ -108,7 +109,9 @@ class Dense : public Layer {
   [[nodiscard]] std::size_t input_size() const { return w_.cols(); }
   [[nodiscard]] std::size_t output_size() const { return w_.rows(); }
   [[nodiscard]] math::Matrix& weights() { return w_; }
+  [[nodiscard]] const math::Matrix& weights() const { return w_; }
   [[nodiscard]] math::Matrix& bias() { return b_; }
+  [[nodiscard]] const math::Matrix& bias() const { return b_; }
 
  private:
   math::Matrix w_, b_, gw_, gb_;

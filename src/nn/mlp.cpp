@@ -12,25 +12,8 @@ math::Matrix Mlp::forward(const math::Matrix& x, bool training) {
 
 const math::Matrix& Mlp::forward_into(const math::Matrix& x, Workspace& ws,
                                       bool training) {
+  if (!training) return predict_into(x, ws);
   ws.acts.resize(layers_.size() + 1);
-  if (!training) {
-    // Inference: no backward will read ws.acts, so the input copy into
-    // acts[0] is skipped and identity layers (dropout) forward their input
-    // pointer instead of copying a matrix per layer. Bit-identical values.
-    const math::Matrix* cur = &x;
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-      if (layers_[i]->inference_identity()) continue;
-      layers_[i]->forward_into(*cur, ws.acts[i + 1], false);
-      cur = &ws.acts[i + 1];
-    }
-    if (cur == &x) {
-      // Empty (or all-identity) stack: keep the "valid until next use of
-      // ws" lifetime contract by materializing the pass-through.
-      ws.acts[0] = x;
-      return ws.acts[0];
-    }
-    return *cur;
-  }
   ws.acts[0] = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->forward_into(ws.acts[i], ws.acts[i + 1], training);
@@ -56,17 +39,47 @@ void Mlp::backward_into(const math::Matrix& grad_out, Workspace& ws) {
   }
 }
 
-const math::Matrix& Mlp::predict(const math::Matrix& x) {
+const math::Matrix& Mlp::predict_into(const math::Matrix& x,
+                                      Workspace& ws) const {
+  // Inference: no backward will read ws.acts, so the input copy into
+  // acts[0] is skipped and identity layers (dropout) forward their input
+  // pointer instead of copying a matrix per layer. Bit-identical values.
+  // Inference-mode layer forwards mutate nothing (Layer contract).
+  ws.acts.resize(layers_.size() + 1);
+  const math::Matrix* cur = &x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    if (layers_[i]->inference_identity()) continue;
+    layers_[i]->forward_into(*cur, ws.acts[i + 1], false);
+    cur = &ws.acts[i + 1];
+  }
+  if (cur == &x) {
+    // Empty (or all-identity) stack: keep the "valid until next use of
+    // ws" lifetime contract by materializing the pass-through.
+    ws.acts[0] = x;
+    return ws.acts[0];
+  }
+  return *cur;
+}
+
+const math::Matrix& Mlp::predict(const math::Matrix& x) const {
   // Thread-local: predict stays safe to call concurrently on one shared
   // trained network (each thread forwards over its own buffers).
   thread_local Workspace ws;
-  return forward_into(x, ws, false);
+  return predict_into(x, ws);
 }
 
 std::vector<math::Matrix*> Mlp::parameters() {
   std::vector<math::Matrix*> out;
   for (auto& layer : layers_) {
     for (auto* p : layer->parameters()) out.push_back(p);
+  }
+  return out;
+}
+
+std::vector<const math::Matrix*> Mlp::parameters() const {
+  std::vector<const math::Matrix*> out;
+  for (const auto& layer : layers_) {
+    for (const auto* p : layer->parameters()) out.push_back(p);
   }
   return out;
 }
@@ -79,15 +92,15 @@ std::vector<math::Matrix*> Mlp::gradients() {
   return out;
 }
 
-std::size_t Mlp::parameter_count() {
+std::size_t Mlp::parameter_count() const {
   std::size_t n = 0;
-  for (auto* p : parameters()) n += p->rows() * p->cols();
+  for (const auto* p : parameters()) n += p->rows() * p->cols();
   return n;
 }
 
-std::uint64_t Mlp::content_hash() {
+std::uint64_t Mlp::content_hash() const {
   std::uint64_t h = stats::kFnv1aOffset;
-  for (auto* p : parameters()) {
+  for (const auto* p : parameters()) {
     h = stats::fnv1a_u64(h, p->rows());
     h = stats::fnv1a_u64(h, p->cols());
     for (const double v : p->data()) h = stats::fnv1a_double(h, v);

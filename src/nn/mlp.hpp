@@ -58,13 +58,12 @@ class Mlp {
   /// next `predict` on *any* network on this thread: copy the result (or
   /// use `predict_into` with your own workspace) before invoking another
   /// network.
-  [[nodiscard]] const math::Matrix& predict(const math::Matrix& x);
+  [[nodiscard]] const math::Matrix& predict(const math::Matrix& x) const;
 
-  /// Inference-mode forward over an explicit workspace.
+  /// Inference-mode forward over an explicit workspace (what
+  /// `forward_into` runs when not training).
   [[nodiscard]] const math::Matrix& predict_into(const math::Matrix& x,
-                                                 Workspace& ws) {
-    return forward_into(x, ws, false);
-  }
+                                                 Workspace& ws) const;
 
   /// Batched inference: `x` packs B query columns into one (D x B) matrix
   /// and the whole stack runs as matrix-matrix products — one kernel call
@@ -75,15 +74,16 @@ class Mlp {
   /// batch width (see the kernel contract in math/matrix.hpp), so batching
   /// is a pure throughput lever, never a semantics change. Same
   /// thread-local workspace and concurrency contract as `predict`.
-  [[nodiscard]] const math::Matrix& predict_batch(const math::Matrix& x) {
+  [[nodiscard]] const math::Matrix& predict_batch(
+      const math::Matrix& x) const {
     return predict(x);
   }
 
   /// Batched inference over an explicit workspace (zero allocations once
   /// `ws` has seen the batch shape).
-  [[nodiscard]] const math::Matrix& predict_batch_into(const math::Matrix& x,
-                                                       Workspace& ws) {
-    return forward_into(x, ws, false);
+  [[nodiscard]] const math::Matrix& predict_batch_into(
+      const math::Matrix& x, Workspace& ws) const {
+    return predict_into(x, ws);
   }
 
   /// Installs (nullptr clears) a worker pool on every layer — see
@@ -94,17 +94,18 @@ class Mlp {
   }
 
   [[nodiscard]] std::vector<math::Matrix*> parameters();
+  [[nodiscard]] std::vector<const math::Matrix*> parameters() const;
   [[nodiscard]] std::vector<math::Matrix*> gradients();
   [[nodiscard]] const std::vector<std::unique_ptr<Layer>>& layers() const {
     return layers_;
   }
-  [[nodiscard]] std::size_t parameter_count();
+  [[nodiscard]] std::size_t parameter_count() const;
 
   /// Order-sensitive bit-exact digest of every parameter matrix (shape +
   /// each double's bit pattern), FNV-1a like Dataset::content_hash. Golden
   /// tests pin trained networks on this: any change to a single weight bit
   /// changes the hash.
-  [[nodiscard]] std::uint64_t content_hash();
+  [[nodiscard]] std::uint64_t content_hash() const;
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

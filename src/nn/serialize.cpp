@@ -11,7 +11,8 @@ constexpr const char* kMagic = "robotack-nn";
 constexpr int kVersion = 1;
 }  // namespace
 
-void save_model(std::ostream& os, Mlp& net, const StandardScaler& scaler) {
+void save_model(std::ostream& os, const Mlp& net,
+                const StandardScaler& scaler) {
   os.precision(17);
   os << kMagic << ' ' << kVersion << '\n';
   os << "scaler " << scaler.means().size();
@@ -21,7 +22,7 @@ void save_model(std::ostream& os, Mlp& net, const StandardScaler& scaler) {
   os << "layers " << net.layers().size() << '\n';
   for (const auto& layer : net.layers()) {
     if (layer->kind() == "dense") {
-      auto* dense = dynamic_cast<Dense*>(layer.get());
+      const auto* dense = dynamic_cast<const Dense*>(layer.get());
       os << "dense " << dense->input_size() << ' ' << dense->output_size();
       for (double v : dense->weights().data()) os << ' ' << v;
       for (double v : dense->bias().data()) os << ' ' << v;
@@ -29,7 +30,7 @@ void save_model(std::ostream& os, Mlp& net, const StandardScaler& scaler) {
     } else if (layer->kind() == "relu") {
       os << "relu\n";
     } else if (layer->kind() == "dropout") {
-      auto* drop = dynamic_cast<Dropout*>(layer.get());
+      const auto* drop = dynamic_cast<const Dropout*>(layer.get());
       os << "dropout " << drop->rate() << '\n';
     } else {
       throw std::runtime_error("save_model: unknown layer kind " +
@@ -38,7 +39,7 @@ void save_model(std::ostream& os, Mlp& net, const StandardScaler& scaler) {
   }
 }
 
-void save_model_file(const std::string& path, Mlp& net,
+void save_model_file(const std::string& path, const Mlp& net,
                      const StandardScaler& scaler) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("save_model_file: cannot open " + path);

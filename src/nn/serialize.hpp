@@ -19,8 +19,9 @@ namespace rt::nn {
 ///   dense <in> <out> <weights row-major...> <bias...>
 ///   relu
 ///   dropout <rate>
-void save_model(std::ostream& os, Mlp& net, const StandardScaler& scaler);
-void save_model_file(const std::string& path, Mlp& net,
+void save_model(std::ostream& os, const Mlp& net,
+                const StandardScaler& scaler);
+void save_model_file(const std::string& path, const Mlp& net,
                      const StandardScaler& scaler);
 
 /// Loads a model saved with `save_model`. Throws std::runtime_error on

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "core/patch_model.hpp"
 #include "core/robotack.hpp"
 #include "core/safety_hijacker.hpp"
 #include "core/scenario_matcher.hpp"
 #include "core/trajectory_hijacker.hpp"
+#include "nn/serialize.hpp"
 #include "stats/hash.hpp"
 #include "stats/rng.hpp"
 
@@ -310,6 +314,43 @@ TEST(SafetyOracle, BatchBufferFlushServesPushOrder) {
   }
 }
 
+// predict runs on the frozen inference copy that load() builds: after a
+// save/load round trip it answers exactly what the loaded network answers
+// on the scaled features.
+TEST(SafetyOracle, PredictMatchesLoadedNetOnScaledFeatures) {
+  const auto trained = synthetic_oracle();
+  const std::string path =
+      testing::TempDir() + "safety_oracle_frozen_roundtrip.txt";
+  trained->save(path);
+  SafetyOracle loaded(99);
+  // Untrained: the unfitted scaler rejects the query before any network.
+  EXPECT_THROW((void)loaded.predict(20.0, {-5.0, 0.0}, {0.0, 0.0}, 30.0),
+               std::invalid_argument);
+  ASSERT_TRUE(loaded.load(path));
+  EXPECT_EQ(loaded.content_hash(), trained->content_hash());
+  nn::Mlp file_net;
+  nn::StandardScaler scaler;
+  ASSERT_TRUE(nn::load_model_file(path, file_net, scaler));
+  std::remove(path.c_str());
+
+  stats::Rng rng(32);
+  math::Matrix x(SafetyOracle::kInputDim, 1);
+  for (int i = 0; i < 500; ++i) {
+    const OracleQuery q{rng.uniform(0.0, 40.0),
+                        {rng.uniform(-10.0, 0.0), rng.uniform(-1.0, 1.0)},
+                        {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
+                        rng.uniform(3.0, 70.0)};
+    const auto features =
+        SafetyOracle::features(q.delta, q.v_rel, q.a_rel, q.k);
+    for (std::size_t r = 0; r < features.size(); ++r) x(r, 0) = features[r];
+    scaler.transform_in_place(x);
+    const double expected = loaded.net().predict(x)(0, 0);
+    const double got = loaded.predict(q.delta, q.v_rel, q.a_rel, q.k);
+    EXPECT_EQ(std::memcmp(&expected, &got, sizeof got), 0) << "query " << i;
+    EXPECT_EQ(trained->predict(q.delta, q.v_rel, q.a_rel, q.k), got);
+  }
+}
+
 TEST(SafetyHijacker, BinarySearchFindsMinimalK) {
   SafetyHijacker sh(SafetyHijacker::Config{},
                     perception::DetectorNoiseModel::paper_defaults());
@@ -442,62 +483,60 @@ TEST(Robotack, MaxTriggersRespected) {
   EXPECT_EQ(bot.log().triggers, 1);
 }
 
-// A scripted Move_Out attacker allowed three bursts over a jittered
-// two-object stream. After the first burst ends the ADS-view replica holds
-// state the truth replica never saw (the perturbed frames), and the later
-// bursts resolve the victim and push against that replica — the path no
-// single-trigger campaign golden covers. The hash folds every outgoing
-// frame and the final AttackLog, pinned before the replica bookkeeping was
-// reworked.
-TEST(Robotack, MultiTriggerReplicaTraceIsPinned) {
-  const perception::CameraModel cam;
-  RobotackConfig cfg;
-  cfg.vector = AttackVector::kMoveOut;
-  cfg.timing = TimingPolicy::kAtDeltaThreshold;
-  cfg.delta_trigger = 100.0;
-  cfg.fixed_k = 7;
-  cfg.max_triggers = 3;
-  Robotack bot(cfg, cam, perception::DetectorNoiseModel::paper_defaults(),
-               perception::MotConfig{}, 11);
+// A jittered two-object camera stream: a car closing in lane and a
+// pedestrian drifting toward it, each detection dropped with p = 0.05.
+class TwoObjectStream {
+ public:
+  TwoObjectStream() {
+    car_.id = 1;
+    car_.type = sim::ActorType::kVehicle;
+    car_.dims = sim::default_dimensions(car_.type);
+    ped_.id = 2;
+    ped_.type = sim::ActorType::kPedestrian;
+    ped_.dims = sim::default_dimensions(ped_.type);
+  }
 
-  sim::GroundTruthObject car;
-  car.id = 1;
-  car.type = sim::ActorType::kVehicle;
-  car.dims = sim::default_dimensions(car.type);
-  sim::GroundTruthObject ped;
-  ped.id = 2;
-  ped.type = sim::ActorType::kPedestrian;
-  ped.dims = sim::default_dimensions(ped.type);
-
-  stats::Rng rng(31);
-  std::uint64_t h = stats::kFnv1aOffset;
-  perception::CameraFrame frame;
-  for (int f = 0; f < 120; ++f) {
+  void next(int f, perception::CameraFrame& frame) {
     frame.time = f / 15.0;
     frame.detections.clear();
-    car.rel_position = {40.0 - 0.1 * f, 0.2};
-    ped.rel_position = {25.0, -6.0 + 0.02 * f};
-    for (const auto* obj : {&car, &ped}) {
-      const auto box = cam.project(*obj);
-      if (!box || rng.bernoulli(0.05)) continue;
+    car_.rel_position = {40.0 - 0.1 * f, 0.2};
+    ped_.rel_position = {25.0, -6.0 + 0.02 * f};
+    for (const auto* obj : {&car_, &ped_}) {
+      const auto box = cam_.project(*obj);
+      if (!box || rng_.bernoulli(0.05)) continue;
       perception::Detection d;
-      d.bbox = box->translated(rng.normal(0.0, 0.1 * box->w),
-                               rng.normal(0.0, 0.1 * box->h));
+      d.bbox = box->translated(rng_.normal(0.0, 0.1 * box->w),
+                               rng_.normal(0.0, 0.1 * box->h));
       d.cls = obj->type;
       d.truth_id = obj->id;
       frame.detections.push_back(d);
     }
-    bot.process_in_place(frame, 12.5);
-    h = stats::fnv1a_u64(h, frame.detections.size());
-    for (const auto& d : frame.detections) {
-      for (const double v : {d.bbox.cx, d.bbox.cy, d.bbox.w, d.bbox.h}) {
-        h = stats::fnv1a_double(h, v);
-      }
-      h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(d.truth_id));
-    }
   }
-  const AttackLog& log = bot.log();
-  ASSERT_EQ(log.triggers, 3);
+
+  [[nodiscard]] const perception::CameraModel& camera() const {
+    return cam_;
+  }
+
+ private:
+  perception::CameraModel cam_;
+  sim::GroundTruthObject car_;
+  sim::GroundTruthObject ped_;
+  stats::Rng rng_{31};
+};
+
+std::uint64_t fold_frame(std::uint64_t h,
+                         const perception::CameraFrame& frame) {
+  h = stats::fnv1a_u64(h, frame.detections.size());
+  for (const auto& d : frame.detections) {
+    for (const double v : {d.bbox.cx, d.bbox.cy, d.bbox.w, d.bbox.h}) {
+      h = stats::fnv1a_double(h, v);
+    }
+    h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(d.truth_id));
+  }
+  return h;
+}
+
+std::uint64_t fold_log(std::uint64_t h, const AttackLog& log) {
   for (const double v :
        {log.start_time, log.delta_at_launch, log.v_rel_at_launch.x,
         log.v_rel_at_launch.y, log.a_rel_at_launch.x, log.a_rel_at_launch.y,
@@ -510,7 +549,86 @@ TEST(Robotack, MultiTriggerReplicaTraceIsPinned) {
                       static_cast<int>(log.victim_truth_id)}) {
     h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(v));
   }
+  return h;
+}
+
+RobotackConfig scripted_move_out(int max_triggers) {
+  RobotackConfig cfg;
+  cfg.vector = AttackVector::kMoveOut;
+  cfg.timing = TimingPolicy::kAtDeltaThreshold;
+  cfg.delta_trigger = 100.0;
+  cfg.fixed_k = 7;
+  cfg.max_triggers = max_triggers;
+  return cfg;
+}
+
+// A scripted Move_Out attacker allowed three bursts over a jittered
+// two-object stream. After the first burst ends the ADS-view replica holds
+// state the truth replica never saw (the perturbed frames), and the later
+// bursts resolve the victim and push against that replica — the path no
+// single-trigger campaign golden covers. The hash folds every outgoing
+// frame and the final AttackLog, pinned before the replica bookkeeping was
+// reworked.
+TEST(Robotack, MultiTriggerReplicaTraceIsPinned) {
+  TwoObjectStream stream;
+  Robotack bot(scripted_move_out(3), stream.camera(),
+               perception::DetectorNoiseModel::paper_defaults(),
+               perception::MotConfig{}, 11);
+  std::uint64_t h = stats::kFnv1aOffset;
+  perception::CameraFrame frame;
+  for (int f = 0; f < 120; ++f) {
+    stream.next(f, frame);
+    bot.process_in_place(frame, 12.5);
+    h = fold_frame(h, frame);
+  }
+  ASSERT_EQ(bot.log().triggers, 3);
+  h = fold_log(h, bot.log());
   EXPECT_EQ(h, 0xef2901da3c361c10ULL);
+}
+
+// Once its last permitted burst has ended the attacker is spent: every
+// later frame leaves process_in_place byte-identical and the log stays as
+// it was.
+TEST(Robotack, SpentAttackerPassesFramesThrough) {
+  for (const int max_triggers : {1, 3}) {
+    TwoObjectStream stream;
+    Robotack bot(scripted_move_out(max_triggers), stream.camera(),
+                 perception::DetectorNoiseModel::paper_defaults(),
+                 perception::MotConfig{}, 11);
+    perception::CameraFrame frame;
+    int f = 0;
+    for (; f < 200; ++f) {
+      if (bot.log().triggers == max_triggers && !bot.attack_active()) break;
+      stream.next(f, frame);
+      bot.process_in_place(frame, 12.5);
+    }
+    ASSERT_EQ(bot.log().triggers, max_triggers);
+    ASSERT_FALSE(bot.attack_active());
+    const std::uint64_t log_before = fold_log(stats::kFnv1aOffset, bot.log());
+    for (const int end = f + 50; f < end; ++f) {
+      stream.next(f, frame);
+      const perception::CameraFrame in = frame;
+      bot.process_in_place(frame, 12.5);
+      ASSERT_EQ(frame.time, in.time);
+      ASSERT_EQ(frame.detections.size(), in.detections.size());
+      for (std::size_t i = 0; i < in.detections.size(); ++i) {
+        const auto& a = frame.detections[i];
+        const auto& b = in.detections[i];
+        for (const auto& [x, y] : {std::pair{a.bbox.cx, b.bbox.cx},
+                                   std::pair{a.bbox.cy, b.bbox.cy},
+                                   std::pair{a.bbox.w, b.bbox.w},
+                                   std::pair{a.bbox.h, b.bbox.h},
+                                   std::pair{a.confidence, b.confidence}}) {
+          EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0)
+              << "max_triggers " << max_triggers << " frame " << f;
+        }
+        EXPECT_EQ(a.cls, b.cls);
+        EXPECT_EQ(a.truth_id, b.truth_id);
+      }
+    }
+    EXPECT_EQ(fold_log(stats::kFnv1aOffset, bot.log()), log_before)
+        << "max_triggers " << max_triggers;
+  }
 }
 
 }  // namespace

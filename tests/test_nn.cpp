@@ -8,6 +8,7 @@
 
 #include "nn/adam.hpp"
 #include "nn/dataset.hpp"
+#include "nn/frozen_mlp.hpp"
 #include "nn/layer.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
@@ -502,6 +503,101 @@ TEST(StandardScaler, TransformInPlaceMatchesTransform) {
   EXPECT_TRUE(bits_equal(in_place, scaler.transform(x)));
   math::Matrix wrong(3, 1, 0.0);
   EXPECT_THROW(scaler.transform_in_place(wrong), std::invalid_argument);
+
+  // The single-vector overload: column 1 of x, same bits.
+  std::vector<double> column(4);
+  for (std::size_t i = 0; i < 4; ++i) column[i] = x(i, 1);
+  scaler.transform_in_place(std::span<double>(column));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(std::memcmp(&column[i], &in_place(i, 1), sizeof(double)) ==
+                0)
+        << "feature " << i;
+  }
+  std::vector<double> short_column(3);
+  EXPECT_THROW(scaler.transform_in_place(std::span<double>(short_column)),
+               std::invalid_argument);
+}
+
+// Mix of test_math's random_matrix: ~15% +0.0, ~5% -0.0, the rest uniform
+// in [-scale, scale], so every skip-exact-zero branch is taken.
+double zero_mixed(stats::Rng& rng, double scale) {
+  const double roll = rng.uniform(0.0, 1.0);
+  if (roll < 0.15) return 0.0;
+  if (roll < 0.2) return -0.0;
+  return rng.uniform(-scale, scale);
+}
+
+// The frozen inference copy answers exactly what Mlp::predict answers, bit
+// for bit: zero and negative-zero weights, biases and inputs, plus first-
+// layer rows that cancel to an exact zero pre-activation.
+TEST(FrozenMlp, MatchesMlpPredictBitwise) {
+  stats::Rng rng(23);
+  Mlp net = make_safety_hijacker_net(rng);
+  for (const auto& layer : net.layers()) {
+    auto* dense = dynamic_cast<Dense*>(layer.get());
+    if (dense == nullptr) continue;
+    for (double& v : dense->weights().data()) v = zero_mixed(rng, 0.5);
+    for (double& v : dense->bias().data()) v = zero_mixed(rng, 0.5);
+  }
+  // Rows 0-7 of the first layer compute c * (x0 - x1) + (+-0.0): exactly
+  // zero whenever x0 == x1.
+  auto* first = dynamic_cast<Dense*>(net.layers().front().get());
+  ASSERT_NE(first, nullptr);
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t k = 0; k < first->input_size(); ++k) {
+      first->weights()(i, k) = 0.0;
+    }
+    const double c = 0.25 * static_cast<double>(i + 1);
+    first->weights()(i, 0) = c;
+    first->weights()(i, 1) = -c;
+    first->bias()(i, 0) = i % 2 == 0 ? 0.0 : -0.0;
+  }
+  const FrozenMlp frozen(net);
+  ASSERT_EQ(frozen.input_size(), 6u);
+  ASSERT_EQ(frozen.output_size(), 1u);
+
+  math::Matrix x(6, 1);
+  math::Matrix pre;
+  std::size_t zero_preacts = 0;
+  for (int n = 0; n < 10000; ++n) {
+    for (double& v : x.data()) v = zero_mixed(rng, 3.0);
+    if (n % 3 == 0) x(1, 0) = x(0, 0);
+    if (n % 97 == 0) {
+      for (double& v : x.data()) v = n % 2 == 0 ? 0.0 : -0.0;
+    }
+    math::affine_into(first->weights(), x, first->bias(), pre);
+    for (const double v : pre.data()) zero_preacts += v == 0.0 ? 1 : 0;
+
+    const double expected = net.predict(x)(0, 0);
+    double got = 1.0;
+    frozen.predict(x.data(), {&got, 1});
+    std::uint64_t eb = 0;
+    std::uint64_t gb = 0;
+    std::memcpy(&eb, &expected, sizeof eb);
+    std::memcpy(&gb, &got, sizeof gb);
+    ASSERT_EQ(eb, gb) << "input " << n;
+  }
+  EXPECT_GT(zero_preacts, 1000u);
+}
+
+TEST(FrozenMlp, RejectsUnsupportedNetworksAndShapes) {
+  stats::Rng rng(24);
+  Mlp relu_first;
+  relu_first.add(std::make_unique<Relu>());
+  relu_first.add(std::make_unique<Dense>(2, 1, rng));
+  EXPECT_THROW(FrozenMlp{relu_first}, std::invalid_argument);
+
+  Mlp too_wide;
+  too_wide.add(std::make_unique<Dense>(2, FrozenMlp::kMaxWidth + 1, rng));
+  EXPECT_THROW(FrozenMlp{too_wide}, std::invalid_argument);
+
+  EXPECT_THROW(FrozenMlp{Mlp{}}, std::invalid_argument);
+
+  Mlp net = make_safety_hijacker_net(rng);
+  const FrozenMlp frozen(net);
+  std::vector<double> x(5, 0.0);
+  double y = 0.0;
+  EXPECT_THROW(frozen.predict(x, {&y, 1}), std::invalid_argument);
 }
 
 }  // namespace
