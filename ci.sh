@@ -112,6 +112,11 @@ echo "==> table_service smoke (BENCH_service.json)"
 ./build-release/bench/table_service --runs 4 --threads 1 \
   --json BENCH_service.json
 cat BENCH_service.json
+# The same cold/warm/chaos contract (bit-identity included) with two
+# forked shard workers on striped shards — the only step that forks one.
+# No --json: BENCH_service.json stays the 1-thread record.
+echo "==> table_service forked workers"
+./build-release/bench/table_service --runs 4 --workers 2
 
 # Batch server determinism gate: run the same grid request twice against one
 # cache directory. The second pass must report 100% cache hits and produce a

@@ -1,6 +1,7 @@
 #include "service/cell_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -88,6 +89,10 @@ class StatsMirror {
 };
 
 constexpr const char* kCacheMagic = "RTCACHE";
+/// A budget-triggered sweep evicts down to max_bytes minus this fraction,
+/// so a full cache sweeps once per eighth of its budget instead of on
+/// every store.
+constexpr std::size_t kLowWaterDivisor = 8;
 /// v2 added the content checksum column; v1 entries are counted `stale`
 /// (ignored and re-stored), exactly like a code-version bump.
 constexpr std::uint64_t kCacheHeaderVersion = 2;
@@ -132,6 +137,11 @@ fs::path touch_sidecar(const fs::path& entry) {
   return fs::path(entry.string() + ".touch");
 }
 
+bool is_entry_file(const fs::path& path) {
+  return path.filename().string().rfind("cell_", 0) == 0 &&
+         path.extension() == ".rtcr";
+}
+
 /// Access counter from an entry's `.touch` sidecar; 0 (== "no recorded
 /// access, fall back to mtime") when absent or unreadable.
 std::uint64_t read_touch(const fs::path& entry) {
@@ -173,9 +183,16 @@ CampaignCellCache::CampaignCellCache(CacheConfig config)
   }
   fs::create_directories(config_.dir);
   // Re-seed the monotonic access sequence from the max persisted counter,
-  // so a restarted process keeps strictly increasing LRU order.
+  // so a restarted process keeps strictly increasing LRU order, and the
+  // running byte total from the entries already on disk.
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(config_.dir, ec)) {
+    if (is_entry_file(de.path())) {
+      std::error_code sec;
+      const auto size = de.file_size(sec);
+      if (!sec) bytes_ += size;
+      continue;
+    }
     if (de.path().extension() != ".touch") continue;
     std::ifstream in(de.path());
     std::uint64_t v = 0;
@@ -184,20 +201,17 @@ CampaignCellCache::CampaignCellCache(CacheConfig config)
 }
 
 void CampaignCellCache::touch_locked(const std::string& entry_path) {
+  // 20 digits is the width of the largest uint64, so this one write always
+  // covers whatever the sidecar held before (legacy "<n>\n" included) and
+  // needs neither O_TRUNC nor a temp file + rename, both of which force a
+  // flush on ext4. A failed or torn write only misorders LRU.
+  char line[22];
+  std::snprintf(line, sizeof line, "%020" PRIu64 "\n", ++touch_seq_);
   const fs::path sidecar = touch_sidecar(entry_path);
-  const fs::path tmp = sidecar.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << ++touch_seq_ << '\n';
-    if (!out.good()) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return;  // counter write failed: the entry falls back to mtime order
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, sidecar, ec);
-  if (ec) fs::remove(tmp, ec);
+  const int fd = ::open(sidecar.c_str(), O_WRONLY | O_CREAT, 0644);
+  if (fd < 0) return;  // no counter: the entry falls back to mtime order
+  (void)::pwrite(fd, line, 21, 0);
+  ::close(fd);
 }
 
 std::string CampaignCellCache::entry_path(
@@ -347,9 +361,18 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
   }
   if (sys_fsync(FaultSite::kCacheFsync, fd) != 0) return decline(fd);
   if (::close(fd) != 0) return decline(-1);
+  // An overwritten entry (after a stale or corrupt miss) leaves the
+  // running total when its replacement lands.
+  struct stat old_entry {};
+  const std::uintmax_t replaced =
+      ::stat(path.c_str(), &old_entry) == 0
+          ? static_cast<std::uintmax_t>(old_entry.st_size)
+          : 0;
   if (sys_rename(FaultSite::kCacheRename, tmp.c_str(), path.c_str()) != 0) {
     return decline(-1);
   }
+  bytes_ -= std::min(bytes_, replaced);
+  bytes_ += blob.size();
   const int dirfd = ::open(config_.dir.c_str(), O_RDONLY);
   if (dirfd >= 0) {
     // Directory fsync is best-effort: some filesystems refuse it, and the
@@ -360,8 +383,9 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
   ++stats_.stores;
   touch_locked(path.string());
 
-  if (config_.max_bytes > 0) {
-    stats_.evictions += evict_locked(config_.max_bytes);
+  if (config_.max_bytes > 0 && bytes_ > config_.max_bytes) {
+    stats_.evictions += evict_locked(
+        config_.max_bytes - config_.max_bytes / kLowWaterDivisor);
   }
   return true;
 }
@@ -389,11 +413,7 @@ std::size_t CampaignCellCache::evict_locked(std::size_t limit_bytes) {
   std::uintmax_t total = 0;
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(config_.dir, ec)) {
-    const std::string fname = de.path().filename().string();
-    if (fname.rfind("cell_", 0) != 0 ||
-        de.path().extension() != ".rtcr") {
-      continue;
-    }
+    if (!is_entry_file(de.path())) continue;
     std::error_code fec;
     const auto size = fs::file_size(de.path(), fec);
     const auto mtime = fs::last_write_time(de.path(), fec);
@@ -401,7 +421,10 @@ std::size_t CampaignCellCache::evict_locked(std::size_t limit_bytes) {
     total += size;
     entries.push_back({read_touch(de.path()), mtime, size, de.path()});
   }
-  if (total <= limit_bytes) return 0;
+  if (total <= limit_bytes) {
+    bytes_ = total;  // the walk is authoritative: resync the running total
+    return 0;
+  }
 
   // Oldest access first. Primary key: the monotonic touch counter (every
   // store and every hit bumps it), immune to the 1 s mtime granularity that
@@ -424,6 +447,7 @@ std::size_t CampaignCellCache::evict_locked(std::size_t limit_bytes) {
       fs::remove(touch_sidecar(e.path), rec);  // evicted entry's sidecar too
     }
   }
+  bytes_ = total;
   return removed;
 }
 

@@ -14,7 +14,10 @@ namespace rt::service {
 /// results for an unchanged spec (scenario generators, sensor/noise models,
 /// planner, attacker, per-run seed derivation): entries written by another
 /// code version are ignored — counted as `stale`, never served.
-inline constexpr std::uint64_t kCampaignCodeVersion = 1;
+/// Version 2: the migration to counter-based noise streams changed every
+/// campaign result, so entries written before it must not be served as
+/// current.
+inline constexpr std::uint64_t kCampaignCodeVersion = 2;
 
 /// Content hash of one campaign cell — the generalization of the PR 3
 /// oracle-cache fingerprint to whole campaigns. Folds the code version plus
@@ -49,9 +52,11 @@ struct CacheStats {
 
 struct CacheConfig {
   std::string dir;
-  /// LRU byte budget: after each store the oldest entries (by access time —
-  /// hits re-touch their file) are evicted until the directory is back
-  /// under this. 0 = unbounded.
+  /// LRU byte budget. The cache keeps a running total of its entry bytes;
+  /// when a store takes it past this budget, the oldest entries (by access
+  /// counter — hits re-touch their sidecar) are evicted until the directory
+  /// is back under 7/8 of it, so a full cache sweeps once per eighth of its
+  /// budget rather than on every store. 0 = unbounded.
   std::size_t max_bytes{256ull * 1024 * 1024};
   std::uint64_t code_version{kCampaignCodeVersion};
 };
@@ -71,28 +76,41 @@ struct CacheConfig {
 /// declines, a lookup misses) and counted in CacheStats::io_errors, never
 /// thrown. Instance methods are mutex-serialized, safe from concurrent
 /// threads.
+///
+/// A hit or a store costs O(1) file operations, plus a directory sweep
+/// once per eighth of the byte budget when the cache is full. The LRU
+/// access counter in an entry's `.touch` sidecar is rewritten in place
+/// (one fixed-width pwrite, no temp file, no rename); a torn counter write
+/// can only misorder LRU — the entry then sorts by a wrong counter or by
+/// mtime — and can never serve a wrong result, since lookups never read
+/// sidecars.
+/// The byte budget is a running total, not a directory walk per store: it
+/// counts the directory as this process last measured it (at construction
+/// or at its last sweep) plus this process's own stores. Entries another
+/// process stores into the same directory become visible at the next sweep.
 class CampaignCellCache {
  public:
   explicit CampaignCellCache(CacheConfig config);
 
   /// The cached result for this exact spec (at this cache's code version),
   /// or nullopt. A hit re-touches the entry for LRU: its `.touch` sidecar
-  /// gets the next monotonic access counter (and the mtime is refreshed as
-  /// a best-effort fallback).
+  /// gets the next monotonic access counter, written in place over the old
+  /// one (and the mtime is refreshed as a best-effort fallback).
   [[nodiscard]] std::optional<experiments::CampaignResult> lookup(
       const experiments::CampaignSpec& spec);
 
   /// Serializes and stores the result under the spec's fingerprint, then
-  /// runs the LRU sweep if a byte budget is configured. Returns false (and
-  /// counts an io_error) when the entry could not be durably written; the
-  /// cache is unchanged in that case and the caller may decide to stop
-  /// trying (see CampaignService's cache-off latch).
+  /// runs the LRU sweep down to 7/8 of the budget if the running byte
+  /// total has crossed it. Returns false (and counts an io_error) when
+  /// the entry could not be durably written; the cache is unchanged in
+  /// that case and the caller may decide to stop trying (see
+  /// CampaignService's cache-off latch).
   bool store(const experiments::CampaignSpec& spec,
              const experiments::CampaignResult& result);
 
   /// Evicts oldest entries until the directory is within `limit_bytes`
-  /// (pass the configured budget via the no-arg overload). Returns the
-  /// number of files removed.
+  /// (pass the configured budget via the no-arg overload), measuring the
+  /// directory afresh. Returns the number of files removed.
   std::size_t evict_to_limit(std::size_t limit_bytes);
   std::size_t evict_to_limit();
 
@@ -104,11 +122,12 @@ class CampaignCellCache {
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
  private:
-  /// Sweep body; caller holds mutex_. Returns files removed.
+  /// Sweep body; caller holds mutex_. Walks the directory, resets bytes_ to
+  /// what it measured and evicted. Returns files removed.
   std::size_t evict_locked(std::size_t limit_bytes);
 
-  /// Writes `cell_<hash>.rtcr.touch` with the next access counter; caller
-  /// holds mutex_.
+  /// Writes the next access counter into `cell_<hash>.rtcr.touch` in place
+  /// (20 zero-padded digits + '\n' at offset 0); caller holds mutex_.
   void touch_locked(const std::string& entry_path);
 
   CacheConfig config_;
@@ -118,11 +137,16 @@ class CampaignCellCache {
   /// 1 s granularity on some filesystems, so a hit and a cold store within
   /// the same second used to tie and fall through to the path tie-break —
   /// which could evict the just-hit entry before a cold one. Counters are
-  /// persisted in per-entry `.touch` sidecars and re-seeded from their max
-  /// at construction, so ordering survives process restarts; entries
-  /// without a sidecar (legacy, or a lost write) fall back to mtime and
-  /// sort before any counter-bearing entry.
+  /// persisted in per-entry `.touch` sidecars (fixed-width, rewritten in
+  /// place) and re-seeded from their max at construction, so ordering
+  /// survives process restarts; entries without a sidecar (legacy, or a
+  /// lost write) fall back to mtime and sort before any counter-bearing
+  /// entry.
   std::uint64_t touch_seq_{0};
+  /// Running total of `cell_*.rtcr` bytes: seeded by the constructor's
+  /// directory walk, moved by each store (minus any entry it replaced),
+  /// reset by every sweep to what the sweep measured.
+  std::uintmax_t bytes_{0};
 };
 
 }  // namespace rt::service

@@ -337,14 +337,14 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     }
   };
 
-  // First wave: contiguous [size*s/W, size*(s+1)/W) shards over the cell
-  // list. Any partition yields identical results; contiguous ranges keep
-  // each worker's cells mostly within one spec (cache-friendly configs).
+  // First wave: striped shards, cell i to shard i % W. Any partition
+  // yields identical results; striping deals every spec's runs across all
+  // workers, so specs of unequal length (scenario families run for
+  // different times) cannot leave one worker finishing a long spec alone
+  // while the others sit idle.
   std::vector<std::vector<std::size_t>> shards(workers);
-  for (unsigned s = 0; s < workers; ++s) {
-    const std::size_t begin = cells.size() * s / workers;
-    const std::size_t end = cells.size() * (s + 1) / workers;
-    for (std::size_t i = begin; i < end; ++i) shards[s].push_back(i);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    shards[i % workers].push_back(i);
   }
   run_wave(shards, /*allow_crash_hook=*/true);
 

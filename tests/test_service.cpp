@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/campaign.hpp"
@@ -494,6 +496,159 @@ TEST(CellCache, StoreSweepsToConfiguredBudget) {
   }
   EXPECT_LE(files, 2u);
   EXPECT_GE(cache.stats().evictions, 2u);
+}
+
+/// `n` cache entries of identical size: one real result re-labelled with
+/// equal-length names, so byte budgets can be stated in whole entries.
+std::vector<std::pair<CampaignSpec, CampaignResult>> same_size_entries(
+    CampaignRunner& runner, const char* prefix, int n) {
+  const CampaignResult base = runner.run(small_spec("x-00", 7));
+  std::vector<std::pair<CampaignSpec, CampaignResult>> out;
+  for (int i = 0; i < n; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof name, "%s-%02d", prefix, i);
+    CampaignResult r = base;
+    r.spec = small_spec(name, 7);
+    out.emplace_back(r.spec, std::move(r));
+  }
+  return out;
+}
+
+std::size_t count_files(const std::string& dir, const char* extension) {
+  std::size_t n = 0;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    n += de.path().extension() == extension ? 1 : 0;
+  }
+  return n;
+}
+
+std::uintmax_t entry_bytes(CampaignRunner& runner) {
+  const std::string dir = scratch_dir("cache_sizer");
+  CampaignCellCache sizer({dir, 0});
+  const auto one = same_size_entries(runner, "sz", 1);
+  sizer.store(one[0].first, one[0].second);
+  return fs::file_size(sizer.entry_path(one[0].first));
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(CellCache, FullCacheSweepsToLowWater) {
+  // A budget-triggered sweep evicts down to 7/8 of the budget, so the
+  // stores after it evict nothing until the budget is crossed again:
+  // evictions come in batches, not one per store.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::uintmax_t size = entry_bytes(runner);
+  const std::string dir = scratch_dir("cache_low_water");
+  CampaignCellCache cache({dir, static_cast<std::size_t>(size) * 16});
+  const auto entries = same_size_entries(runner, "lw", 20);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(cache.store(entries[i].first, entries[i].second));
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(count_files(dir, ".rtcr"), 16u);
+
+  ASSERT_TRUE(cache.store(entries[16].first, entries[16].second));
+  EXPECT_LE(count_files(dir, ".rtcr"), 14u);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  // The newest entry survives its own sweep; the oldest went first.
+  EXPECT_TRUE(fs::exists(cache.entry_path(entries[16].first)));
+  EXPECT_FALSE(fs::exists(cache.entry_path(entries[0].first)));
+
+  for (int i = 17; i < 19; ++i) {
+    ASSERT_TRUE(cache.store(entries[i].first, entries[i].second));
+    EXPECT_EQ(cache.stats().evictions, 3u) << "store " << i;
+  }
+  ASSERT_TRUE(cache.store(entries[19].first, entries[19].second));
+  EXPECT_EQ(cache.stats().evictions, 6u);
+  EXPECT_LE(count_files(dir, ".rtcr"), 14u);
+  EXPECT_EQ(count_files(dir, ".touch"), count_files(dir, ".rtcr"));
+}
+
+TEST(CellCache, ReopenedCacheCountsExistingBytes) {
+  // The running total starts from what is already on disk: a cache
+  // reopened with a smaller budget sweeps on its very first store.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::uintmax_t size = entry_bytes(runner);
+  const std::string dir = scratch_dir("cache_reopen_budget");
+  const auto entries = same_size_entries(runner, "ro", 5);
+  {
+    CampaignCellCache unbounded({dir, 0});
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(unbounded.store(entries[i].first, entries[i].second));
+    }
+  }
+  const std::size_t budget =
+      static_cast<std::size_t>(size) * 2 + static_cast<std::size_t>(size) / 2;
+  CampaignCellCache cache({dir, budget});
+  ASSERT_TRUE(cache.store(entries[4].first, entries[4].second));
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_LE(count_files(dir, ".rtcr") * size, budget);
+  EXPECT_TRUE(fs::exists(cache.entry_path(entries[4].first)));
+}
+
+TEST(CellCache, OverwriteDoesNotInflateBudget) {
+  // Re-storing an entry replaces its bytes rather than adding to them. A
+  // neighbour makes a wrongly inflated total observable: the sweep it
+  // would trigger evicts down to 7/8 of a two-entry budget, i.e. one entry.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::uintmax_t size = entry_bytes(runner);
+  const std::string dir = scratch_dir("cache_overwrite");
+  const auto entries = same_size_entries(runner, "ow", 2);
+  CampaignCellCache cache(
+      {dir, static_cast<std::size_t>(size) * 2 +
+                static_cast<std::size_t>(size) / 16});
+  ASSERT_TRUE(cache.store(entries[0].first, entries[0].second));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(cache.store(entries[1].first, entries[1].second));
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_TRUE(fs::exists(cache.entry_path(entries[0].first)));
+  EXPECT_TRUE(fs::exists(cache.entry_path(entries[1].first)));
+}
+
+TEST(CellCache, HitRewritesAccessCounterInPlace) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::string dir = scratch_dir("cache_touch_in_place");
+  const auto entries = same_size_entries(runner, "ip", 2);
+  const auto sidecar = [](const CampaignCellCache& c,
+                          const CampaignSpec& spec) {
+    return c.entry_path(spec) + ".touch";
+  };
+  std::uint64_t last = 0;
+  {
+    CampaignCellCache cache({dir, 0});
+    for (const auto& [spec, result] : entries) cache.store(spec, result);
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& e : entries) {
+        ASSERT_TRUE(cache.lookup(e.first).has_value());
+      }
+    }
+    EXPECT_EQ(count_files(dir, ".touch"), 2u);
+    EXPECT_EQ(count_files(dir, ".rtcr"), 2u);
+    EXPECT_EQ(count_files(dir, ".tmp"), 0u);
+
+    // A legacy short sidecar is overwritten whole by the fixed-width one.
+    { std::ofstream(sidecar(cache, entries[0].first)) << "7\n"; }
+    ASSERT_TRUE(cache.lookup(entries[0].first).has_value());
+    const std::string text = read_text(sidecar(cache, entries[0].first));
+    ASSERT_EQ(text.size(), 21u);
+    EXPECT_EQ(text.back(), '\n');
+    last = std::stoull(text);
+    EXPECT_EQ(last, 9u) << "2 stores + 6 hits, then this hit";
+    EXPECT_EQ(count_files(dir, ".tmp"), 0u);
+  }
+  // A reopened cache reads the counter back and continues after it.
+  CampaignCellCache reopened({dir, 0});
+  ASSERT_TRUE(reopened.lookup(entries[1].first).has_value());
+  EXPECT_EQ(std::stoull(read_text(sidecar(reopened, entries[1].first))),
+            last + 1);
 }
 
 // ------------------------------------------------------- CampaignService
