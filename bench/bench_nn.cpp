@@ -40,27 +40,6 @@ void BM_OracleInference(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleInference);
 
-// Batched serving at the measured sweet-spot width (32): state.range(0)
-// queries per iteration through ONE matrix-matrix forward. Compare
-// items_per_second against BM_OracleInference to read the batch speedup.
-void BM_OracleBatchInference(benchmark::State& state) {
-  auto oracle = quick_oracle();
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  std::vector<core::OracleQuery> queries(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    queries[i] = {20.0 + static_cast<double>(i), {-5.0, 0.0}, {0.0, 0.0},
-                  30.0};
-  }
-  std::vector<double> out(batch);
-  for (auto _ : state) {
-    oracle->predict_batch(queries, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_OracleBatchInference)->Arg(32);
-
 void BM_SafetyHijackerDecision(benchmark::State& state) {
   core::SafetyHijacker sh(core::SafetyHijacker::Config{},
                           perception::DetectorNoiseModel::paper_defaults());

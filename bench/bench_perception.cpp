@@ -96,10 +96,12 @@ void BM_FullPerceptionStep(benchmark::State& state) {
   sim::Scenario sc = sim::make_scenario("DS-5", rng);
   sim::World world = sc.make_world();
   const auto gt = world.ground_truth();
+  perception::PerceptionOutput out;
   double t = 0.0;
   for (auto _ : state) {
     sys.ingest_lidar(lidar.scan(gt));
-    benchmark::DoNotOptimize(sys.step(det.detect(gt, t)));
+    sys.step_into(det.detect(gt, t), out);
+    benchmark::DoNotOptimize(out.world.data());
     t += 1.0 / 15.0;
   }
 }

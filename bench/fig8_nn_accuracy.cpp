@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <span>
 
 #include "bench_util.hpp"
 #include "experiments/reporting.hpp"
@@ -50,29 +49,15 @@ int main(int argc, char** argv) {
   std::printf("  k   ground-truth delta   predicted delta   |error|\n");
   std::map<int, std::pair<std::vector<double>, std::vector<double>>> by_k;
   std::vector<double> errors;
-  // Batched serving (bit-identical to per-sample predict; see
-  // core::OracleBatchBuffer): gather the whole k sweep into 32-wide
-  // flushes and consume predictions in push order.
-  core::OracleBatchBuffer batch;
-  std::size_t j0 = 0;
-  const auto consume = [&](std::span<const double> preds) {
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      const std::size_t j = j0 + i;
-      const int k = static_cast<int>(ds.x(5, j));
-      by_k[k].first.push_back(ds.y(0, j));
-      by_k[k].second.push_back(preds[i]);
-      errors.push_back(std::abs(preds[i] - ds.y(0, j)));
-    }
-    j0 += preds.size();
-  };
   for (std::size_t j = 0; j < ds.size(); ++j) {
-    batch.push({ds.x(0, j),
-                {ds.x(1, j), ds.x(2, j)},
-                {ds.x(3, j), ds.x(4, j)},
-                ds.x(5, j)});
-    if (batch.full()) consume(batch.flush(*oracle));
+    const double pred =
+        oracle->predict(ds.x(0, j), {ds.x(1, j), ds.x(2, j)},
+                        {ds.x(3, j), ds.x(4, j)}, ds.x(5, j));
+    const int k = static_cast<int>(ds.x(5, j));
+    by_k[k].first.push_back(ds.y(0, j));
+    by_k[k].second.push_back(pred);
+    errors.push_back(std::abs(pred - ds.y(0, j)));
   }
-  if (!batch.empty()) consume(batch.flush(*oracle));
   for (const auto& [k, pair] : by_k) {
     std::printf("  %-3d %8.2f m %18.2f m %12.2f m\n", k,
                 stats::mean(pair.first), stats::mean(pair.second),

@@ -65,9 +65,8 @@ cmp build-release/table2_untraced.csv build-release/table2_traced.csv || {
   echo "ERROR: arming the tracer changed the table2 result bytes" >&2
   exit 1
 }
-# Strict parse + required spans. The table2 path runs the campaign grid
-# (grid_request, campaign_cell); oracle_batch_flush belongs to the
-# transfer-matrix driver and must NOT be demanded here.
+# Strict parse + required spans: the table2 path runs the campaign grid
+# (grid_request, campaign_cell).
 ./build-release/examples/trace_lint build-release/table2_trace.json \
   grid_request campaign_cell
 # Merge both records into the canonical BENCH_campaign.json and check the
@@ -221,7 +220,7 @@ if [ -x build-release/bench/bench_perception ]; then
 fi
 if [ -x build-release/bench/bench_nn ]; then
   ./build-release/bench/bench_nn \
-    --benchmark_filter='BM_OracleInference|BM_OracleBatchInference|BM_SafetyHijackerDecision' \
+    --benchmark_filter='BM_OracleInference|BM_SafetyHijackerDecision' \
     --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
     --json BENCH_nn.json >/dev/null
   cat BENCH_nn.json

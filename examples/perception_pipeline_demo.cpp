@@ -49,6 +49,8 @@ int main() {
 
   perception::MotTracker ads_replica(dt, perception::MotConfig{}, noise);
   const double range = 30.0;
+  perception::PerceptionOutput clean_out;
+  perception::PerceptionOutput attacked_out;
   for (int f = 0; f < 60; ++f) {
     const auto gt = lead_vehicle(range);
     if (f % 2 == 0) {
@@ -56,7 +58,7 @@ int main() {
       clean.ingest_lidar(scan);
       attacked.ingest_lidar(scan);
     }
-    const auto clean_out = clean.step(det_clean.detect({gt}, f * dt));
+    clean.step_into(det_clean.detect({gt}, f * dt), clean_out);
 
     auto frame = det_attacked.detect({gt}, f * dt);
     double shift_frac = 0.0;
@@ -70,7 +72,7 @@ int main() {
       (void)res;
     }
     ads_replica.update(frame);
-    const auto attacked_out = attacked.step(frame);
+    attacked.step_into(frame, attacked_out);
 
     if (f % 4 == 0) {
       const double cy = clean_out.world.empty()

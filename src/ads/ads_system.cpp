@@ -28,13 +28,6 @@ void AdsSystem::ingest_lidar(
   perception_.ingest_lidar(scan);
 }
 
-AdsOutput AdsSystem::step(const perception::CameraFrame& frame,
-                          double ego_speed, double ego_accel) {
-  AdsOutput out;
-  step_into(frame, ego_speed, ego_accel, out);
-  return out;
-}
-
 void AdsSystem::step_into(const perception::CameraFrame& frame,
                           double ego_speed, double ego_accel, AdsOutput& out) {
   perception_.step_into(frame, out.perception);

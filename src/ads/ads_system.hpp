@@ -37,12 +37,10 @@ class AdsSystem {
   /// Feeds a LiDAR scan (10 Hz schedule, driven by the closed loop).
   void ingest_lidar(const std::vector<perception::LidarMeasurement>& scan);
 
-  /// One control cycle on a camera frame. `ego_accel` is the measured plant
-  /// acceleration the PID closes its loop on.
-  AdsOutput step(const perception::CameraFrame& frame, double ego_speed,
-                 double ego_accel = 0.0);
-  /// Same, into a caller-owned output whose vectors are reused across
-  /// control cycles (the closed loop's per-frame hot path).
+  /// One control cycle on a camera frame, into a caller-owned output whose
+  /// vectors are reused across control cycles (the closed loop's per-frame
+  /// hot path). `ego_accel` is the measured plant acceleration the PID
+  /// closes its loop on.
   void step_into(const perception::CameraFrame& frame, double ego_speed,
                  double ego_accel, AdsOutput& out);
 

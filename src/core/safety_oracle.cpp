@@ -6,26 +6,9 @@
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "stats/hash.hpp"
 
 namespace rt::core {
-
-namespace {
-
-/// Batch-width distribution of oracle flushes: the capacity sweet spot is
-/// 32 (see BM_OracleBatchInference), so a healthy run's mass sits in the
-/// 17-32 bucket; a drift toward 1-2 means callers are flushing early and
-/// the matrix-matrix win is gone.
-const obs::Histogram& batch_width_histogram() {
-  static const obs::Histogram h = obs::MetricsRegistry::global().histogram(
-      "rt_oracle_batch_width", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0},
-      "Queries served per OracleBatchBuffer flush");
-  return h;
-}
-
-}  // namespace
 
 SafetyOracle::SafetyOracle(std::uint64_t seed) {
   stats::Rng rng(seed);
@@ -45,53 +28,6 @@ double SafetyOracle::predict(double delta, math::Vec2 v_rel,
   double y = 0.0;
   frozen_.predict(x, {&y, 1});
   return y;
-}
-
-void SafetyOracle::predict_batch(std::span<const OracleQuery> queries,
-                                 std::span<double> out) const {
-  if (out.size() != queries.size()) {
-    throw std::invalid_argument(
-        "SafetyOracle::predict_batch: out.size() != queries.size()");
-  }
-  if (queries.empty()) return;
-  // Thread-local gather matrix + workspace: once a thread has seen a batch
-  // width, serving that width allocates nothing, and a shared trained
-  // oracle stays safe under concurrent callers (forward mutates only the
-  // caller-thread workspace).
-  thread_local math::Matrix x;
-  thread_local nn::Mlp::Workspace ws;
-  x.resize(kInputDim, queries.size());
-  for (std::size_t j = 0; j < queries.size(); ++j) {
-    const OracleQuery& q = queries[j];
-    x(0, j) = q.delta;
-    x(1, j) = q.v_rel.x;
-    x(2, j) = q.v_rel.y;
-    x(3, j) = q.a_rel.x;
-    x(4, j) = q.a_rel.y;
-    x(5, j) = q.k;
-  }
-  scaler_.transform_in_place(x);
-  const math::Matrix& y = net_.predict_batch_into(x, ws);
-  for (std::size_t j = 0; j < queries.size(); ++j) out[j] = y(0, j);
-}
-
-OracleBatchBuffer::OracleBatchBuffer(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  pending_.reserve(capacity_);
-  results_.reserve(capacity_);
-}
-
-std::span<const double> OracleBatchBuffer::flush(
-    const SafetyOracle& oracle) {
-  RT_TRACE_SPAN("oracle_batch_flush", "oracle",
-                static_cast<std::uint64_t>(pending_.size()), "width");
-  if (!pending_.empty()) {
-    batch_width_histogram().observe(static_cast<double>(pending_.size()));
-  }
-  results_.resize(pending_.size());
-  oracle.predict_batch(pending_, results_);
-  pending_.clear();
-  return results_;
 }
 
 std::uint64_t SafetyOracle::content_hash() const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,15 +12,6 @@
 #include "nn/trainer.hpp"
 
 namespace rt::core {
-
-/// One oracle query — the argument tuple of SafetyOracle::predict, as a
-/// value so query sets can be gathered and served in one batch.
-struct OracleQuery {
-  double delta{0.0};
-  math::Vec2 v_rel{};
-  math::Vec2 a_rel{};
-  double k{0.0};
-};
 
 /// The learned oracle f_alpha of §IV-B: predicts the safety potential
 /// delta_{t+k} the EV will have after being attacked for k consecutive
@@ -66,17 +56,6 @@ class SafetyOracle {
   [[nodiscard]] double predict(double delta, math::Vec2 v_rel,
                                math::Vec2 a_rel, double k) const;
 
-  /// Batched inference: serves all queries through ONE matrix-matrix
-  /// forward (Mlp::predict_batch_into) instead of |queries| matrix-vector
-  /// forwards. `out[i]` is BIT-IDENTICAL to `predict(queries[i])` — the
-  /// kernel contract guarantees per-column accumulation order is
-  /// independent of batch width — and `out.size()` must equal
-  /// `queries.size()`. Zero allocations at steady state for a given batch
-  /// capacity (thread-local gather matrix + workspace), and safe to call
-  /// concurrently on one shared trained oracle.
-  void predict_batch(std::span<const OracleQuery> queries,
-                     std::span<double> out) const;
-
   /// Trains on the dataset (features per `features()`, target ground-truth
   /// delta_{t+k}); fits the input scaler internally and refreshes the
   /// frozen inference copy.
@@ -109,42 +88,6 @@ class SafetyOracle {
   nn::StandardScaler scaler_;
   Provenance provenance_{};
   bool trained_{false};
-};
-
-/// Per-thread gather buffer for batched oracle serving.
-///
-/// Scan loops that issue many independent oracle queries (the transfer
-/// matrix's held-out eval sweep, fig8's k sweep, any campaign-side consumer
-/// with query-level parallelism) push queries as they discover them and
-/// flush a full buffer through `SafetyOracle::predict_batch` — turning B
-/// matrix-vector forwards into one matrix-matrix forward. Lock-free by
-/// construction: each worker thread (e.g. each CampaignScheduler or
-/// transfer-matrix pool worker) owns its own buffer and nothing is shared,
-/// so concurrent threads batch against one shared oracle without any
-/// synchronization. Predictions are bit-identical to unbatched calls in
-/// push order.
-class OracleBatchBuffer {
- public:
-  /// `capacity` is the flush threshold (32 is the measured sweet spot for
-  /// the paper's small-MLP shape; see BM_OracleBatchInference).
-  explicit OracleBatchBuffer(std::size_t capacity = 32);
-
-  void push(const OracleQuery& q) { pending_.push_back(q); }
-  [[nodiscard]] bool full() const { return pending_.size() >= capacity_; }
-  [[nodiscard]] bool empty() const { return pending_.empty(); }
-  [[nodiscard]] std::size_t size() const { return pending_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear() { pending_.clear(); }
-
-  /// Serves every pending query through one batched forward and clears the
-  /// buffer. The returned span (one prediction per pushed query, in push
-  /// order) points at internal storage valid until the next `flush`.
-  std::span<const double> flush(const SafetyOracle& oracle);
-
- private:
-  std::size_t capacity_;
-  std::vector<OracleQuery> pending_;
-  std::vector<double> results_;
 };
 
 }  // namespace rt::core

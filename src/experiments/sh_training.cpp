@@ -13,18 +13,6 @@
 
 namespace rt::experiments {
 
-namespace {
-
-std::string legacy_cache_path(const std::string& cache_dir,
-                              core::AttackVector v) {
-  namespace fs = std::filesystem;
-  return (fs::path(cache_dir) /
-          (std::string("sh_oracle_") + core::to_string(v) + ".txt"))
-      .string();
-}
-
-}  // namespace
-
 std::vector<std::string> scenarios_for(core::AttackVector v) {
   switch (v) {
     case core::AttackVector::kMoveOut:
@@ -210,13 +198,6 @@ std::shared_ptr<core::SafetyOracle> load_or_train_oracle(
   const std::string path = oracle_cache_path(cache_dir, v, cfg);
   auto oracle = std::make_shared<core::SafetyOracle>();
   if (oracle->load(path)) return oracle;
-  // Pre-curriculum cache files carry no fingerprint in the name and were
-  // only ever written by the default configuration — honor them for that
-  // configuration alone, so a changed curriculum or grid always retrains.
-  if (sh_dataset_fingerprint(v, cfg) ==
-      sh_dataset_fingerprint(v, ShTrainingConfig{})) {
-    if (oracle->load(legacy_cache_path(cache_dir, v))) return oracle;
-  }
   oracle = train_oracle(v, base, cfg);
   oracle->save(path);
   return oracle;

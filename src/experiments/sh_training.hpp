@@ -24,8 +24,8 @@ struct ShTrainingConfig {
   /// Per-vector scenario curricula (ScenarioRegistry keys). A vector with
   /// no entry — or an empty list — trains on the paper mapping
   /// (`scenarios_for(v)`), so a default-constructed config reproduces the
-  /// pre-curriculum pipeline bit for bit and existing cached oracles keep
-  /// loading. Unknown keys are rejected when the dataset is generated.
+  /// pre-curriculum pipeline bit for bit. Unknown keys are rejected when
+  /// the dataset is generated.
   std::map<core::AttackVector, std::vector<std::string>> curricula{};
 
   /// Threads for the launch grid of `generate_sh_dataset` and for the
@@ -79,10 +79,9 @@ struct ShTrainingConfig {
     const ShTrainingConfig& cfg, nn::TrainResult* out_result = nullptr);
 
 /// Loads the oracle from `cache_dir` if a model cached under this
-/// curriculum's fingerprint exists, otherwise trains and caches it. For
-/// the default (paper) curriculum + grid, pre-curriculum cache files
-/// (`sh_oracle_<vector>.txt`, no fingerprint in the name) still load.
-/// Caveat: the cache key covers curriculum + grid only, so changing just
+/// curriculum's fingerprint exists, otherwise trains and caches it. Files
+/// without a fingerprint in the name (`sh_oracle_<vector>.txt`) are never
+/// loaded: they predate the current noise stream. Caveat: the cache key covers curriculum + grid only, so changing just
 /// `cfg.train` (epochs, lr, ...) reuses a cached model trained with the
 /// old hyper-parameters — delete the cache file (or use `train_oracle`)
 /// when sweeping nn hyper-parameters.

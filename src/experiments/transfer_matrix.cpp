@@ -150,33 +150,18 @@ TransferMatrix run_transfer_matrix(const TransferConfig& cfg,
         int within = 0;
         double abs_err_sum = 0.0;
         double ttc_err_sum = 0.0;
-        // Batched serving: gather held-out samples into 32-query flushes so
-        // each one is a single matrix-matrix forward. Predictions — and
-        // because the accumulators below consume them in push order, the
-        // cell aggregates too — are bit-identical to the per-sample loop
-        // this replaced.
-        core::OracleBatchBuffer batch;
-        std::size_t j0 = 0;
-        const auto consume = [&](std::span<const double> preds) {
-          for (std::size_t i = 0; i < preds.size(); ++i) {
-            const std::size_t j = j0 + i;
-            const double err = std::abs(preds[i] - eval.y(0, j));
-            within += err <= cfg.tolerance_m ? 1 : 0;
-            abs_err_sum += err;
-            // Meters-to-seconds via the launch's longitudinal closing
-            // speed (floored at 1 m/s so stationary victims stay finite).
-            ttc_err_sum += err / std::max(1.0, std::abs(eval.x(1, j)));
-          }
-          j0 += preds.size();
-        };
+        const core::SafetyOracle& oracle = *oracles[ti];
         for (std::size_t j = 0; j < eval.size(); ++j) {
-          batch.push({eval.x(0, j),
-                      {eval.x(1, j), eval.x(2, j)},
-                      {eval.x(3, j), eval.x(4, j)},
-                      eval.x(5, j)});
-          if (batch.full()) consume(batch.flush(*oracles[ti]));
+          const double pred =
+              oracle.predict(eval.x(0, j), {eval.x(1, j), eval.x(2, j)},
+                             {eval.x(3, j), eval.x(4, j)}, eval.x(5, j));
+          const double err = std::abs(pred - eval.y(0, j));
+          within += err <= cfg.tolerance_m ? 1 : 0;
+          abs_err_sum += err;
+          // Meters-to-seconds via the launch's longitudinal closing speed
+          // (floored at 1 m/s so stationary victims stay finite).
+          ttc_err_sum += err / std::max(1.0, std::abs(eval.x(1, j)));
         }
-        if (!batch.empty()) consume(batch.flush(*oracles[ti]));
         cell.n_eval = static_cast<int>(eval.size());
         cell.accuracy = static_cast<double>(within) /
                         static_cast<double>(eval.size());

@@ -102,8 +102,8 @@ class Matrix {
 ///
 /// Each writes its result into a caller-owned `out`, reusing `out`'s storage
 /// (allocation-free once `out` has seen the shape's footprint) — the hot
-/// loops (NN forwards, oracle batches) call these with workspace scratch
-/// instead of chaining the allocating operators above.
+/// loops (NN training and batch evaluation) call these with workspace
+/// scratch instead of chaining the allocating operators above.
 ///
 /// Contract: every kernel reproduces the corresponding allocating-operator
 /// expression *bit for bit* — same i-k-j accumulation order, same

@@ -20,8 +20,9 @@ namespace rt::nn {
 /// layer are the lanes of one 256-bit accumulator, which sums over
 /// ascending inputs k and skips exact-zero weights as a lane select, then
 /// adds the bias. Per element these are the same IEEE operations
-/// `math::multiply_into` / `math::affine_into` perform for `Mlp::predict`,
-/// so the result equals `Mlp::predict` on the same column bit for bit.
+/// `math::multiply_into` / `math::affine_into` perform for
+/// `Mlp::predict_into`, so the result equals `Mlp::predict_into` on the
+/// same column bit for bit.
 /// Const and allocation-free, hence safe to call concurrently.
 class FrozenMlp {
  public:
@@ -37,8 +38,9 @@ class FrozenMlp {
   [[nodiscard]] std::size_t input_size() const;
   [[nodiscard]] std::size_t output_size() const;
 
-  /// y = net.predict(x) for one input column. Throws std::invalid_argument
-  /// when x or y does not match input_size() / output_size().
+  /// y = net.predict_into(x, ws) for one input column. Throws
+  /// std::invalid_argument when x or y does not match input_size() /
+  /// output_size().
   void predict(std::span<const double> x, std::span<double> y) const;
 
  private:

@@ -16,19 +16,16 @@ namespace rt::nn {
 /// input vectors of dimension D is a D x B matrix.
 ///
 /// The primitives are destination-passing (`forward_into` / `backward_into`)
-/// so the hot paths — batched oracle serving and the trainer's minibatch
-/// loop — run over caller-owned workspace buffers with zero per-call heap
-/// allocations (see Mlp::Workspace). Single-query oracle inference runs on
-/// a FrozenMlp copy instead. The allocating
-/// `forward` / `backward` wrappers keep the historical API: `forward` caches
-/// the input when training so a later `backward` can run without an
-/// externally managed workspace.
+/// so the trainer's minibatch loop and batch evaluation run over
+/// caller-owned workspace buffers with zero per-call heap allocations (see
+/// Mlp::Workspace). Single-query oracle inference runs on a FrozenMlp copy
+/// instead.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   /// Forward pass into `y` (resized in place). `training` enables
-  /// stochastic behaviour (dropout) and cache writes for `backward`.
+  /// stochastic behaviour (dropout) and the state `backward_into` reads.
   /// Contract: with `training == false` a layer must not mutate any member
   /// state — inference over a shared network (e.g. one oracle queried by
   /// many parallel campaign runs) relies on read-only forwards being
@@ -44,27 +41,10 @@ class Layer {
                              const math::Matrix& grad_out,
                              math::Matrix& grad_in) = 0;
 
-  /// Allocating wrapper over `forward_into`; caches `x` when training so
-  /// `backward` can be called afterwards.
-  math::Matrix forward(const math::Matrix& x, bool training) {
-    if (training) x_cache_ = x;
-    math::Matrix y;
-    forward_into(x, y, training);
-    return y;
-  }
-
-  /// Allocating wrapper over `backward_into` using the input cached by the
-  /// last training-mode `forward`.
-  math::Matrix backward(const math::Matrix& grad_out) {
-    math::Matrix g;
-    backward_into(x_cache_, grad_out, g);
-    return g;
-  }
-
   /// True when the layer's inference-mode forward is an exact copy of its
-  /// input (dropout). `Mlp::forward_into` skips such layers at inference,
-  /// feeding the previous activation straight to the next layer — the
-  /// values are bit-identical, the copy just never happens.
+  /// input (dropout). `Mlp::predict_into` skips such layers, feeding the
+  /// previous activation straight to the next layer — the values are
+  /// bit-identical, the copy just never happens.
   [[nodiscard]] virtual bool inference_identity() const { return false; }
 
   /// Trainable parameters and their gradients (parallel vectors).
@@ -84,8 +64,6 @@ class Layer {
   void set_parallel(runtime::ThreadPool* pool) { pool_ = pool; }
 
  protected:
-  /// Input cached by the allocating `forward(x, training=true)` wrapper.
-  math::Matrix x_cache_;
   /// Optional worker pool (nullptr = serial kernels).
   runtime::ThreadPool* pool_{nullptr};
 };

@@ -4,28 +4,13 @@
 
 namespace rt::nn {
 
-math::Matrix Mlp::forward(const math::Matrix& x, bool training) {
-  math::Matrix h = x;
-  for (auto& layer : layers_) h = layer->forward(h, training);
-  return h;
-}
-
-const math::Matrix& Mlp::forward_into(const math::Matrix& x, Workspace& ws,
-                                      bool training) {
-  if (!training) return predict_into(x, ws);
+const math::Matrix& Mlp::forward_into(const math::Matrix& x, Workspace& ws) {
   ws.acts.resize(layers_.size() + 1);
   ws.acts[0] = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->forward_into(ws.acts[i], ws.acts[i + 1], training);
+    layers_[i]->forward_into(ws.acts[i], ws.acts[i + 1], /*training=*/true);
   }
   return ws.acts.back();
-}
-
-void Mlp::backward(const math::Matrix& grad_out) {
-  math::Matrix g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
 }
 
 void Mlp::backward_into(const math::Matrix& grad_out, Workspace& ws) {
@@ -59,13 +44,6 @@ const math::Matrix& Mlp::predict_into(const math::Matrix& x,
     return ws.acts[0];
   }
   return *cur;
-}
-
-const math::Matrix& Mlp::predict(const math::Matrix& x) const {
-  // Thread-local: predict stays safe to call concurrently on one shared
-  // trained network (each thread forwards over its own buffers).
-  thread_local Workspace ws;
-  return predict_into(x, ws);
 }
 
 std::vector<math::Matrix*> Mlp::parameters() {

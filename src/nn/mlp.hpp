@@ -18,9 +18,9 @@ class Mlp {
  public:
   /// Caller-owned forward/backward buffers: one activation matrix per layer
   /// boundary plus two ping-pong gradient buffers. After a warm-up pass at
-  /// a given batch shape, forwards and backwards through a workspace
-  /// allocate nothing. A workspace belongs to one caller at a time (the
-  /// trainer keeps one; `predict` uses a thread-local one).
+  /// a given batch shape, forwards, backwards and predictions through a
+  /// workspace allocate nothing. A workspace belongs to one caller at a
+  /// time (the trainer keeps one for its minibatches and validation).
   struct Workspace {
     std::vector<math::Matrix> acts;
     math::Matrix grad_a;
@@ -33,58 +33,26 @@ class Mlp {
     layers_.push_back(std::move(layer));
   }
 
-  /// Forward pass over the whole stack (allocating wrapper; layers cache
-  /// their inputs when `training` so `backward` works afterwards).
-  math::Matrix forward(const math::Matrix& x, bool training);
+  /// Training-mode forward: activations land in `ws.acts` (acts[i] is
+  /// layer i's input, acts.back() the network output, which is also
+  /// returned) for a later `backward_into`. The returned reference is valid
+  /// until the next use of `ws`.
+  const math::Matrix& forward_into(const math::Matrix& x, Workspace& ws);
 
-  /// Workspace forward: activations land in `ws.acts` (acts[i] is layer i's
-  /// input, acts.back() the network output, which is also returned). The
-  /// returned reference is valid until the next use of `ws`.
-  const math::Matrix& forward_into(const math::Matrix& x, Workspace& ws,
-                                   bool training);
-
-  /// Backpropagates dL/d(output); parameter gradients accumulate in layers.
-  void backward(const math::Matrix& grad_out);
-
-  /// Workspace backward over the activations of the last `forward_into`
-  /// on `ws`.
+  /// Backpropagates dL/d(output) over the activations of the last
+  /// `forward_into` on `ws`; parameter gradients accumulate in the layers.
   void backward_into(const math::Matrix& grad_out, Workspace& ws);
 
-  /// Inference-mode forward (no dropout, no caching). Mutation-free per
-  /// the Layer contract, hence safe to call concurrently from multiple
-  /// threads on one shared network. Runs over a thread-local workspace
-  /// that is shared by every Mlp on the calling thread — zero allocations
-  /// at steady state, but the returned reference is invalidated by the
-  /// next `predict` on *any* network on this thread: copy the result (or
-  /// use `predict_into` with your own workspace) before invoking another
-  /// network.
-  [[nodiscard]] const math::Matrix& predict(const math::Matrix& x) const;
-
-  /// Inference-mode forward over an explicit workspace (what
-  /// `forward_into` runs when not training).
+  /// Inference-mode forward (no dropout) over an explicit workspace. `x`
+  /// may pack B query columns into one (D x B) matrix; column j of the
+  /// result is BIT-IDENTICAL to `predict_into` on column j alone, because
+  /// every kernel accumulates each output element as an ordered
+  /// ascending-k sum regardless of batch width (see math/matrix.hpp).
+  /// Mutation-free per the Layer contract, hence safe to call concurrently
+  /// on one shared network with one workspace per caller. The returned
+  /// reference is valid until the next use of `ws`.
   [[nodiscard]] const math::Matrix& predict_into(const math::Matrix& x,
                                                  Workspace& ws) const;
-
-  /// Batched inference: `x` packs B query columns into one (D x B) matrix
-  /// and the whole stack runs as matrix-matrix products — one kernel call
-  /// per layer for the entire batch instead of B matrix-vector forwards.
-  /// Column j of the result is BIT-IDENTICAL to `predict` on column j
-  /// alone: every kernel accumulates each output element as an ordered
-  /// ascending-k sum with the same skip-exact-zero shortcut regardless of
-  /// batch width (see the kernel contract in math/matrix.hpp), so batching
-  /// is a pure throughput lever, never a semantics change. Same
-  /// thread-local workspace and concurrency contract as `predict`.
-  [[nodiscard]] const math::Matrix& predict_batch(
-      const math::Matrix& x) const {
-    return predict(x);
-  }
-
-  /// Batched inference over an explicit workspace (zero allocations once
-  /// `ws` has seen the batch shape).
-  [[nodiscard]] const math::Matrix& predict_batch_into(
-      const math::Matrix& x, Workspace& ws) const {
-    return predict_into(x, ws);
-  }
 
   /// Installs (nullptr clears) a worker pool on every layer — see
   /// Layer::set_parallel. Results are bit-identical with or without a pool;

@@ -64,7 +64,7 @@ TrainResult Trainer::train(Mlp& net, const Dataset& data,
           yb(i, j - start) = train_set.y(i, order[j]);
         }
       }
-      const math::Matrix& pred = net.forward_into(xb, ws, /*training=*/true);
+      const math::Matrix& pred = net.forward_into(xb, ws);
       train_loss_sum += MseLoss::value(pred, yb);
       ++batches;
       MseLoss::gradient_into(pred, yb, grad);

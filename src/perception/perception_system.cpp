@@ -17,12 +17,6 @@ void PerceptionSystem::ingest_lidar(
   lidar_tracker_.update(scan);
 }
 
-PerceptionOutput PerceptionSystem::step(const CameraFrame& frame) {
-  PerceptionOutput out;
-  step_into(frame, out);
-  return out;
-}
-
 void PerceptionSystem::step_into(const CameraFrame& frame,
                                  PerceptionOutput& out) {
   out.time = frame.time;

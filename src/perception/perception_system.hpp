@@ -42,10 +42,9 @@ class PerceptionSystem {
   /// Feeds one LiDAR scan (already clustered to object measurements).
   void ingest_lidar(const std::vector<LidarMeasurement>& scan);
 
-  /// Processes one camera frame and produces the fused world model.
-  PerceptionOutput step(const CameraFrame& frame);
-  /// Same, into a caller-owned output whose vectors are reused across
-  /// frames (the closed loop's per-frame hot path).
+  /// Processes one camera frame into the fused world model `out`, whose
+  /// vectors are reused across frames (the closed loop's per-frame hot
+  /// path).
   void step_into(const CameraFrame& frame, PerceptionOutput& out);
 
   [[nodiscard]] const MotTracker& tracker() const { return mot_; }

@@ -113,17 +113,18 @@ TEST(AllocationPins, MlpPredictIsAllocationFreeAfterWarmup) {
   stats::Rng rng(7);
   nn::Mlp net = nn::make_safety_hijacker_net(rng);
   math::Matrix x(6, 1, 0.5);
-  // Warm-up sizes the thread-local workspace.
-  (void)net.predict(x);
-  (void)net.predict(x);
+  nn::Mlp::Workspace ws;
+  // Warm-up sizes the caller-owned workspace.
+  (void)net.predict_into(x, ws);
+  (void)net.predict_into(x, ws);
   const std::uint64_t before = allocations();
   double sink = 0.0;
   for (int i = 0; i < 100; ++i) {
     x(0, 0) = static_cast<double>(i);
-    sink += net.predict(x)(0, 0);
+    sink += net.predict_into(x, ws)(0, 0);
   }
   EXPECT_EQ(allocations(), before)
-      << "Mlp::predict allocated on the steady-state path (sink " << sink
+      << "Mlp::predict_into allocated on the steady-state path (sink " << sink
       << ")";
 }
 
@@ -244,8 +245,8 @@ TEST(AllocationPins, MonitorStackObserveIsAllocationFreeAfterWarmup) {
       << "MonitorStack::on_perception allocated at steady state";
 }
 
-TEST(AllocationPins, SafetyOraclePredictIsAllocationFreeAfterWarmup) {
-  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+/// A small trained oracle: 64 synthetic launches, two epochs.
+core::SafetyOracle tiny_oracle() {
   core::SafetyOracle oracle(3);
   std::vector<std::vector<double>> xs;
   std::vector<double> ys;
@@ -258,6 +259,12 @@ TEST(AllocationPins, SafetyOraclePredictIsAllocationFreeAfterWarmup) {
   nn::TrainConfig cfg;
   cfg.epochs = 2;
   oracle.train(nn::Dataset::from_samples(xs, ys), cfg);
+  return oracle;
+}
+
+TEST(AllocationPins, SafetyOraclePredictIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  const core::SafetyOracle oracle = tiny_oracle();
   (void)oracle.predict(20.0, {-5.0, 0.0}, {0.0, 0.0}, 30.0);
   (void)oracle.predict(18.0, {-5.0, 0.0}, {0.0, 0.0}, 24.0);
   const std::uint64_t before = allocations();
@@ -268,42 +275,6 @@ TEST(AllocationPins, SafetyOraclePredictIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(allocations(), before)
       << "SafetyOracle::predict allocated on the steady-state path (sink "
       << sink << ")";
-}
-
-TEST(AllocationPins, SafetyOraclePredictBatchIsAllocationFreeAfterWarmup) {
-  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
-  core::SafetyOracle oracle(3);
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-  stats::Rng rng(4);
-  for (int i = 0; i < 64; ++i) {
-    xs.push_back({rng.uniform(0.0, 40.0), -5.0, 0.0, 0.0, 0.0,
-                  rng.uniform(3.0, 70.0)});
-    ys.push_back(xs.back()[0] - 0.3 * xs.back()[5]);
-  }
-  nn::TrainConfig cfg;
-  cfg.epochs = 2;
-  oracle.train(nn::Dataset::from_samples(xs, ys), cfg);
-  constexpr std::size_t kBatch = 32;
-  std::vector<core::OracleQuery> queries(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    queries[i] = {20.0 + 0.1 * static_cast<double>(i), {-5.0, 0.1},
-                  {0.1, 0.0}, 30.0};
-  }
-  std::vector<double> out(kBatch);
-  // Warm the thread-local gather matrix + workspace at this batch width.
-  oracle.predict_batch(queries, out);
-  oracle.predict_batch(queries, out);
-  const std::uint64_t before = allocations();
-  double sink = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    queries[0].delta = 20.0 + 0.01 * i;
-    oracle.predict_batch(queries, out);
-    sink += out[0];
-  }
-  EXPECT_EQ(allocations(), before)
-      << "SafetyOracle::predict_batch allocated on the steady-state path "
-      << "(sink " << sink << ")";
 }
 
 // Tracing must not buy observability with heap traffic: with the global
@@ -340,44 +311,24 @@ TEST(AllocationPins, TracedBboxTrackStepIsAllocationFree) {
   obs::Tracer::global().clear();
 }
 
-TEST(AllocationPins, TracedOraclePredictBatchIsAllocationFree) {
+TEST(AllocationPins, TracedOraclePredictIsAllocationFree) {
   if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
-  core::SafetyOracle oracle(3);
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-  stats::Rng rng(4);
-  for (int i = 0; i < 64; ++i) {
-    xs.push_back({rng.uniform(0.0, 40.0), -5.0, 0.0, 0.0, 0.0,
-                  rng.uniform(3.0, 70.0)});
-    ys.push_back(xs.back()[0] - 0.3 * xs.back()[5]);
-  }
-  nn::TrainConfig cfg;
-  cfg.epochs = 2;
-  oracle.train(nn::Dataset::from_samples(xs, ys), cfg);
-  constexpr std::size_t kBatch = 32;
-  std::vector<core::OracleQuery> queries(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    queries[i] = {20.0 + 0.1 * static_cast<double>(i), {-5.0, 0.1},
-                  {0.1, 0.0}, 30.0};
-  }
-  std::vector<double> out(kBatch);
+  const core::SafetyOracle oracle = tiny_oracle();
   obs::Tracer::global().arm(obs::TraceConfig{1 << 12});
   {
-    RT_TRACE_SPAN("batch_warmup", "test");
-    oracle.predict_batch(queries, out);
-    oracle.predict_batch(queries, out);
+    RT_TRACE_SPAN("predict_warmup", "test");
+    (void)oracle.predict(20.0, {-5.0, 0.1}, {0.1, 0.0}, 30.0);
+    (void)oracle.predict(18.0, {-5.0, 0.1}, {0.1, 0.0}, 24.0);
   }
   const std::uint64_t before = allocations();
   double sink = 0.0;
   for (int i = 0; i < 100; ++i) {
-    RT_TRACE_SPAN("batch_predict", "test");
-    queries[0].delta = 20.0 + 0.01 * i;
-    oracle.predict_batch(queries, out);
-    sink += out[0];
+    RT_TRACE_SPAN("oracle_predict", "test");
+    sink += oracle.predict(20.0 + 0.01 * i, {-5.0, 0.1}, {0.1, 0.0}, 30.0);
   }
   EXPECT_EQ(allocations(), before)
-      << "traced predict_batch allocated on the steady-state path (sink "
-      << sink << ")";
+      << "traced SafetyOracle::predict allocated on the steady-state path "
+      << "(sink " << sink << ")";
   obs::Tracer::global().disarm();
   obs::Tracer::global().clear();
 }

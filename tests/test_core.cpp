@@ -257,63 +257,6 @@ std::shared_ptr<SafetyOracle> synthetic_oracle() {
   return oracle;
 }
 
-// PR 8 batched oracle serving: predict_batch answers exactly what
-// per-query predict answers, bit for bit, at every batch width — batching
-// is a throughput lever, never a semantics change.
-TEST(SafetyOracle, PredictBatchMatchesSinglePredictBitwise) {
-  auto oracle = synthetic_oracle();
-  stats::Rng rng(31);
-  for (const std::size_t batch : {1u, 2u, 7u, 32u}) {
-    std::vector<OracleQuery> queries(batch);
-    for (auto& q : queries) {
-      q = {rng.uniform(0.0, 40.0),
-           {rng.uniform(-10.0, 0.0), rng.uniform(-1.0, 1.0)},
-           {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
-           rng.uniform(3.0, 70.0)};
-    }
-    std::vector<double> out(batch);
-    oracle->predict_batch(queries, out);
-    for (std::size_t i = 0; i < batch; ++i) {
-      const double single = oracle->predict(queries[i].delta,
-                                            queries[i].v_rel,
-                                            queries[i].a_rel, queries[i].k);
-      std::uint64_t bb = 0;
-      std::uint64_t sb = 0;
-      std::memcpy(&bb, &out[i], sizeof bb);
-      std::memcpy(&sb, &single, sizeof sb);
-      EXPECT_EQ(bb, sb) << "batch " << batch << " query " << i;
-    }
-  }
-  // Size-mismatched output span is a caller bug and must throw.
-  std::vector<OracleQuery> queries(3);
-  std::vector<double> short_out(2);
-  EXPECT_THROW(oracle->predict_batch(queries, short_out),
-               std::invalid_argument);
-}
-
-// OracleBatchBuffer: push/flush serves predictions in push order and
-// resets; capacity gates full().
-TEST(SafetyOracle, BatchBufferFlushServesPushOrder) {
-  auto oracle = synthetic_oracle();
-  OracleBatchBuffer buffer(4);
-  EXPECT_TRUE(buffer.empty());
-  std::vector<OracleQuery> queries;
-  for (int i = 0; i < 4; ++i) {
-    queries.push_back({10.0 + i, {-5.0, 0.0}, {0.0, 0.0}, 20.0 + i});
-    buffer.push(queries.back());
-  }
-  EXPECT_TRUE(buffer.full());
-  const auto preds = buffer.flush(*oracle);
-  ASSERT_EQ(preds.size(), 4u);
-  EXPECT_TRUE(buffer.empty());
-  for (std::size_t i = 0; i < 4; ++i) {
-    const double single = oracle->predict(queries[i].delta,
-                                          queries[i].v_rel,
-                                          queries[i].a_rel, queries[i].k);
-    EXPECT_EQ(preds[i], single) << "query " << i;
-  }
-}
-
 // predict runs on the frozen inference copy that load() builds: after a
 // save/load round trip it answers exactly what the loaded network answers
 // on the scaled features.
@@ -335,19 +278,19 @@ TEST(SafetyOracle, PredictMatchesLoadedNetOnScaledFeatures) {
 
   stats::Rng rng(32);
   math::Matrix x(SafetyOracle::kInputDim, 1);
+  nn::Mlp::Workspace ws;
   for (int i = 0; i < 500; ++i) {
-    const OracleQuery q{rng.uniform(0.0, 40.0),
-                        {rng.uniform(-10.0, 0.0), rng.uniform(-1.0, 1.0)},
-                        {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
-                        rng.uniform(3.0, 70.0)};
-    const auto features =
-        SafetyOracle::features(q.delta, q.v_rel, q.a_rel, q.k);
+    const double delta = rng.uniform(0.0, 40.0);
+    const math::Vec2 v_rel{rng.uniform(-10.0, 0.0), rng.uniform(-1.0, 1.0)};
+    const math::Vec2 a_rel{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    const double k = rng.uniform(3.0, 70.0);
+    const auto features = SafetyOracle::features(delta, v_rel, a_rel, k);
     for (std::size_t r = 0; r < features.size(); ++r) x(r, 0) = features[r];
     scaler.transform_in_place(x);
-    const double expected = loaded.net().predict(x)(0, 0);
-    const double got = loaded.predict(q.delta, q.v_rel, q.a_rel, q.k);
+    const double expected = loaded.net().predict_into(x, ws)(0, 0);
+    const double got = loaded.predict(delta, v_rel, a_rel, k);
     EXPECT_EQ(std::memcmp(&expected, &got, sizeof got), 0) << "query " << i;
-    EXPECT_EQ(trained->predict(q.delta, q.v_rel, q.a_rel, q.k), got);
+    EXPECT_EQ(trained->predict(delta, v_rel, a_rel, k), got);
   }
 }
 

@@ -26,7 +26,8 @@ TEST(Dense, ForwardShapeAndBias) {
   x(0, 0) = 1.0;
   x(1, 1) = 2.0;
   x(2, 1) = 3.0;
-  const math::Matrix y = d.forward(x, false);
+  math::Matrix y;
+  d.forward_into(x, y, /*training=*/false);
   EXPECT_EQ(y.rows(), 2u);
   EXPECT_EQ(y.cols(), 2u);
   EXPECT_DOUBLE_EQ(y(0, 0), 1.5);
@@ -36,11 +37,13 @@ TEST(Dense, ForwardShapeAndBias) {
 TEST(Relu, ForwardBackward) {
   Relu relu;
   math::Matrix x{{-1.0, 2.0}, {3.0, -4.0}};
-  const math::Matrix y = relu.forward(x, true);
+  math::Matrix y;
+  relu.forward_into(x, y, /*training=*/true);
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(0, 1), 2.0);
   math::Matrix g(2, 2, 1.0);
-  const math::Matrix gx = relu.backward(g);
+  math::Matrix gx;
+  relu.backward_into(x, g, gx);
   EXPECT_DOUBLE_EQ(gx(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(gx(1, 0), 1.0);
 }
@@ -48,9 +51,11 @@ TEST(Relu, ForwardBackward) {
 TEST(Dropout, InferencePassThroughTrainingScales) {
   Dropout drop(0.5, stats::Rng(3));
   math::Matrix x(1, 1000, 1.0);
-  const math::Matrix inference = drop.forward(x, false);
+  math::Matrix inference;
+  drop.forward_into(x, inference, /*training=*/false);
   EXPECT_DOUBLE_EQ(inference(0, 0), 1.0);
-  const math::Matrix train = drop.forward(x, true);
+  math::Matrix train;
+  drop.forward_into(x, train, /*training=*/true);
   double sum = 0.0;
   for (double v : train.data()) sum += v;
   // Inverted dropout preserves the expectation.
@@ -70,11 +75,12 @@ TEST(Mlp, GradientCheck) {
   math::Matrix y(1, 4);
   for (auto& v : y.data()) v = rng.uniform(-1.0, 1.0);
 
-  // Analytic gradients. backward() requires a training-mode forward —
-  // inference forwards cache nothing (Layer contract); with no dropout in
-  // this net the outputs are identical either way.
-  const math::Matrix pred = net.forward(x, true);
-  net.backward(MseLoss::gradient(pred, y));
+  // Analytic gradients: backward_into reads the activations the
+  // training-mode forward_into left in the workspace. With no dropout in
+  // this net, training and inference outputs are identical.
+  Mlp::Workspace ws;
+  const math::Matrix& pred = net.forward_into(x, ws);
+  net.backward_into(MseLoss::gradient(pred, y), ws);
   const auto params = net.parameters();
   const auto grads = net.gradients();
 
@@ -84,9 +90,9 @@ TEST(Mlp, GradientCheck) {
     for (std::size_t i = 0; i < std::min<std::size_t>(data.size(), 8); ++i) {
       const double orig = data[i];
       data[i] = orig + eps;
-      const double lp = MseLoss::value(net.forward(x, false), y);
+      const double lp = MseLoss::value(net.predict_into(x, ws), y);
       data[i] = orig - eps;
-      const double lm = MseLoss::value(net.forward(x, false), y);
+      const double lm = MseLoss::value(net.predict_into(x, ws), y);
       data[i] = orig;
       const double numeric = (lp - lm) / (2.0 * eps);
       EXPECT_NEAR(grads[p]->data()[i], numeric, 1e-4)
@@ -104,8 +110,10 @@ TEST(Mlp, SafetyHijackerArchitecture) {
                                       (100 * 50 + 50) + (50 * 1 + 1);
   EXPECT_EQ(net.parameter_count(), expected_params);
   math::Matrix x(6, 3);
-  EXPECT_EQ(net.predict(x).rows(), 1u);
-  EXPECT_EQ(net.predict(x).cols(), 3u);
+  Mlp::Workspace ws;
+  const math::Matrix& y = net.predict_into(x, ws);
+  EXPECT_EQ(y.rows(), 1u);
+  EXPECT_EQ(y.cols(), 3u);
 }
 
 TEST(Adam, MinimizesQuadratic) {
@@ -359,12 +367,11 @@ TEST(Serialize, RoundTripPreservesPredictions) {
   math::Matrix x(6, 5);
   stats::Rng xr(7);
   for (auto& v : x.data()) v = xr.uniform(-2.0, 2.0);
-  // Materialize the first prediction: predict() returns a reference into a
-  // thread-local workspace shared by every Mlp on this thread, so chaining
-  // two nets' predictions in one expression would compare a buffer with
-  // itself.
-  const math::Matrix expected = net.predict(x);
-  EXPECT_LT(expected.max_abs_diff(loaded.predict(x)), 1e-12);
+  Mlp::Workspace ws;
+  Mlp::Workspace loaded_ws;
+  EXPECT_LT(net.predict_into(x, ws).max_abs_diff(
+                loaded.predict_into(x, loaded_ws)),
+            1e-12);
   EXPECT_EQ(loaded_scaler.means()[2], 3.0);
 }
 
@@ -386,25 +393,28 @@ bool bits_equal(const math::Matrix& a, const math::Matrix& b) {
   return std::memcmp(ad.data(), bd.data(), ad.size() * sizeof(double)) == 0;
 }
 
-TEST(MlpWorkspace, ForwardIntoMatchesForwardBitwise) {
+// With dropout disabled, the training-mode forward (every layer run, input
+// copied into the workspace) and the inference forward (identity layers
+// skipped) compute the same bits.
+TEST(MlpWorkspace, ForwardIntoMatchesPredictIntoBitwise) {
   stats::Rng rng(21);
   Mlp net = make_safety_hijacker_net(rng, 6, /*dropout_rate=*/0.0);
-  Mlp::Workspace ws;
+  Mlp::Workspace train_ws;
+  Mlp::Workspace predict_ws;
   for (const std::size_t batch : {1u, 3u, 16u}) {
     math::Matrix x(6, batch);
     for (double& v : x.data()) v = rng.uniform(-2.0, 2.0);
-    const math::Matrix legacy = net.forward(x, /*training=*/false);
-    const math::Matrix& ws_out = net.forward_into(x, ws, /*training=*/false);
-    EXPECT_TRUE(bits_equal(legacy, ws_out)) << "batch " << batch;
-    const math::Matrix& pred = net.predict(x);
-    EXPECT_TRUE(bits_equal(legacy, pred)) << "batch " << batch;
+    const math::Matrix& trained = net.forward_into(x, train_ws);
+    const math::Matrix& pred = net.predict_into(x, predict_ws);
+    EXPECT_TRUE(bits_equal(trained, pred)) << "batch " << batch;
   }
 }
 
-// PR 8 batched-serving contract: a D x B batch through one matrix-matrix
-// forward yields, column for column, EXACTLY the bits of B width-1
-// forwards. Guaranteed by the kernel contract in math/matrix.hpp (ordered
-// ascending-k accumulation per output element, independent of batch width).
+// A D x B batch through one matrix-matrix forward yields, column for
+// column, EXACTLY the bits of B width-1 forwards. Guaranteed by the kernel
+// contract in math/matrix.hpp (ordered ascending-k accumulation per output
+// element, independent of batch width); the trainer's validation pass and
+// the register-tiled kernels rely on it.
 TEST(MlpWorkspace, PredictBatchColumnsMatchSingleColumnsBitwise) {
   stats::Rng rng(22);
   Mlp net = make_safety_hijacker_net(rng, 6, /*dropout_rate=*/0.0);
@@ -413,12 +423,12 @@ TEST(MlpWorkspace, PredictBatchColumnsMatchSingleColumnsBitwise) {
   for (const std::size_t batch : {1u, 2u, 7u, 32u}) {
     math::Matrix x(6, batch);
     for (double& v : x.data()) v = rng.uniform(-2.0, 2.0);
-    const math::Matrix batched = net.predict_batch_into(x, batch_ws);
+    const math::Matrix& batched = net.predict_into(x, batch_ws);
     ASSERT_EQ(batched.cols(), batch);
     math::Matrix col(6, 1);
     for (std::size_t j = 0; j < batch; ++j) {
       for (std::size_t i = 0; i < 6; ++i) col(i, 0) = x(i, j);
-      const math::Matrix& single = net.predict_batch_into(col, single_ws);
+      const math::Matrix& single = net.predict_into(col, single_ws);
       for (std::size_t i = 0; i < batched.rows(); ++i) {
         const double bv = batched(i, j);
         const double sv = single(i, 0);
@@ -430,39 +440,6 @@ TEST(MlpWorkspace, PredictBatchColumnsMatchSingleColumnsBitwise) {
                           << i;
       }
     }
-    // predict_batch (thread-local workspace) serves the same bits.
-    EXPECT_TRUE(bits_equal(net.predict_batch(x), batched));
-  }
-}
-
-TEST(MlpWorkspace, BackwardIntoMatchesLegacyGradientsBitwise) {
-  // Two identical nets (same seed, dropout disabled so training forwards
-  // are deterministic): one driven through the legacy cache-based path,
-  // one through a workspace. Parameter gradients must agree bitwise.
-  stats::Rng rng_a(22);
-  stats::Rng rng_b(22);
-  Mlp legacy_net = make_safety_hijacker_net(rng_a, 6, 0.0);
-  Mlp ws_net = make_safety_hijacker_net(rng_b, 6, 0.0);
-
-  stats::Rng data_rng(23);
-  math::Matrix x(6, 8);
-  for (double& v : x.data()) v = data_rng.uniform(-1.5, 1.5);
-  math::Matrix grad(1, 8);
-  for (double& v : grad.data()) v = data_rng.uniform(-1.0, 1.0);
-
-  const math::Matrix out_legacy = legacy_net.forward(x, /*training=*/true);
-  legacy_net.backward(grad);
-
-  Mlp::Workspace ws;
-  const math::Matrix& out_ws = ws_net.forward_into(x, ws, /*training=*/true);
-  ws_net.backward_into(grad, ws);
-
-  EXPECT_TRUE(bits_equal(out_legacy, out_ws));
-  const auto legacy_grads = legacy_net.gradients();
-  const auto ws_grads = ws_net.gradients();
-  ASSERT_EQ(legacy_grads.size(), ws_grads.size());
-  for (std::size_t i = 0; i < legacy_grads.size(); ++i) {
-    EXPECT_TRUE(bits_equal(*legacy_grads[i], *ws_grads[i])) << "grad " << i;
   }
 }
 
@@ -527,9 +504,9 @@ double zero_mixed(stats::Rng& rng, double scale) {
   return rng.uniform(-scale, scale);
 }
 
-// The frozen inference copy answers exactly what Mlp::predict answers, bit
-// for bit: zero and negative-zero weights, biases and inputs, plus first-
-// layer rows that cancel to an exact zero pre-activation.
+// The frozen inference copy answers exactly what Mlp::predict_into answers,
+// bit for bit: zero and negative-zero weights, biases and inputs, plus
+// first-layer rows that cancel to an exact zero pre-activation.
 TEST(FrozenMlp, MatchesMlpPredictBitwise) {
   stats::Rng rng(23);
   Mlp net = make_safety_hijacker_net(rng);
@@ -558,6 +535,7 @@ TEST(FrozenMlp, MatchesMlpPredictBitwise) {
 
   math::Matrix x(6, 1);
   math::Matrix pre;
+  Mlp::Workspace ws;
   std::size_t zero_preacts = 0;
   for (int n = 0; n < 10000; ++n) {
     for (double& v : x.data()) v = zero_mixed(rng, 3.0);
@@ -568,7 +546,7 @@ TEST(FrozenMlp, MatchesMlpPredictBitwise) {
     math::affine_into(first->weights(), x, first->bias(), pre);
     for (const double v : pre.data()) zero_preacts += v == 0.0 ? 1 : 0;
 
-    const double expected = net.predict(x)(0, 0);
+    const double expected = net.predict_into(x, ws)(0, 0);
     double got = 1.0;
     frozen.predict(x.data(), {&got, 1});
     std::uint64_t eb = 0;

@@ -480,7 +480,7 @@ TEST(PerceptionSystem, EndToEndTracksGroundTruth) {
   PerceptionOutput out;
   for (int f = 0; f < 45; ++f) {
     if (f % 2 == 0) sys.ingest_lidar(lidar.scan({obj}));
-    out = sys.step(det.detect({obj}, f / 15.0));
+    sys.step_into(det.detect({obj}, f / 15.0), out);
   }
   ASSERT_FALSE(out.world.empty());
   EXPECT_NEAR(out.world[0].rel_position.x, 35.0, 2.0);

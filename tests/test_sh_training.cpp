@@ -204,28 +204,31 @@ TEST(OracleCache, FingerprintKeysOnCurriculumAndGrid) {
   EXPECT_NE(path, oracle_cache_path("cache", v, curriculum));
 }
 
-TEST(OracleCache, LegacyNameStillLoadsForTheDefaultConfig) {
+TEST(OracleCache, LegacyNameIsNeverLoaded) {
   TempDir dir;
   LoopConfig loop;
-  // Write a (cheaply trained) model under the pre-curriculum filename.
-  const auto tiny = small_config();
-  const auto trained = train_oracle(AttackVector::kMoveOut, loop, tiny);
-  const std::string legacy = dir.path() + "/sh_oracle_Move_Out.txt";
-  trained->save(legacy);
+  // A (cheaply trained) model under the un-fingerprinted filename that
+  // caches used before the dataset fingerprint existed.
+  const auto legacy = train_oracle(AttackVector::kMoveOut, loop,
+                                   small_config());
+  legacy->save(dir.path() + "/sh_oracle_Move_Out.txt");
 
-  // Loading with the *default* config must fall back to the legacy file —
-  // no retraining (a full default-grid retrain would be minutes, and would
-  // write the hashed filename).
-  const ShTrainingConfig def;
+  // The default launch grid with a one-epoch trainer: TrainConfig and
+  // threads are not part of the fingerprint, so this is still the default
+  // configuration's cache key. It must train fresh and cache under the
+  // fingerprinted name instead of serving the legacy file.
+  ShTrainingConfig def;
+  def.train.epochs = 1;
+  def.train.patience = 0;
+  def.threads = 1;
+  ASSERT_EQ(sh_dataset_fingerprint(AttackVector::kMoveOut, def),
+            sh_dataset_fingerprint(AttackVector::kMoveOut, ShTrainingConfig{}));
   const auto loaded =
       load_or_train_oracle(AttackVector::kMoveOut, dir.path(), loop, def);
   ASSERT_TRUE(loaded->trained());
-  EXPECT_FALSE(std::filesystem::exists(
+  EXPECT_TRUE(std::filesystem::exists(
       oracle_cache_path(dir.path(), AttackVector::kMoveOut, def)));
-  // Same weights: identical predictions.
-  const double a = trained->predict(20.0, {-5.0, 0.1}, {0.2, 0.0}, 30.0);
-  const double b = loaded->predict(20.0, {-5.0, 0.1}, {0.2, 0.0}, 30.0);
-  EXPECT_DOUBLE_EQ(a, b);
+  EXPECT_NE(loaded->content_hash(), legacy->content_hash());
 }
 
 TEST(OracleCache, CurriculumChangeInvalidatesLegacyCache) {

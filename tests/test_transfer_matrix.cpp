@@ -82,7 +82,8 @@ TEST(TransferMatrix, TwoByTwoGoldenPinnedAndThreadInvariant) {
   //
   // Re-pinned for the PR 8 counter-based noise migration (one engine word
   // per Rng::normal through the inverse CDF; the historical
-  // std::normal_distribution stream stays reachable via RT_LEGACY_NOISE=1).
+  // std::normal_distribution path and its RT_LEGACY_NOISE switch are now
+  // removed).
   // Old pins on this grid: mae DS-1->DS-1 8.4733690983661347 (acc 0.5),
   // DS-1->cut-in 7.5470456983593621 (acc 1.0), cut-in->DS-1
   // 14.114461896810651 (acc 0.5), cut-in->cut-in 17.376726977518665
