@@ -220,11 +220,29 @@ if [ -x build-release/bench/bench_perception ]; then
 fi
 if [ -x build-release/bench/bench_nn ]; then
   ./build-release/bench/bench_nn \
-    --benchmark_filter='BM_OracleInference|BM_SafetyHijackerDecision' \
+    --benchmark_filter='BM_OracleInference|BM_SafetyHijackerDecision|BM_TrainingEpoch' \
     --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
     --json BENCH_nn.json >/dev/null
   cat BENCH_nn.json
 fi
+
+# Benchmark gate smoke: every perfbench workload, untraced and traced, on a
+# short budget. run.py exits nonzero when perfbench no longer compiles
+# against src/, a grid digest moves off its pin, a traced cell is not
+# byte-identical to its untraced twin, or stage coverage falls below 0.90.
+echo "==> perfbench gate smoke"
+for workload in table2_1t defense_2t service_mixed; do
+  for trace in 0 1; do
+    log="build-release/perfbench_${workload}_trace${trace}.log"
+    python3 perfbench/run.py --workload "$workload" --seconds 4 \
+      --trace "$trace" >"$log" 2>&1 || {
+      cat "$log" >&2
+      echo "ERROR: perfbench $workload --trace $trace failed" >&2
+      exit 1
+    }
+    tail -n 1 "$log"
+  done
+done
 
 echo "==> Debug + ASan/UBSan"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DROBOTACK_SANITIZE=ON

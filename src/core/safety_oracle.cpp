@@ -1,7 +1,12 @@
 #include "core/safety_oracle.hpp"
 
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
 #include <cctype>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -47,25 +52,46 @@ nn::TrainResult SafetyOracle::train(const nn::Dataset& data,
 }
 
 void SafetyOracle::save(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("SafetyOracle::save: cannot open " + path);
-  }
-  nn::save_model(os, net_, scaler_);
-  // Provenance trailer (token-based; "-" marks an empty field, embedded
-  // whitespace is mapped to '_' so exotic scenario keys cannot derail the
-  // token parser). Legacy readers never consumed past the last layer, so
-  // the trailer is backward-compatible.
-  const auto tokenize = [](std::string s) {
-    if (s.empty()) return std::string("-");
-    for (char& c : s) {
-      if (std::isspace(static_cast<unsigned char>(c))) c = '_';
+  // Written next to `path` and renamed over it, so a reader (or a process
+  // killed mid-write) never leaves a partial file under the final name.
+  // The suffix is unique per process and call: concurrent savers of one
+  // cache path each rename a complete file, and the last one wins.
+  static std::atomic<std::uint64_t> save_counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(save_counter.fetch_add(1));
+  {
+    std::ofstream os(tmp);
+    if (!os) {
+      throw std::runtime_error("SafetyOracle::save: cannot open " + tmp);
     }
-    return s;
-  };
-  os << "oracle-meta " << tokenize(provenance_.vector) << ' '
-     << provenance_.fingerprint << ' ' << tokenize(provenance_.curriculum)
-     << '\n';
+    nn::save_model(os, net_, scaler_);
+    // Provenance trailer (token-based; "-" marks an empty field, embedded
+    // whitespace is mapped to '_' so exotic scenario keys cannot derail the
+    // token parser). Legacy readers never consumed past the last layer, so
+    // the trailer is backward-compatible.
+    const auto tokenize = [](std::string s) {
+      if (s.empty()) return std::string("-");
+      for (char& c : s) {
+        if (std::isspace(static_cast<unsigned char>(c))) c = '_';
+      }
+      return s;
+    };
+    os << "oracle-meta " << tokenize(provenance_.vector) << ' '
+       << provenance_.fingerprint << ' ' << tokenize(provenance_.curriculum)
+       << '\n';
+    os.close();
+    if (!os) {
+      std::remove(tmp.c_str());
+      throw std::runtime_error("SafetyOracle::save: cannot write " + tmp);
+    }
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("SafetyOracle::save: cannot rename " + tmp +
+                             " to " + path + ": " + ec.message());
+  }
 }
 
 bool SafetyOracle::load(const std::string& path) {

@@ -61,7 +61,10 @@ class SafetyOracle {
   /// frozen inference copy.
   nn::TrainResult train(const nn::Dataset& data, nn::TrainConfig config = {});
 
-  /// Weight caching for the benchmark harness. `load` refreshes the frozen
+  /// Weight caching for the benchmark harness. `save` writes a temporary
+  /// file and renames it over `path`, so `path` only ever holds a complete
+  /// model. `load` returns false when `path` cannot be opened, throws
+  /// std::runtime_error when it does not parse, and refreshes the frozen
   /// inference copy.
   void save(const std::string& path) const;
   [[nodiscard]] bool load(const std::string& path);

@@ -31,7 +31,7 @@ core::RobotackConfig make_attacker_config(const LoopConfig& loop,
   return cfg;
 }
 
-RunResult ClosedLoop::run() {
+RunResult ClosedLoop::run(std::optional<int> horizon) {
   const double dt = config_.camera_dt();
   stats::Rng root(seed_);
 
@@ -108,6 +108,10 @@ RunResult ClosedLoop::run() {
         world.ego().speed() > 0.5;
     if (world.collision() || too_close) {
       result.halted_early = true;
+      break;
+    }
+    if (horizon && attacker_ && attacker_->log().triggered &&
+        i >= std::llround(attacker_->log().start_time / dt) + *horizon) {
       break;
     }
 

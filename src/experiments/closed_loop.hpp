@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,16 @@ class ClosedLoop {
 
   /// Runs the scenario to completion (or early halt) and returns the
   /// result. Single-shot: build a new ClosedLoop per run.
-  [[nodiscard]] RunResult run();
+  ///
+  /// `horizon`, when set, ends the run early once the attack has
+  /// triggered: the loop stops after it records frame
+  /// `llround(attack.start_time / camera_dt) + *horizon`. Everything up to
+  /// that frame — the timeline prefix, the attack log of an attack no longer
+  /// than the horizon — is bit-identical to the full run's. A run whose
+  /// attack never triggers still runs to the end. Campaign cells run
+  /// without a horizon; the oracle's dataset stops each launch at its label
+  /// frame (`generate_sh_dataset`).
+  [[nodiscard]] RunResult run(std::optional<int> horizon = std::nullopt);
 
   [[nodiscard]] const LoopConfig& config() const { return config_; }
   [[nodiscard]] const sim::Scenario& scenario() const { return scenario_; }

@@ -133,7 +133,8 @@ nn::Dataset generate_sh_dataset(core::AttackVector v, const LoopConfig& base,
     loop.set_attacker(std::make_unique<core::Robotack>(
         acfg, loop_cfg.camera, loop_cfg.noise, loop_cfg.mot,
         attacker_seed));
-    const RunResult r = loop.run();
+    // Nothing past the label frame is read, so the launch stops there.
+    const RunResult r = loop.run(cell.k);
     if (!r.attack.triggered || r.timeline.empty()) return;
 
     // Label: ground-truth delta exactly k frames after the launch
@@ -197,7 +198,13 @@ std::shared_ptr<core::SafetyOracle> load_or_train_oracle(
   fs::create_directories(cache_dir);
   const std::string path = oracle_cache_path(cache_dir, v, cfg);
   auto oracle = std::make_shared<core::SafetyOracle>();
-  if (oracle->load(path)) return oracle;
+  try {
+    if (oracle->load(path)) return oracle;
+  } catch (const std::exception&) {
+    // A file that does not parse (e.g. left by a writer that predates the
+    // atomic save and was killed mid-write) is a cache miss: retrain and
+    // overwrite it.
+  }
   oracle = train_oracle(v, base, cfg);
   oracle->save(path);
   return oracle;

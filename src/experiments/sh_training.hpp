@@ -66,8 +66,9 @@ struct ShTrainingConfig {
 /// Generates the oracle's dataset for one vector by running scripted
 /// attacks over the (scenario × delta_inject × k × repeat) grid — fanned
 /// over `cfg.threads` — and labeling each launch with the *ground-truth*
-/// safety potential k frames later. Sample order and content are
-/// independent of the thread count.
+/// safety potential k frames later. Each launch stops at its label frame
+/// (`ClosedLoop::run`'s horizon). Sample order and content are independent
+/// of the thread count.
 [[nodiscard]] nn::Dataset generate_sh_dataset(core::AttackVector v,
                                               const LoopConfig& base,
                                               const ShTrainingConfig& cfg);
@@ -79,7 +80,8 @@ struct ShTrainingConfig {
     const ShTrainingConfig& cfg, nn::TrainResult* out_result = nullptr);
 
 /// Loads the oracle from `cache_dir` if a model cached under this
-/// curriculum's fingerprint exists, otherwise trains and caches it. Files
+/// curriculum's fingerprint exists, otherwise trains and caches it. A cached
+/// file that does not parse counts as a miss and is overwritten. Files
 /// without a fingerprint in the name (`sh_oracle_<vector>.txt`) are never
 /// loaded: they predate the current noise stream. Caveat: the cache key covers curriculum + grid only, so changing just
 /// `cfg.train` (epochs, lr, ...) reuses a cached model trained with the

@@ -56,37 +56,34 @@ Matrix Matrix::operator-(const Matrix& o) const {
   return r;
 }
 
-namespace detail {
+namespace {
 
-void throw_kernel_alias() {
+[[noreturn]] void throw_kernel_alias() {
   throw std::invalid_argument("Matrix kernel: out aliases an input");
 }
 
-void throw_inner_mismatch() {
+[[noreturn]] void throw_inner_mismatch() {
   throw std::invalid_argument("Matrix: inner dimension mismatch");
 }
 
-}  // namespace detail
-
-namespace {
-
 void require_no_alias(const Matrix& a, const Matrix& b, const Matrix& out) {
-  if (&out == &a || &out == &b) detail::throw_kernel_alias();
+  if (&out == &a || &out == &b) throw_kernel_alias();
 }
 
 }  // namespace
 
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  if (&out == &a || &out == &b) detail::throw_kernel_alias();
-  if (a.cols() != b.rows()) detail::throw_inner_mismatch();
+  require_no_alias(a, b, out);
+  if (a.cols() != b.rows()) throw_inner_mismatch();
   const std::size_t rows = a.rows();
   const std::size_t inner = a.cols();
   const std::size_t cols = b.cols();
   out.resize(rows, cols);
-  // Register-tiled path (batched NN forwards): accumulate each
-  // output row in fixed-width column tiles held in a local array, so the
-  // compiler keeps the whole tile in registers instead of dragging a
-  // load-add-store chain through `out`, whose aliasing it cannot prove.
+  // Register-tiled path (the NN forward and both backward products):
+  // accumulate each output row in fixed-width column tiles held in a local
+  // array, so the compiler keeps the whole tile in registers instead of
+  // dragging a load-add-store chain through `out`, whose aliasing it cannot
+  // prove.
   // Per output element the terms still sum in ascending k with the same
   // skip-exact-zero-lhs shortcut — bit-identical to the plain i-k-j loop
   // this replaces.
@@ -120,22 +117,15 @@ void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
-void transposed_multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  require_no_alias(a, b, out);
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("Matrix: inner dimension mismatch");
-  }
-  out.resize(a.cols(), b.cols());
-  std::fill(out.data().begin(), out.data().end(), 0.0);
-  // a^T(i, k) = a(k, i); the loop order matches `a.transposed() * b`.
-  for (std::size_t i = 0; i < a.cols(); ++i) {
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-      const double v = a(k, i);
-      if (v == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        out(i, j) += v * b(k, j);
-      }
-    }
+void transpose_into(const Matrix& a, Matrix& out) {
+  if (&out == &a) throw_kernel_alias();
+  const std::size_t rows = a.rows();
+  const std::size_t cols = a.cols();
+  out.resize(cols, rows);
+  const double* ad = a.data().data();
+  double* od = out.data().data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) od[j * rows + i] = ad[i * cols + j];
   }
 }
 
@@ -172,114 +162,6 @@ void affine_into(const Matrix& w, const Matrix& x, const Matrix& bias,
   for (std::size_t i = 0; i < out.rows(); ++i) {
     const double bi = bias(i, 0);
     for (std::size_t j = 0; j < out.cols(); ++j) out(i, j) += bi;
-  }
-}
-
-namespace {
-
-void require_row_range(const Matrix& out, std::size_t rows, std::size_t cols,
-                       std::size_t row_begin, std::size_t row_end) {
-  if (out.rows() != rows || out.cols() != cols) {
-    throw std::invalid_argument("Matrix row kernel: out not pre-sized");
-  }
-  if (row_begin > row_end || row_end > rows) {
-    throw std::invalid_argument("Matrix row kernel: bad row range");
-  }
-}
-
-}  // namespace
-
-void affine_rows_into(const Matrix& w, const Matrix& x, const Matrix& bias,
-                      Matrix& out, std::size_t row_begin,
-                      std::size_t row_end) {
-  require_no_alias(w, x, out);
-  if (&out == &bias) detail::throw_kernel_alias();
-  if (w.cols() != x.rows()) detail::throw_inner_mismatch();
-  if (bias.rows() != w.rows() || bias.cols() != 1) {
-    throw std::invalid_argument("affine_rows_into: bias must be rows(w) x 1");
-  }
-  require_row_range(out, w.rows(), x.cols(), row_begin, row_end);
-  const std::size_t inner = w.cols();
-  const std::size_t cols = x.cols();
-  // Register-tiled path, mirroring multiply_into's: per output row,
-  // fixed-width column tiles accumulate in a local array (registers), then
-  // the bias adds once per element. Ascending-k sums with the same
-  // skip-exact-zero shortcut — bit-identical to the memory-accumulating
-  // loop this replaces, for any row partition.
-  constexpr std::size_t kTile = 16;
-  const double* wd = w.data().data();
-  const double* xd = x.data().data();
-  double* od = out.data().data();
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* wrow = wd + i * inner;
-    const double bi = bias(i, 0);
-    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
-      const std::size_t width = std::min(kTile, cols - j0);
-      double acc[kTile] = {};
-      if (width == kTile) {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = wrow[k];
-          if (v == 0.0) continue;
-          const double* xrow = xd + k * cols + j0;
-          for (std::size_t j = 0; j < kTile; ++j) acc[j] += v * xrow[j];
-        }
-      } else {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = wrow[k];
-          if (v == 0.0) continue;
-          const double* xrow = xd + k * cols + j0;
-          for (std::size_t j = 0; j < width; ++j) acc[j] += v * xrow[j];
-        }
-      }
-      double* orow = od + i * cols + j0;
-      for (std::size_t j = 0; j < width; ++j) orow[j] = acc[j] + bi;
-    }
-  }
-}
-
-void multiply_transposed_rows_into(const Matrix& a, const Matrix& b,
-                                   Matrix& out, std::size_t row_begin,
-                                   std::size_t row_end) {
-  require_no_alias(a, b, out);
-  if (a.cols() != b.cols()) detail::throw_inner_mismatch();
-  require_row_range(out, a.rows(), b.rows(), row_begin, row_end);
-  const std::size_t inner = a.cols();
-  const std::size_t cols = b.rows();
-  // Same per-element ordered sums as multiply_transposed_into (the 4-chain
-  // register grouping there never mixes elements, so a plain per-element
-  // loop is bit-identical).
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = a(i, k);
-        if (v == 0.0) continue;
-        s += v * b(j, k);
-      }
-      out(i, j) = s;
-    }
-  }
-}
-
-void transposed_multiply_rows_into(const Matrix& a, const Matrix& b,
-                                   Matrix& out, std::size_t row_begin,
-                                   std::size_t row_end) {
-  require_no_alias(a, b, out);
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("Matrix: inner dimension mismatch");
-  }
-  require_row_range(out, a.cols(), b.cols(), row_begin, row_end);
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) = 0.0;
-  }
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-      const double v = a(k, i);
-      if (v == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        out(i, j) += v * b(k, j);
-      }
-    }
   }
 }
 

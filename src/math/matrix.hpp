@@ -106,20 +106,19 @@ class Matrix {
 /// scratch instead of chaining the allocating operators above.
 ///
 /// Contract: every kernel reproduces the corresponding allocating-operator
-/// expression *bit for bit* — same i-k-j accumulation order, same
-/// skip-zero-lhs shortcut, transposes folded into the index order rather
-/// than materialized — so the pinned golden aggregates and dataset hashes
-/// are invariant under the rewrite. `out` must not alias an input
+/// expression *bit for bit* — same ascending-k accumulation per element,
+/// same skip-zero-lhs shortcut — so the pinned golden aggregates and dataset
+/// hashes are invariant under the rewrite. `out` must not alias an input
 /// (`std::invalid_argument` otherwise); shape mismatches throw like the
 /// operators they mirror.
 
 /// out = a * b. Mirrors `a * b`.
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
-/// out = a * b^T. Mirrors `a * b.transposed()` without materializing b^T.
-inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
-                                     Matrix& out);
-/// out = a^T * b. Mirrors `a.transposed() * b` without materializing a^T.
-void transposed_multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
+/// out = a^T. Mirrors `a.transposed()`. Products with a transposed operand
+/// (the dense layer's backward) materialize it here and then run the tiled
+/// `multiply_into`: per element that is the same ascending-k sum as
+/// `a.transposed() * b`, so the result is bit-identical.
+void transpose_into(const Matrix& a, Matrix& out);
 /// out = a + b. Mirrors `a + b`.
 void add_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a - b. Mirrors `a - b`.
@@ -134,33 +133,7 @@ void affine_into(const Matrix& w, const Matrix& x, const Matrix& bias,
 /// singular matrix, like `inverse()`.
 void invert_into(const Matrix& a, Matrix& scratch, Matrix& out);
 
-/// Row-range kernels (the minibatch trainer's parallel slots).
-///
-/// Each computes only output rows [row_begin, row_end) of the matching full
-/// kernel; `out` must already be sized to the full result shape (its other
-/// rows are untouched). Because every kernel above runs an independent
-/// serial accumulation per output element — the outer loop is over output
-/// rows — covering [0, rows) with disjoint ranges reproduces the full
-/// kernel BIT FOR BIT regardless of how the ranges are partitioned or on
-/// which thread each range runs. That is what makes the trainer's `threads`
-/// knob both thread-count-invariant and golden-preserving: there is no
-/// floating-point reordering to begin with, only a partition of the output.
-void affine_rows_into(const Matrix& w, const Matrix& x, const Matrix& bias,
-                      Matrix& out, std::size_t row_begin,
-                      std::size_t row_end);
-/// Row range of `multiply_transposed_into` (out = a * b^T).
-void multiply_transposed_rows_into(const Matrix& a, const Matrix& b,
-                                   Matrix& out, std::size_t row_begin,
-                                   std::size_t row_end);
-/// Row range of `transposed_multiply_into` (out = a^T * b).
-void transposed_multiply_rows_into(const Matrix& a, const Matrix& b,
-                                   Matrix& out, std::size_t row_begin,
-                                   std::size_t row_end);
-
 namespace detail {
-[[noreturn]] void throw_kernel_alias();
-[[noreturn]] void throw_inner_mismatch();
-
 /// Fixed-dimension kernel bodies for the bbox tracker's constant-velocity
 /// Kalman filter (perception/kalman_filter.hpp), whose 6-state/4-measurement
 /// algebra runs millions of times per campaign on plain arrays. The SAME
@@ -227,50 +200,5 @@ void invert_fixed(double* s, double* o) {
   }
 }
 }  // namespace detail
-
-inline void multiply_transposed_into(const Matrix& a, const Matrix& b,
-                                     Matrix& out) {
-  if (&out == &a || &out == &b) detail::throw_kernel_alias();
-  if (a.cols() != b.cols()) detail::throw_inner_mismatch();
-  const std::size_t rows = a.rows();
-  const std::size_t inner = a.cols();
-  const std::size_t cols = b.rows();
-  out.resize(rows, cols);
-  // out(i, j) = sum_k a(i, k) * b(j, k): rows of both operands stream
-  // sequentially, and register accumulation (four independent j chains)
-  // replaces the historical `a * b.transposed()` materialization. Per
-  // element the terms still sum in ascending k, skipping exact-zero a —
-  // bit-identical to the allocating expression.
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::size_t j = 0;
-    for (; j + 4 <= cols; j += 4) {
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = a(i, k);
-        if (v == 0.0) continue;
-        s0 += v * b(j, k);
-        s1 += v * b(j + 1, k);
-        s2 += v * b(j + 2, k);
-        s3 += v * b(j + 3, k);
-      }
-      out(i, j) = s0;
-      out(i, j + 1) = s1;
-      out(i, j + 2) = s2;
-      out(i, j + 3) = s3;
-    }
-    for (; j < cols; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double v = a(i, k);
-        if (v == 0.0) continue;
-        s += v * b(j, k);
-      }
-      out(i, j) = s;
-    }
-  }
-}
 
 }  // namespace rt::math

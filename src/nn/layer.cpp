@@ -1,39 +1,8 @@
 #include "nn/layer.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace rt::nn {
-
-namespace {
-
-/// Minimum number of multiply-accumulate operations before a product is
-/// worth fanning over the pool (below this the queue round-trip dominates).
-/// Purely a performance heuristic: the row-sliced and serial kernels are
-/// bit-identical, so the threshold can never change results.
-constexpr std::size_t kParallelMinOps = 16 * 1024;
-
-/// Fans output rows [0, rows) over the pool as contiguous pre-assigned
-/// slots; falls back to one serial slot when the pool is absent or the
-/// product is too small.
-template <typename Fn>
-void for_row_slots(runtime::ThreadPool* pool, std::size_t rows,
-                   std::size_t ops, const Fn& fn) {
-  if (pool == nullptr || pool->size() < 2 || rows < 2 ||
-      ops < kParallelMinOps) {
-    fn(0, rows);
-    return;
-  }
-  const std::size_t slots = std::min<std::size_t>(pool->size(), rows);
-  const std::size_t chunk = (rows + slots - 1) / slots;
-  pool->parallel_for(static_cast<int>(slots), [&](int s) {
-    const std::size_t begin = static_cast<std::size_t>(s) * chunk;
-    const std::size_t end = std::min(rows, begin + chunk);
-    if (begin < end) fn(begin, end);
-  });
-}
-
-}  // namespace
 
 Dense::Dense(std::size_t in, std::size_t out, stats::Rng& rng)
     : Dense(in, out) {
@@ -46,49 +15,24 @@ Dense::Dense(std::size_t in, std::size_t out)
 
 void Dense::forward_into(const math::Matrix& x, math::Matrix& y,
                          bool /*training*/) {
-  if (pool_ == nullptr) {
-    math::affine_into(w_, x, b_, y);
-    return;
-  }
-  y.resize(w_.rows(), x.cols());
-  const std::size_t ops = w_.rows() * w_.cols() * x.cols();
-  for_row_slots(pool_, w_.rows(), ops,
-                [&](std::size_t r0, std::size_t r1) {
-                  math::affine_rows_into(w_, x, b_, y, r0, r1);
-                });
+  math::affine_into(w_, x, b_, y);
 }
 
 void Dense::backward_into(const math::Matrix& x_in,
                           const math::Matrix& grad_out,
-                          math::Matrix& grad_in) {
-  if (pool_ == nullptr) {
-    math::multiply_transposed_into(grad_out, x_in, gw_);
-  } else {
-    gw_.resize(grad_out.rows(), x_in.rows());
-    const std::size_t gw_ops = grad_out.rows() * grad_out.cols() * x_in.rows();
-    for_row_slots(pool_, grad_out.rows(), gw_ops,
-                  [&](std::size_t r0, std::size_t r1) {
-                    math::multiply_transposed_rows_into(grad_out, x_in, gw_,
-                                                        r0, r1);
-                  });
-  }
+                          math::Matrix& grad_in, math::Matrix& scratch) {
+  // Both products run on the register-tiled multiply_into over a
+  // materialized transpose: gw = grad * x^T, grad_in = W^T * grad.
+  math::transpose_into(x_in, scratch);
+  math::multiply_into(grad_out, scratch, gw_);
   gb_.resize(b_.rows(), 1);
   for (std::size_t i = 0; i < grad_out.rows(); ++i) {
     double s = 0.0;
     for (std::size_t j = 0; j < grad_out.cols(); ++j) s += grad_out(i, j);
     gb_(i, 0) = s;
   }
-  if (pool_ == nullptr) {
-    math::transposed_multiply_into(w_, grad_out, grad_in);
-    return;
-  }
-  grad_in.resize(w_.cols(), grad_out.cols());
-  const std::size_t gi_ops = w_.cols() * w_.rows() * grad_out.cols();
-  for_row_slots(pool_, w_.cols(), gi_ops,
-                [&](std::size_t r0, std::size_t r1) {
-                  math::transposed_multiply_rows_into(w_, grad_out, grad_in,
-                                                      r0, r1);
-                });
+  math::transpose_into(w_, scratch);
+  math::multiply_into(scratch, grad_out, grad_in);
 }
 
 void Relu::forward_into(const math::Matrix& x, math::Matrix& y,
@@ -113,7 +57,7 @@ void Relu::forward_into(const math::Matrix& x, math::Matrix& y,
 
 void Relu::backward_into(const math::Matrix& x_in,
                          const math::Matrix& grad_out,
-                         math::Matrix& grad_in) {
+                         math::Matrix& grad_in, math::Matrix& /*scratch*/) {
   grad_in.resize(grad_out.rows(), grad_out.cols());
   const auto xd = x_in.data();
   const auto gd = grad_out.data();
@@ -150,7 +94,8 @@ void Dropout::forward_into(const math::Matrix& x, math::Matrix& y,
 
 void Dropout::backward_into(const math::Matrix& /*x_in*/,
                             const math::Matrix& grad_out,
-                            math::Matrix& grad_in) {
+                            math::Matrix& grad_in,
+                            math::Matrix& /*scratch*/) {
   if (mask_.empty()) {
     grad_in = grad_out;
     return;

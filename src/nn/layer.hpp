@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "math/matrix.hpp"
-#include "runtime/thread_pool.hpp"
 #include "stats/rng.hpp"
 
 namespace rt::nn {
@@ -35,11 +34,14 @@ class Layer {
 
   /// Backward pass into `grad_in` (resized in place): receives this layer's
   /// forward input `x_in` and dL/d(output), writes dL/d(input), and
-  /// accumulates parameter gradients internally. `grad_in` must alias
-  /// neither input.
+  /// accumulates parameter gradients internally. `scratch` is caller-owned
+  /// working storage (the dense layer materializes its transposed operands
+  /// there), so a deployed network carries no backward-only buffers.
+  /// Neither `grad_in` nor `scratch` may alias an input or each other.
   virtual void backward_into(const math::Matrix& x_in,
                              const math::Matrix& grad_out,
-                             math::Matrix& grad_in) = 0;
+                             math::Matrix& grad_in,
+                             math::Matrix& scratch) = 0;
 
   /// True when the layer's inference-mode forward is an exact copy of its
   /// input (dropout). `Mlp::predict_into` skips such layers, feeding the
@@ -52,20 +54,6 @@ class Layer {
   virtual std::vector<math::Matrix*> gradients() { return {}; }
 
   [[nodiscard]] virtual std::string kind() const = 0;
-
-  /// Installs (or clears, with nullptr) a worker pool for this layer's
-  /// matrix products. Layers fan their output *rows* over the pool as
-  /// pre-assigned disjoint slots — no floating-point accumulation crosses a
-  /// slot boundary — so results are BIT-IDENTICAL to the serial kernels at
-  /// any pool size (see the row-range kernels in math/matrix.hpp). The
-  /// trainer sets this for the duration of a training run and always clears
-  /// it afterwards; the pool must outlive every forward/backward issued
-  /// while set.
-  void set_parallel(runtime::ThreadPool* pool) { pool_ = pool; }
-
- protected:
-  /// Optional worker pool (nullptr = serial kernels).
-  runtime::ThreadPool* pool_{nullptr};
 };
 
 /// Fully-connected layer: y = W x + b.
@@ -79,7 +67,7 @@ class Dense : public Layer {
   void forward_into(const math::Matrix& x, math::Matrix& y,
                     bool training) override;
   void backward_into(const math::Matrix& x_in, const math::Matrix& grad_out,
-                     math::Matrix& grad_in) override;
+                     math::Matrix& grad_in, math::Matrix& scratch) override;
   std::vector<math::Matrix*> parameters() override { return {&w_, &b_}; }
   std::vector<math::Matrix*> gradients() override { return {&gw_, &gb_}; }
   [[nodiscard]] std::string kind() const override { return "dense"; }
@@ -101,7 +89,7 @@ class Relu : public Layer {
   void forward_into(const math::Matrix& x, math::Matrix& y,
                     bool training) override;
   void backward_into(const math::Matrix& x_in, const math::Matrix& grad_out,
-                     math::Matrix& grad_in) override;
+                     math::Matrix& grad_in, math::Matrix& scratch) override;
   [[nodiscard]] std::string kind() const override { return "relu"; }
 };
 
@@ -114,7 +102,7 @@ class Dropout : public Layer {
   void forward_into(const math::Matrix& x, math::Matrix& y,
                     bool training) override;
   void backward_into(const math::Matrix& x_in, const math::Matrix& grad_out,
-                     math::Matrix& grad_in) override;
+                     math::Matrix& grad_in, math::Matrix& scratch) override;
   [[nodiscard]] std::string kind() const override { return "dropout"; }
   [[nodiscard]] bool inference_identity() const override { return true; }
   [[nodiscard]] double rate() const { return rate_; }

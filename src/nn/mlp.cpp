@@ -18,7 +18,7 @@ void Mlp::backward_into(const math::Matrix& grad_out, Workspace& ws) {
   math::Matrix* dst = &ws.grad_a;
   math::Matrix* other = &ws.grad_b;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    layers_[i]->backward_into(ws.acts[i], *g, *dst);
+    layers_[i]->backward_into(ws.acts[i], *g, *dst, ws.scratch);
     g = dst;
     std::swap(dst, other);
   }

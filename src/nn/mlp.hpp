@@ -17,14 +17,16 @@ namespace rt::nn {
 class Mlp {
  public:
   /// Caller-owned forward/backward buffers: one activation matrix per layer
-  /// boundary plus two ping-pong gradient buffers. After a warm-up pass at
-  /// a given batch shape, forwards, backwards and predictions through a
-  /// workspace allocate nothing. A workspace belongs to one caller at a
-  /// time (the trainer keeps one for its minibatches and validation).
+  /// boundary, two ping-pong gradient buffers, and the backward's transpose
+  /// scratch. After a warm-up pass at a given batch shape, forwards,
+  /// backwards and predictions through a workspace allocate nothing. A
+  /// workspace belongs to one caller at a time (the trainer keeps one for
+  /// its minibatches and validation).
   struct Workspace {
     std::vector<math::Matrix> acts;
     math::Matrix grad_a;
     math::Matrix grad_b;
+    math::Matrix scratch;
   };
 
   Mlp() = default;
@@ -53,13 +55,6 @@ class Mlp {
   /// reference is valid until the next use of `ws`.
   [[nodiscard]] const math::Matrix& predict_into(const math::Matrix& x,
                                                  Workspace& ws) const;
-
-  /// Installs (nullptr clears) a worker pool on every layer — see
-  /// Layer::set_parallel. Results are bit-identical with or without a pool;
-  /// the trainer scopes this to a training run.
-  void set_parallel(runtime::ThreadPool* pool) {
-    for (auto& layer : layers_) layer->set_parallel(pool);
-  }
 
   [[nodiscard]] std::vector<math::Matrix*> parameters();
   [[nodiscard]] std::vector<const math::Matrix*> parameters() const;

@@ -10,18 +10,6 @@ namespace rt::nn {
 
 TrainResult Trainer::train(Mlp& net, const Dataset& data,
                            StandardScaler& scaler) {
-  // Minibatch-level parallelism: the layers fan their products' output rows
-  // over this pool for the duration of the run (bit-identical to serial at
-  // any thread count — see TrainConfig::threads). The guard clears the
-  // layer pool pointers on every exit path so a trained network never
-  // escapes with a dangling pool.
-  runtime::ThreadPool pool(config_.threads);
-  struct ParallelGuard {
-    Mlp& net;
-    ~ParallelGuard() { net.set_parallel(nullptr); }
-  } guard{net};
-  net.set_parallel(pool.size() > 1 ? &pool : nullptr);
-
   TrainResult result;
   stats::Rng rng(config_.seed);
   auto [train_set, val_set] = data.split(config_.train_fraction, rng);

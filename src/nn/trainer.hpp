@@ -19,13 +19,6 @@ struct TrainConfig {
   /// Stop early if validation loss has not improved for this many epochs
   /// (0 disables).
   int patience{15};
-  /// Worker threads for the minibatch step (0 = one per hardware core,
-  /// 1 = serial). Each layer product fans its output rows over the pool as
-  /// pre-assigned disjoint slots, so trained weights are BIT-IDENTICAL at
-  /// any thread count — including to the historical serial path (see the
-  /// row-range kernels in math/matrix.hpp). Dropout masks, the shuffle and
-  /// the optimizer stay serial, preserving the RNG stream exactly.
-  unsigned threads{1};
 };
 
 /// Per-epoch record.

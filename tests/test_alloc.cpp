@@ -14,6 +14,8 @@
 #include "core/safety_oracle.hpp"
 #include "defense/monitor_stack.hpp"
 #include "math/matrix.hpp"
+#include "nn/adam.hpp"
+#include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "obs/trace.hpp"
 #include "perception/bbox_track.hpp"
@@ -126,6 +128,35 @@ TEST(AllocationPins, MlpPredictIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(allocations(), before)
       << "Mlp::predict_into allocated on the steady-state path (sink " << sink
       << ")";
+}
+
+TEST(AllocationPins, MlpTrainingStepIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // The trainer's minibatch step on the safety-hijacker net: after one warm
+  // step sizes the workspace (activations, gradients, transpose scratch),
+  // the loss gradient and Adam's moments, a step allocates nothing.
+  stats::Rng rng(7);
+  nn::Mlp net = nn::make_safety_hijacker_net(rng);
+  math::Matrix x(6, 64);
+  math::Matrix y(1, 64);
+  for (double& v : x.data()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : y.data()) v = rng.uniform(0.0, 30.0);
+  nn::Mlp::Workspace ws;
+  math::Matrix grad;
+  nn::Adam optimizer;
+  const std::vector<math::Matrix*> params = net.parameters();
+  const std::vector<math::Matrix*> grads = net.gradients();
+  const auto step = [&] {
+    const math::Matrix& pred = net.forward_into(x, ws);
+    nn::MseLoss::gradient_into(pred, y, grad);
+    net.backward_into(grad, ws);
+    optimizer.step(params, grads);
+  };
+  step();
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 5; ++i) step();
+  EXPECT_EQ(allocations(), before)
+      << "the Mlp training step allocated after warm-up";
 }
 
 TEST(AllocationPins, RobotackAttackOnPathIsAllocationFreeAfterWarmup) {

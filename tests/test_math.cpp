@@ -274,23 +274,42 @@ TEST(MatrixKernels, MultiplyIntoMatchesOperatorBitwise) {
   }
 }
 
-TEST(MatrixKernels, TransposedVariantsMatchOperatorsBitwise) {
+TEST(MatrixKernels, TransposeIntoMatchesTransposedBitwise) {
   stats::Rng rng(102);
-  const std::size_t sizes[] = {1, 2, 3, 4, 6, 8, 11, 16};
+  Matrix out(3, 3, 0.123);  // stale shape and contents must not leak
+  for (const std::size_t r : {1u, 2u, 5u, 16u, 33u}) {
+    for (const std::size_t c : {1u, 3u, 8u, 17u}) {
+      const Matrix a = random_matrix(r, c, rng);
+      transpose_into(a, out);
+      EXPECT_TRUE(bitwise_equal(out, a.transposed())) << r << "x" << c;
+    }
+  }
+}
+
+// The dense layer's backward products: gw = grad * x^T and
+// grad_in = W^T * grad, each a materialized transpose fed to the tiled
+// multiply_into, must match the historical loop on the transposed operand
+// bit for bit.
+TEST(MatrixKernels, MultiplyByMaterializedTransposeMatchesBitwise) {
+  stats::Rng rng(106);
+  const std::size_t sizes[] = {1, 2, 3, 4, 6, 8, 11, 16, 17, 33};
   for (const std::size_t r : sizes) {
     for (const std::size_t k : sizes) {
       for (const std::size_t c : sizes) {
+        Matrix scratch;
+        Matrix out;
         const Matrix a = random_matrix(r, k, rng);
         const Matrix bt = random_matrix(c, k, rng);  // b^T operand
-        Matrix out;
-        multiply_transposed_into(a, bt, out);
+        transpose_into(bt, scratch);
+        multiply_into(a, scratch, out);
         EXPECT_TRUE(
             bitwise_equal(out, reference_multiply(a, bt.transposed())))
             << "a*b^T " << r << "x" << k << ", " << c << "x" << k;
 
         const Matrix at = random_matrix(k, r, rng);  // a^T operand
         const Matrix b = random_matrix(k, c, rng);
-        transposed_multiply_into(at, b, out);
+        transpose_into(at, scratch);
+        multiply_into(scratch, b, out);
         EXPECT_TRUE(
             bitwise_equal(out, reference_multiply(at.transposed(), b)))
             << "a^T*b " << k << "x" << r << ", " << k << "x" << c;
@@ -352,10 +371,7 @@ TEST(MatrixKernels, ShapeAndAliasViolationsThrow) {
   Matrix b(4, 2, 1.0);
   Matrix out;
   EXPECT_THROW(multiply_into(a, b, out), std::invalid_argument);
-  EXPECT_THROW(multiply_transposed_into(a, Matrix(2, 2, 1.0), out),
-               std::invalid_argument);
-  EXPECT_THROW(transposed_multiply_into(a, Matrix(3, 2, 1.0), out),
-               std::invalid_argument);
+  EXPECT_THROW(transpose_into(a, a), std::invalid_argument);
   EXPECT_THROW(add_into(a, Matrix(3, 2, 1.0), out), std::invalid_argument);
   EXPECT_THROW(subtract_into(a, Matrix(3, 3, 1.0), out),
                std::invalid_argument);
@@ -367,96 +383,6 @@ TEST(MatrixKernels, ShapeAndAliasViolationsThrow) {
   Matrix scratch;
   EXPECT_THROW(invert_into(sq, scratch, sq), std::invalid_argument);
   EXPECT_THROW(invert_into(sq, sq, scratch), std::invalid_argument);
-}
-
-TEST(MatrixKernels, RowRangeKernelsPartitionBitwise) {
-  // The minibatch trainer's parallel slots: covering [0, rows) with ANY
-  // disjoint consecutive ranges must reproduce the full kernels bit for
-  // bit — this is what makes TrainConfig::threads both thread-count-
-  // invariant and golden-preserving.
-  stats::Rng rng(105);
-  const std::size_t sizes[] = {1, 2, 3, 5, 8, 13, 16, 33};
-  for (const std::size_t r : sizes) {
-    for (const std::size_t k : sizes) {
-      for (const std::size_t c : sizes) {
-        // Random partition of [0, rows) into 1..4 consecutive ranges.
-        const auto partition = [&rng](std::size_t rows) {
-          std::vector<std::size_t> cuts{0, rows};
-          const int extra = static_cast<int>(rng.uniform_int(0, 3));
-          for (int i = 0; i < extra; ++i) {
-            cuts.push_back(static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(rows))));
-          }
-          std::sort(cuts.begin(), cuts.end());
-          return cuts;
-        };
-
-        const Matrix w = random_matrix(r, k, rng);
-        const Matrix x = random_matrix(k, c, rng);
-        const Matrix bias = random_matrix(r, 1, rng);
-        Matrix full;
-        affine_into(w, x, bias, full);
-        Matrix sliced(r, c, 0.123);  // poison: every row must be written
-        for (auto cuts = partition(r); cuts.size() >= 2;) {
-          for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-            affine_rows_into(w, x, bias, sliced, cuts[i], cuts[i + 1]);
-          }
-          break;
-        }
-        EXPECT_TRUE(bitwise_equal(sliced, full))
-            << "affine " << r << "x" << k << "x" << c;
-
-        const Matrix a = random_matrix(r, k, rng);
-        const Matrix bt = random_matrix(c, k, rng);
-        Matrix full_t;
-        multiply_transposed_into(a, bt, full_t);
-        Matrix sliced_t(r, c, 0.123);
-        for (auto cuts = partition(r); cuts.size() >= 2;) {
-          for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-            multiply_transposed_rows_into(a, bt, sliced_t, cuts[i],
-                                          cuts[i + 1]);
-          }
-          break;
-        }
-        EXPECT_TRUE(bitwise_equal(sliced_t, full_t))
-            << "a*b^T rows " << r << "x" << k << "x" << c;
-
-        const Matrix at = random_matrix(k, r, rng);
-        const Matrix b = random_matrix(k, c, rng);
-        Matrix full_at;
-        transposed_multiply_into(at, b, full_at);
-        Matrix sliced_at(r, c, 0.123);
-        for (auto cuts = partition(r); cuts.size() >= 2;) {
-          for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-            transposed_multiply_rows_into(at, b, sliced_at, cuts[i],
-                                          cuts[i + 1]);
-          }
-          break;
-        }
-        EXPECT_TRUE(bitwise_equal(sliced_at, full_at))
-            << "a^T*b rows " << r << "x" << k << "x" << c;
-      }
-    }
-  }
-}
-
-TEST(MatrixKernels, RowRangeKernelsValidate) {
-  Matrix w(3, 2, 1.0);
-  Matrix x(2, 4, 1.0);
-  Matrix bias(3, 1, 1.0);
-  Matrix out;  // not pre-sized
-  EXPECT_THROW(affine_rows_into(w, x, bias, out, 0, 3),
-               std::invalid_argument);
-  out.resize(3, 4);
-  EXPECT_THROW(affine_rows_into(w, x, bias, out, 2, 1),
-               std::invalid_argument);
-  EXPECT_THROW(affine_rows_into(w, x, bias, out, 0, 4),
-               std::invalid_argument);
-  EXPECT_NO_THROW(affine_rows_into(w, x, bias, out, 0, 3));
-  EXPECT_THROW(multiply_transposed_rows_into(w, Matrix(4, 3, 1.0), out, 0, 1),
-               std::invalid_argument);
-  EXPECT_THROW(transposed_multiply_rows_into(w, Matrix(2, 4, 1.0), out, 0, 1),
-               std::invalid_argument);
 }
 
 TEST(MatrixKernels, ResizeReusesStorageWithoutShrinking) {

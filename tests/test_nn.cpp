@@ -43,7 +43,8 @@ TEST(Relu, ForwardBackward) {
   EXPECT_DOUBLE_EQ(y(0, 1), 2.0);
   math::Matrix g(2, 2, 1.0);
   math::Matrix gx;
-  relu.backward_into(x, g, gx);
+  math::Matrix scratch;
+  relu.backward_into(x, g, gx, scratch);
   EXPECT_DOUBLE_EQ(gx(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(gx(1, 0), 1.0);
 }
@@ -314,41 +315,6 @@ TEST(Trainer, LearnsLinearFunction) {
   // Loss decreased over training.
   EXPECT_LT(result.history.back().train_loss,
             result.history.front().train_loss);
-}
-
-TEST(Trainer, ThreadsKnobIsBitIdenticalAtAnyThreadCount) {
-  // The minibatch-parallel path fans each layer product's output rows over
-  // the pool as pre-assigned disjoint slots — no floating-point reordering
-  // at all — so trained weights are bit-identical serial vs 1 vs 8 threads
-  // (and hence all pinned trained-weight goldens survive the knob).
-  const auto train_with = [](unsigned threads) {
-    stats::Rng data_rng(13);
-    std::vector<std::vector<double>> xs;
-    std::vector<double> ys;
-    for (int i = 0; i < 300; ++i) {
-      const double a = data_rng.uniform(-2.0, 2.0);
-      const double b = data_rng.uniform(-2.0, 2.0);
-      xs.push_back({a, b});
-      ys.push_back(3.0 * a - 2.0 * b + 1.0);
-    }
-    const Dataset data = Dataset::from_samples(xs, ys);
-    // The full paper architecture, dropout included: the serial RNG stream
-    // of the dropout masks must be preserved by the parallel path.
-    stats::Rng net_rng(77);
-    Mlp net = make_safety_hijacker_net(net_rng, 2);
-    StandardScaler scaler;
-    TrainConfig cfg;
-    cfg.epochs = 8;
-    cfg.batch_size = 32;
-    cfg.patience = 0;
-    cfg.threads = threads;
-    Trainer trainer(cfg);
-    (void)trainer.train(net, data, scaler);
-    return net.content_hash();
-  };
-  const std::uint64_t serial = train_with(1);
-  EXPECT_EQ(train_with(8), serial);
-  EXPECT_EQ(train_with(3), serial);
 }
 
 TEST(Serialize, RoundTripPreservesPredictions) {

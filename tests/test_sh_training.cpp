@@ -1,18 +1,24 @@
 // Curriculum-driven oracle training: curriculum resolution, the parallel
 // launch grid's thread-count invariance, golden dataset-hash pins for the
-// default (paper) curriculum, and the curriculum-keyed oracle cache.
+// default (paper) curriculum, the launch horizon that stops each launch at
+// its label frame, and the curriculum-keyed oracle cache.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "experiments/campaign_serde.hpp"
 #include "experiments/sh_training.hpp"
 #include "nn/serialize.hpp"
+#include "sim/scenario_registry.hpp"
 
 namespace rt::experiments {
 namespace {
@@ -153,13 +159,120 @@ TEST(GenerateShDataset, GoldenSmallGridHashes) {
 }
 
 TEST(GenerateShDataset, GoldenDefaultCurriculumReproducesCachedOracleData) {
-  // The full default grid for Move_Out — the exact dataset the cached
-  // data/sh_oracle_Move_Out.txt was trained on.
+  // The full default grid for every vector — the exact datasets the cached
+  // default oracles are trained on.
   LoopConfig loop;
   const ShTrainingConfig cfg;  // paper defaults end to end
-  const nn::Dataset d = generate_sh_dataset(AttackVector::kMoveOut, loop, cfg);
-  EXPECT_EQ(d.size(), 296u);
-  EXPECT_EQ(d.content_hash(), 0xc3f227283a163b3fULL);
+  struct Pin {
+    AttackVector v;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {AttackVector::kMoveOut, 296, 0xc3f227283a163b3fULL},
+      {AttackVector::kMoveIn, 324, 0xc1659f20923bd7a8ULL},
+      {AttackVector::kDisappear, 296, 0x9a5aecdb4abf8979ULL},
+  };
+  for (const Pin& pin : pins) {
+    const nn::Dataset d = generate_sh_dataset(pin.v, loop, cfg);
+    EXPECT_EQ(d.size(), pin.size) << core::to_string(pin.v);
+    EXPECT_EQ(d.content_hash(), pin.hash) << core::to_string(pin.v);
+  }
+}
+
+// ------------------------------------------------- launch horizon
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// One scripted launch exactly as generate_sh_dataset builds it, run with
+// or without a horizon.
+struct Launch {
+  const char* scenario;
+  AttackVector v;
+  double delta_trigger;
+  int k;
+  std::uint64_t seed;
+};
+
+RunResult run_launch(const Launch& l, std::optional<int> horizon) {
+  LoopConfig loop;
+  loop.keep_timeline = true;
+  stats::Rng scenario_rng(l.seed);
+  sim::Scenario scenario =
+      sim::ScenarioRegistry::global().make(l.scenario, scenario_rng);
+  core::RobotackConfig acfg = make_attacker_config(
+      loop, l.v, core::TimingPolicy::kAtDeltaThreshold);
+  acfg.delta_trigger = l.delta_trigger;
+  acfg.fixed_k = l.k;
+  ClosedLoop cl(scenario, loop, l.seed + 1);
+  cl.set_attacker(std::make_unique<core::Robotack>(
+      acfg, loop.camera, loop.noise, loop.mot, l.seed + 2));
+  return cl.run(horizon);
+}
+
+std::string attack_bytes(const RunResult& r) {
+  RunResult only_attack;
+  only_attack.attack = r.attack;
+  return serialize_run_result(only_attack);
+}
+
+TEST(LaunchHorizon, StopsAtTheLabelFrameWithAnIdenticalPrefix) {
+  enum class Ends { kAtHorizon, kHaltsFirst, kNeverTriggers };
+  struct Case {
+    Launch launch;
+    Ends ends;
+  };
+  const Case cases[] = {
+      {{"DS-1", AttackVector::kMoveOut, 20.0, 8, 11}, Ends::kAtHorizon},
+      {{"DS-2", AttackVector::kDisappear, 16.0, 24, 12}, Ends::kAtHorizon},
+      {{"DS-3", AttackVector::kMoveIn, 26.0, 42, 13}, Ends::kAtHorizon},
+      // The full run halts 28 frames after this launch's label frame.
+      {{"DS-2", AttackVector::kDisappear, 16.0, 24, 2}, Ends::kAtHorizon},
+      {{"DS-2", AttackVector::kDisappear, 12.0, 400, 2}, Ends::kHaltsFirst},
+      {{"DS-1", AttackVector::kMoveOut, -1e9, 8, 15}, Ends::kNeverTriggers},
+  };
+  const double dt = LoopConfig{}.camera_dt();
+  for (const Case& c : cases) {
+    const Launch& l = c.launch;
+    SCOPED_TRACE(std::string(l.scenario) + " " + core::to_string(l.v));
+    const RunResult full = run_launch(l, std::nullopt);
+    const RunResult cut = run_launch(l, l.k);
+    ASSERT_FALSE(full.timeline.empty());
+
+    EXPECT_EQ(attack_bytes(cut), attack_bytes(full));
+    ASSERT_LE(cut.timeline.size(), full.timeline.size());
+    for (std::size_t i = 0; i < cut.timeline.size(); ++i) {
+      const auto& a = cut.timeline[i];
+      const auto& b = full.timeline[i];
+      ASSERT_TRUE(same_bits(a.time, b.time) && same_bits(a.delta, b.delta) &&
+                  same_bits(a.d_safe, b.d_safe) &&
+                  same_bits(a.target_delta, b.target_delta) &&
+                  same_bits(a.ego_speed, b.ego_speed) &&
+                  a.eb_active == b.eb_active &&
+                  a.attack_active == b.attack_active)
+          << "frame " << i;
+    }
+
+    if (c.ends == Ends::kNeverTriggers) {
+      EXPECT_FALSE(full.attack.triggered);
+      EXPECT_EQ(cut.timeline.size(), full.timeline.size());
+      continue;
+    }
+    ASSERT_TRUE(full.attack.triggered);
+    const auto label = static_cast<std::size_t>(
+        std::llround(full.attack.start_time / dt) + l.k);
+    if (c.ends == Ends::kHaltsFirst) {
+      // The run halts before its label frame: the horizon never bites.
+      EXPECT_TRUE(full.halted_early);
+      EXPECT_LT(full.timeline.size(), label + 1);
+      EXPECT_EQ(cut.timeline.size(), full.timeline.size());
+    } else {
+      ASSERT_GT(full.timeline.size(), label + 1);
+      EXPECT_EQ(cut.timeline.size(), label + 1);
+    }
+  }
 }
 
 // ------------------------------------------------- curriculum-keyed cache
@@ -261,6 +374,35 @@ TEST(OracleCache, CurriculumChangeInvalidatesLegacyCache) {
   EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(OracleCache, TruncatedFileIsRetrained) {
+  TempDir dir;
+  LoopConfig loop;
+  const ShTrainingConfig cfg = small_config();
+  const auto v = AttackVector::kMoveOut;
+  const std::string path = oracle_cache_path(dir.path(), v, cfg);
+  const auto trained = load_or_train_oracle(v, dir.path(), loop, cfg);
+
+  // A writer killed mid-save: the first half of a valid cache file.
+  const auto full_size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, full_size / 2);
+
+  const auto retrained = load_or_train_oracle(v, dir.path(), loop, cfg);
+  ASSERT_TRUE(retrained->trained());
+  EXPECT_EQ(retrained->content_hash(), trained->content_hash());
+  // The partial file was overwritten with a complete one, and no
+  // temporary file is left behind.
+  EXPECT_EQ(std::filesystem::file_size(path), full_size);
+  core::SafetyOracle reloaded;
+  ASSERT_TRUE(reloaded.load(path));
+  EXPECT_EQ(reloaded.content_hash(), trained->content_hash());
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+}
+
 // ------------------------------------------------------------ provenance
 
 TEST(OracleProvenance, RecordedByTrainOracleAndSerialized) {
@@ -328,15 +470,30 @@ TEST(TrainedOracleGolden, SmallGridMoveOutWeightsAreBitIdentical) {
   EXPECT_EQ(result.final_val_loss, 153.18231636430434);
 }
 
-TEST(TrainedOracleGolden, DefaultMoveOutOracleIsUnchangedByTheRefactor) {
-  // The full paper-default Move_Out pipeline (DS-1+DS-2 grid, 80-epoch
-  // training): the deployed oracle's exact weights and fitted scaler.
+TEST(TrainedOracleGolden, DefaultOraclesAreUnchanged) {
+  // The full paper-default pipeline per vector (default grid, 80-epoch
+  // training): every deployed oracle's exact weights and fitted scaler.
   LoopConfig loop;
   ShTrainingConfig cfg;
   cfg.threads = 1;
-  auto oracle = train_oracle(AttackVector::kMoveOut, loop, cfg);
-  EXPECT_EQ(oracle->net().content_hash(), 0x30df666f2c66b46fULL);
-  EXPECT_EQ(oracle->content_hash(), 0xc2210ec90aefa063ULL);
+  struct Pin {
+    AttackVector v;
+    std::uint64_t net_hash;
+    std::uint64_t oracle_hash;
+  };
+  const Pin pins[] = {
+      {AttackVector::kMoveOut, 0x30df666f2c66b46fULL, 0xc2210ec90aefa063ULL},
+      {AttackVector::kMoveIn, 0x89e561c8e35cc6b1ULL, 0x9e6e761217e20013ULL},
+      {AttackVector::kDisappear, 0x4f090b7225019811ULL,
+       0xb7d97ba0e309b1f5ULL},
+  };
+  for (const Pin& pin : pins) {
+    auto oracle = train_oracle(pin.v, loop, cfg);
+    EXPECT_EQ(oracle->net().content_hash(), pin.net_hash)
+        << core::to_string(pin.v);
+    EXPECT_EQ(oracle->content_hash(), pin.oracle_hash)
+        << core::to_string(pin.v);
+  }
 }
 
 // ------------------------------------------------ pooled oracle training
