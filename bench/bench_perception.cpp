@@ -23,8 +23,12 @@ void BM_Hungarian(benchmark::State& state) {
   stats::Rng rng(1);
   math::Matrix cost(n, n);
   for (auto& v : cost.data()) v = rng.uniform(0.0, 1.0);
+  perception::AssignmentScratch scratch;
+  perception::AssignmentResult result;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perception::solve_assignment(cost));
+    perception::solve_assignment_into(cost, scratch, result);
+    benchmark::DoNotOptimize(result.assignment.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Hungarian)->Arg(4)->Arg(16)->Arg(64);
@@ -64,8 +68,11 @@ void BM_MotTrackerStep(benchmark::State& state) {
     d.bbox = {100.0 + 120.0 * i, 300.0, 50.0, 50.0};
     frame.detections.push_back(d);
   }
+  std::vector<perception::TrackView> tracks;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mot.update(frame));
+    mot.update_into(frame, tracks);
+    benchmark::DoNotOptimize(tracks.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MotTrackerStep)->Arg(2)->Arg(8)->Arg(24);

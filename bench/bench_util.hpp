@@ -208,8 +208,7 @@ inline void maybe_write_csv(const BenchOptions& opts,
 
 /// Builds the CampaignService implied by --cache-dir/--workers (plus
 /// --threads for in-process misses). The service outlives the returned
-/// executor, so drivers keep it alive for the whole grid run and may read
-/// its cache/request stats afterwards.
+/// executor, so drivers keep it alive for the whole grid run.
 inline std::unique_ptr<service::CampaignService> make_service(
     const experiments::CampaignRunner& runner, const BenchOptions& opts) {
   service::ServiceConfig cfg;
@@ -222,22 +221,30 @@ inline std::unique_ptr<service::CampaignService> make_service(
 }
 
 /// Shared grid-run epilogue for drivers that route through a service:
-/// reports cache traffic when a cache was configured.
-inline void report_service_stats(const service::CampaignService& svc) {
+/// reports what the service did since `before` (a registry snapshot taken
+/// when the pass began) — cache traffic when a cache was configured, and
+/// worker forks, deaths and retry waves when misses ran on forked workers.
+inline void report_service_stats(const service::CampaignService& svc,
+                                 const obs::MetricsSnapshot& before) {
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::global().snapshot();
+  const auto delta = [&](const char* name) {
+    return static_cast<unsigned long long>(after.counter(name) -
+                                           before.counter(name));
+  };
   if (svc.config().cache) {
-    const auto cs = svc.cache_stats();
-    std::printf(
-        "cache: hits=%llu misses=%llu stale=%llu corrupt=%llu (dir %s)\n",
-        static_cast<unsigned long long>(cs.hits),
-        static_cast<unsigned long long>(cs.misses),
-        static_cast<unsigned long long>(cs.stale),
-        static_cast<unsigned long long>(cs.corrupt),
-        svc.config().cache->dir.c_str());
+    std::printf("cache: hits=%llu misses=%llu stale=%llu corrupt=%llu "
+                "(dir %s)\n",
+                delta("rt_campaign_cache_hits_total"),
+                delta("rt_campaign_cache_misses_total"),
+                delta("rt_campaign_cache_stale_total"),
+                delta("rt_campaign_cache_corrupt_total"),
+                svc.config().cache->dir.c_str());
   }
   if (svc.config().workers >= 1) {
-    const auto& ss = svc.shard_stats();
-    std::printf("workers: %u forked, %d deaths, %d retries\n", ss.workers,
-                ss.worker_deaths, ss.shard_retries);
+    std::printf("workers: %llu forked, %llu deaths, %llu retries\n",
+                delta("rt_shard_forks_total"),
+                delta("rt_shard_worker_deaths_total"),
+                delta("rt_shard_retry_waves_total"));
   }
 }
 

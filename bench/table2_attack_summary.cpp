@@ -40,6 +40,8 @@ int main(int argc, char** argv) {
   experiments::CampaignRunner runner(loop, oracles);
 
   const auto svc = bench::make_service(runner, opts);
+  const auto service_before = obs::MetricsRegistry::global().snapshot();
+
   const unsigned threads = opts.threads == 0
                                ? runtime::ThreadPool::default_threads()
                                : opts.threads;
@@ -85,7 +87,7 @@ int main(int argc, char** argv) {
     std::printf("grid: %d runs in %.2f s  (%.1f runs/sec at %u threads)\n",
                 grid_runs, elapsed, grid_runs / elapsed, threads);
   }
-  bench::report_service_stats(*svc);
+  bench::report_service_stats(*svc, service_before);
   // Traced runs get their own bench name so CI can keep the traced and
   // untraced throughput side by side in BENCH_campaign.json.
   const char* bench_name = obs::Tracer::global().armed()

@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   // (content-hash cache and/or forked shards); results are identical.
   experiments::CampaignRunner runner(loop, oracles);
   const auto svc = bench::make_service(runner, opts);
+  const auto service_before = obs::MetricsRegistry::global().snapshot();
   if (!opts.cache_dir.empty() || opts.workers >= 1) {
     cfg.executor = svc->executor();
   }
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
   for (const auto& c : grid.cells) total_runs += c.n;
   std::printf("grid: %zu cells, %d runs in %.2f s (%.1f runs/sec)\n",
               grid.cells.size(), total_runs, elapsed, total_runs / elapsed);
-  bench::report_service_stats(*svc);
+  bench::report_service_stats(*svc, service_before);
   bench::maybe_write_bench_json(
       opts, {{"defense_grid", total_runs / elapsed, elapsed * 1000.0,
               cfg.threads == 0 ? runtime::ThreadPool::default_threads()

@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   // must match for bit-identical scoring).
   const experiments::CampaignRunner service_runner(loop, {});
   const auto svc = bench::make_service(service_runner, opts);
+  const auto service_before = obs::MetricsRegistry::global().snapshot();
   if (!opts.cache_dir.empty() || opts.workers >= 1) {
     cfg.executor = svc->executor();
   }
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
   for (const auto& col : experiments::ScenarioSearchResult::csv_header()) {
     csv_header.push_back(col);
   }
-  bench::report_service_stats(*svc);
+  bench::report_service_stats(*svc, service_before);
   bench::maybe_write_csv(opts, csv_header, csv_rows);
   bench::maybe_write_bench_json(opts, records);
   bench::finish_observability(opts);

@@ -44,22 +44,23 @@ int main(int argc, char** argv) {
   if (owned) fs::remove_all(cache_dir, ec);
 
   auto run_pass = [&](const char* label, const std::string& dir,
-                      double& elapsed_s, std::size_t& hits,
-                      service::ShardStats* shard_out = nullptr) {
+                      double& elapsed_s, std::size_t& hits) {
     bench::BenchOptions pass = opts;
     pass.cache_dir = dir;
     auto svc = bench::make_service(runner, pass);
     const auto specs = experiments::table2_campaigns(opts.runs, opts.seed);
+    const auto before = obs::MetricsRegistry::global().snapshot();
     const obs::Stopwatch watch;
     const auto results = svc->run_grid(specs);
     elapsed_s = watch.elapsed_s();
-    hits = svc->last_request().cache_hits;
-    if (shard_out != nullptr) *shard_out = svc->shard_stats();
+    hits = obs::MetricsRegistry::global().snapshot().counter(
+               "rt_service_spec_cache_hits_total") -
+           before.counter("rt_service_spec_cache_hits_total");
     int grid_runs = 0;
     for (const auto& r : results) grid_runs += r.n();
     std::printf("%s: %zu specs, %d runs in %.3f s (hits=%zu)\n", label,
                 specs.size(), grid_runs, elapsed_s, hits);
-    bench::report_service_stats(*svc);
+    bench::report_service_stats(*svc, before);
     // Canonical bytes of the whole grid, for the bit-identity check.
     std::string blob;
     for (const auto& r : results) {
@@ -89,7 +90,6 @@ int main(int argc, char** argv) {
   std::size_t chaos_hits = 0;
   std::string chaos;
   std::uint64_t chaos_faults = 0;
-  service::ShardStats chaos_shards;
   // The registry is cumulative, so the chaos pass is judged on deltas
   // around it; the firing counter must agree with the injector's own
   // tally (both count parent-process events only).
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     plan.rules.push_back({service::FaultSite::kPipeWrite,
                           service::FaultType::kIoError, 0.5, -1, 0});
     service::ArmedFaults armed(std::move(plan));
-    chaos = run_pass("chaos", chaos_dir, chaos_s, chaos_hits, &chaos_shards);
+    chaos = run_pass("chaos", chaos_dir, chaos_s, chaos_hits);
     chaos_faults = service::FaultInjector::instance().injected_total();
   }
   const auto after = obs::MetricsRegistry::global().snapshot();
@@ -159,8 +159,9 @@ int main(int argc, char** argv) {
   }
   // Chaos accounting through the metrics registry: every parent-process
   // firing the injector counted must also have landed in
-  // rt_fault_injections_total, and the sharder's recovery counters must
-  // match the ShardStats of the chaos request.
+  // rt_fault_injections_total, and with forked workers the pipe faults
+  // must have killed at least one worker and that loss must have been
+  // recovered (by a retry wave or in-process).
   if (delta("rt_fault_injections_total") != chaos_faults) {
     std::printf("FAIL: rt_fault_injections_total moved %llu, injector "
                 "counted %llu\n",
@@ -174,25 +175,16 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (opts.workers >= 1) {
-    const struct {
-      const char* metric;
-      std::uint64_t expect;
-    } shard_checks[] = {
-        {"rt_shard_worker_deaths_total",
-         static_cast<std::uint64_t>(chaos_shards.worker_deaths)},
-        {"rt_shard_retry_waves_total",
-         static_cast<std::uint64_t>(chaos_shards.shard_retries)},
-        {"rt_shard_cells_recovered_in_process_total",
-         static_cast<std::uint64_t>(chaos_shards.cells_recovered_in_process)},
-    };
-    for (const auto& check : shard_checks) {
-      if (delta(check.metric) != check.expect) {
-        std::printf("FAIL: %s moved %llu, ShardStats says %llu\n",
-                    check.metric,
-                    static_cast<unsigned long long>(delta(check.metric)),
-                    static_cast<unsigned long long>(check.expect));
-        ok = false;
-      }
+    const std::uint64_t deaths = delta("rt_shard_worker_deaths_total");
+    const std::uint64_t recoveries =
+        delta("rt_shard_retry_waves_total") +
+        delta("rt_shard_cells_recovered_in_process_total");
+    if (deaths < 1 || recoveries < 1) {
+      std::printf("FAIL: chaos pass did not exercise recovery (%llu worker "
+                  "deaths, %llu retry waves + in-process recoveries)\n",
+                  static_cast<unsigned long long>(deaths),
+                  static_cast<unsigned long long>(recoveries));
+      ok = false;
     }
   }
   std::printf("%s\n", ok ? "service contract holds" : "service contract VIOLATED");

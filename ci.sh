@@ -161,6 +161,34 @@ grep -q '"rt_service_requests_total": 1' build-release/server_pass3.out || {
   exit 1
 }
 
+# Oracle-keyed cache gate: an entry stored by a server without oracles must
+# never answer an oracle-equipped server on the same cache directory. The
+# second pass must serve no cache hit and match an uncached oracle run byte
+# for byte (the quickstart step above has already cached the default
+# oracles).
+echo "==> campaign_server cache keyed by oracles"
+oracle_req='run scenarios=DS-1 vectors=Disappear modes=R runs=20 seed=5'
+oracle_cache="build-release/server_cache_oracles"
+rm -rf "$oracle_cache"
+printf '%s\nquit\n' "$oracle_req" | ./build-release/examples/campaign_server \
+  --no-oracles --cache-dir "$oracle_cache" \
+  >build-release/server_bare.csv 2>build-release/server_bare.log
+printf '%s\nquit\n' "$oracle_req" | ./build-release/examples/campaign_server \
+  --cache-dir "$oracle_cache" \
+  >build-release/server_oracles.csv 2>build-release/server_oracles.log
+printf '%s\nquit\n' "$oracle_req" | ./build-release/examples/campaign_server \
+  >build-release/server_uncached.csv 2>build-release/server_uncached.log
+grep -q '"event":"request","id":1,"specs":1,"hits":0,' \
+  build-release/server_oracles.log || {
+  echo "ERROR: oracle server was answered from a no-oracle cache entry" >&2
+  cat build-release/server_oracles.log >&2
+  exit 1
+}
+cmp build-release/server_oracles.csv build-release/server_uncached.csv || {
+  echo "ERROR: oracle server on a shared cache differs from an uncached run" >&2
+  exit 1
+}
+
 # Concurrent-server determinism gate: one long-lived server on a Unix
 # socket, two requests run serially and then from two simultaneous clients.
 # Concurrent responses must be byte-identical to the serial ones (the

@@ -72,6 +72,7 @@
 
 #include "experiments/campaign_grid.hpp"
 #include "experiments/sh_training.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/campaign_service.hpp"
@@ -414,14 +415,21 @@ std::string render_response(const experiments::GridOutcome& response,
   return out;
 }
 
+/// The service's cache-hit counter. Only the executor thread runs
+/// requests, so its delta around one request is that request's hits.
+const obs::Counter& spec_cache_hits_counter() {
+  static const obs::Counter c = obs::MetricsRegistry::global().counter(
+      "rt_service_spec_cache_hits_total");
+  return c;
+}
+
 /// One JSONL record per executed request: id, sizes, cache hits, wall time
 /// and the outcome ("ok" or the first typed error code). Also feeds the
 /// request-latency histogram, so the `stats` verb and the log agree.
-void log_request_stats(const service::CampaignService& svc,
+void log_request_stats(std::uint64_t id, std::size_t specs, std::size_t hits,
                        const experiments::GridOutcome& response,
-                       std::uint64_t id) {
-  const auto& rs = svc.last_request();
-  request_latency_histogram().observe(rs.wall_ms);
+                       double wall_ms) {
+  request_latency_histogram().observe(wall_ms);
   const char* outcome = response.errors.empty()
                             ? "ok"
                             : experiments::to_string(
@@ -431,26 +439,26 @@ void log_request_stats(const service::CampaignService& svc,
                 "\"event\":\"request\",\"id\":%llu,\"specs\":%zu,"
                 "\"hits\":%zu,\"misses\":%zu,\"errors\":%zu,"
                 "\"wall_ms\":%.1f,\"outcome\":\"%s\"",
-                static_cast<unsigned long long>(id), rs.specs, rs.cache_hits,
-                rs.specs - rs.cache_hits, rs.errors, rs.wall_ms, outcome);
+                static_cast<unsigned long long>(id), specs, hits,
+                specs - hits, response.errors.size(), wall_ms, outcome);
   log_json(buf);
 }
 
+/// The process's cache counters (one cache per server process).
 void print_cache_summary(const service::CampaignService& svc) {
-  const auto cs = svc.cache_stats();
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  const auto count = [&](const char* what) {
+    return static_cast<unsigned long long>(snap.counter(
+        std::string("rt_campaign_cache_") + what + "_total"));
+  };
   char buf[384];
   std::snprintf(buf, sizeof buf,
                 "\"event\":\"cache_summary\",\"hits\":%llu,\"misses\":%llu,"
                 "\"stale\":%llu,\"corrupt\":%llu,\"stores\":%llu,"
                 "\"evictions\":%llu,\"io_errors\":%llu,\"degraded\":%s",
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.misses),
-                static_cast<unsigned long long>(cs.stale),
-                static_cast<unsigned long long>(cs.corrupt),
-                static_cast<unsigned long long>(cs.stores),
-                static_cast<unsigned long long>(cs.evictions),
-                static_cast<unsigned long long>(cs.io_errors),
-                svc.cache_degraded() ? "true" : "false");
+                count("hits"), count("misses"), count("stale"),
+                count("corrupt"), count("stores"), count("evictions"),
+                count("io_errors"), svc.cache_degraded() ? "true" : "false");
   log_json(buf);
 }
 
@@ -523,17 +531,21 @@ void execute_request(service::CampaignService& svc, const ServerOptions& opts,
                      obs::Tracer::now_ns(), id, "request");
   }
   experiments::GridOutcome response;
+  const std::uint64_t hits_before = spec_cache_hits_counter().value();
+  const obs::Stopwatch watch;
   {
     RT_TRACE_SPAN("request_execute", "server", id, "request");
     response = svc.run_grid_checked(request);
   }
+  const double wall_ms = watch.elapsed_ms();
+  const std::size_t hits = spec_cache_hits_counter().value() - hits_before;
   std::string body;
   {
     RT_TRACE_SPAN("request_serialize", "server", id, "request");
     body = render_response(response, opts.json);
   }
   reply(body);
-  log_request_stats(svc, response, id);
+  log_request_stats(id, request.specs.size(), hits, response, wall_ms);
 }
 
 /// Serves the stdin batch: every line is a request, EOF or quit ends the

@@ -48,6 +48,7 @@ int main() {
       (noise.vehicle.center_x.mu + noise.vehicle.center_x.sigma);
 
   perception::MotTracker ads_replica(dt, perception::MotConfig{}, noise);
+  std::vector<perception::TrackView> replica_tracks;
   const double range = 30.0;
   perception::PerceptionOutput clean_out;
   perception::PerceptionOutput attacked_out;
@@ -71,7 +72,7 @@ int main() {
                        : 0.0;
       (void)res;
     }
-    ads_replica.update(frame);
+    ads_replica.update_into(frame, replica_tracks);
     attacked.step_into(frame, attacked_out);
 
     if (f % 4 == 0) {

@@ -173,6 +173,7 @@ class CampaignRunner {
       const CampaignSpec& spec, std::uint64_t run_seed) const;
 
   [[nodiscard]] const LoopConfig& loop_config() const { return base_; }
+  [[nodiscard]] const OracleSet& oracles() const { return oracles_; }
 
  private:
   LoopConfig base_;

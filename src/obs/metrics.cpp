@@ -66,7 +66,19 @@ void append_i64(std::string& out, std::int64_t v) {
   out += buf;
 }
 
+std::uint64_t counter_total(const Metric& m) {
+  std::uint64_t total = 0;
+  for (std::uint32_t sh = 0; sh < kMetricShards; ++sh) {
+    total += m.cell(sh, 0).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 }  // namespace
+
+std::uint64_t Counter::value() const {
+  return m_ ? counter_total(*m_) : 0;
+}
 
 void Histogram::observe(double v) const {
   if (m_ == nullptr) return;
@@ -165,14 +177,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     s.help = m->help;
     s.kind = m->kind;
     switch (m->kind) {
-      case MetricKind::kCounter: {
-        std::uint64_t total = 0;
-        for (std::uint32_t sh = 0; sh < kMetricShards; ++sh) {
-          total += m->cell(sh, 0).load(std::memory_order_relaxed);
-        }
-        s.counter = total;
+      case MetricKind::kCounter:
+        s.counter = counter_total(*m);
         break;
-      }
       case MetricKind::kGauge:
         s.gauge = m->gauge_value.load(std::memory_order_relaxed);
         break;

@@ -77,6 +77,9 @@ class Counter {
     m_->cell(detail::metric_shard_index(), 0)
         .fetch_add(n, std::memory_order_relaxed);
   }
+  /// Sum over the shards: what a snapshot taken now would report, without
+  /// copying the registry. 0 for an inert handle.
+  std::uint64_t value() const;
 
  private:
   friend class MetricsRegistry;

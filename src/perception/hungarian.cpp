@@ -9,18 +9,6 @@ namespace {
 constexpr double kPadCost = 1e6;
 }
 
-AssignmentResult solve_assignment(const math::Matrix& cost) {
-  thread_local AssignmentScratch scratch;
-  return solve_assignment(cost, scratch);
-}
-
-AssignmentResult solve_assignment(const math::Matrix& cost,
-                                  AssignmentScratch& scratch) {
-  AssignmentResult result;
-  solve_assignment_into(cost, scratch, result);
-  return result;
-}
-
 void solve_assignment_into(const math::Matrix& cost,
                            AssignmentScratch& scratch,
                            AssignmentResult& out) {

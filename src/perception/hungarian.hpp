@@ -21,25 +21,20 @@ struct AssignmentResult {
 /// perturbed detection associated with the victim's tracker (Eq. 4's
 /// "M <= lambda" constraint).
 ///
-/// Reusable working vectors of `solve_assignment` (potentials, matching,
-/// augmenting-path bookkeeping). Callers on a hot path keep one per tracker
-/// so repeated solves allocate nothing beyond the returned assignment.
+/// Reusable working vectors of `solve_assignment_into` (potentials,
+/// matching, augmenting-path bookkeeping). Callers keep one per tracker so
+/// repeated solves allocate nothing.
 struct AssignmentScratch {
   std::vector<double> u, v, minv;
   std::vector<std::size_t> p, way;
   std::vector<char> used;
 };
 
-/// Rectangular matrices are handled by padding with a large cost; padded
-/// matches are reported as unassigned. O(n^3). The scratch-free overload
-/// uses a thread-local scratch, so repeated calls are allocation-free too;
-/// results are identical either way.
-[[nodiscard]] AssignmentResult solve_assignment(const math::Matrix& cost);
-[[nodiscard]] AssignmentResult solve_assignment(const math::Matrix& cost,
-                                                AssignmentScratch& scratch);
-/// Destination-passing variant: `out.assignment` reuses its capacity, so a
-/// caller holding both scratch and result performs zero allocations per
-/// solve (the MOT trackers on the campaign hot path do).
+/// Solves `cost` into `out`. Rectangular matrices are handled by padding
+/// with a large cost; padded matches are reported as unassigned. O(n^3).
+/// `out.assignment` reuses its capacity, so a caller holding both scratch
+/// and result performs zero allocations per solve (the MOT trackers on the
+/// campaign hot path do).
 void solve_assignment_into(const math::Matrix& cost,
                            AssignmentScratch& scratch, AssignmentResult& out);
 

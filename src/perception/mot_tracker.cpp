@@ -27,12 +27,6 @@ TrackView MotTracker::view_of(const BboxTrack& t, bool matched) {
   return v;
 }
 
-std::vector<TrackView> MotTracker::update(const CameraFrame& frame) {
-  std::vector<TrackView> out;
-  update_into(frame, out);
-  return out;
-}
-
 void MotTracker::update_into(const CameraFrame& frame,
                              std::vector<TrackView>& out) {
   // 1. Time update for every live track.

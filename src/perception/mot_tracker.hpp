@@ -60,9 +60,8 @@ class MotTracker {
              DetectorNoiseModel noise = DetectorNoiseModel::paper_defaults());
   explicit MotTracker(double dt) : MotTracker(dt, MotConfig{}) {}
 
-  /// Processes one camera frame; returns snapshots of confirmed tracks.
-  std::vector<TrackView> update(const CameraFrame& frame);
-  /// Same, into a caller-owned buffer (cleared first).
+  /// Processes one camera frame; writes snapshots of the confirmed tracks
+  /// into the caller-owned buffer `out` (cleared first).
   void update_into(const CameraFrame& frame, std::vector<TrackView>& out);
 
   /// Snapshot of a live track by id (confirmed or not); nullopt if unknown.

@@ -3,9 +3,11 @@
 #include <chrono>
 #include <utility>
 
+#include "core/safety_oracle.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "stats/hash.hpp"
 
 namespace rt::service {
 
@@ -17,6 +19,9 @@ using experiments::GridOutcome;
 namespace {
 
 using Clock = obs::MonotonicClock::clock;
+
+/// Consecutive failed cache stores that latch the cache off.
+constexpr int kCacheFailThreshold = 3;
 
 struct ServiceCounters {
   obs::Counter requests;
@@ -38,13 +43,40 @@ const ServiceCounters& service_counters() {
   return c;
 }
 
+/// The cache's oracle key of a runner's deployed oracles: for each attack
+/// vector in order, the oracle's content hash, or a marker when the vector
+/// has none. An empty set has a key too, so no entry written without one
+/// is ever served.
+std::uint64_t oracle_key(const experiments::OracleSet& oracles) {
+  std::uint64_t h = stats::fnv1a_str(stats::kFnv1aOffset, "rt.oracles.v1");
+  for (const core::AttackVector v :
+       {core::AttackVector::kMoveOut, core::AttackVector::kMoveIn,
+        core::AttackVector::kDisappear}) {
+    const auto it = oracles.find(v);
+    const bool deployed = it != oracles.end() && it->second != nullptr;
+    h = stats::fnv1a_u64(h, deployed ? 1 : 0);
+    if (deployed) h = stats::fnv1a_u64(h, it->second->content_hash());
+  }
+  return h;
+}
+
+/// A counter some other component registers, read without registering it
+/// (0 until it exists).
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().snapshot().counter(name);
+}
+
 }  // namespace
 
 CampaignService::CampaignService(const experiments::CampaignRunner& runner,
                                  ServiceConfig config)
     : runner_(runner), config_(std::move(config)) {
+  // Registered up front, so a scrape before the first request reads zeros.
+  (void)service_counters();
   if (config_.cache) {
-    cache_ = std::make_unique<CampaignCellCache>(*config_.cache);
+    CacheConfig cache = *config_.cache;
+    cache.oracle_key = oracle_key(runner_.oracles());
+    cache_ = std::make_unique<CampaignCellCache>(std::move(cache));
   }
 }
 
@@ -58,11 +90,10 @@ std::vector<CampaignResult> CampaignService::run_grid(
 GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   RT_TRACE_SPAN("grid_request", "service",
                 static_cast<std::uint64_t>(request.specs.size()), "specs");
-  service_counters().requests.inc();
+  const ServiceCounters& counters = service_counters();
+  counters.requests.inc();
   const auto t0 = obs::MonotonicClock::now();
-  request_stats_ = RequestStats{};
-  request_stats_.specs = request.specs.size();
-  shard_stats_ = ShardStats{};
+  last_ = LastRequest{};
 
   experiments::GridDeadline deadline;
   if (request.deadline_ms > 0.0) {
@@ -79,7 +110,7 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
     if (cache_ && !cache_degraded_) {
       if (auto cached = cache_->lookup(request.specs[i])) {
         response.results[i] = std::move(*cached);
-        ++request_stats_.cache_hits;
+        counters.spec_cache_hits.inc();
         continue;
       }
     }
@@ -92,9 +123,11 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
     if (config_.workers >= 1) {
       ShardOptions shard = config_.shard;
       shard.workers = config_.workers;
-      const ShardedCampaignScheduler sharded(runner_, shard);
-      outcome = sharded.run_all_checked(miss_specs, deadline);
-      shard_stats_ = sharded.stats();
+      const char* retry_waves = "rt_shard_retry_waves_total";
+      const std::uint64_t retries_before = counter_value(retry_waves);
+      outcome = ShardedCampaignScheduler(runner_, shard)
+                    .run_all_checked(miss_specs, deadline);
+      last_.shard_retries = counter_value(retry_waves) - retries_before;
     } else {
       outcome = experiments::CampaignScheduler(runner_, config_.threads)
                     .run_all_checked(miss_specs, deadline);
@@ -112,7 +145,7 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
       if (cache_ && !cache_degraded_ && complete) {
         if (cache_->store(miss_specs[m], outcome.results[m])) {
           cache_fail_streak_ = 0;
-        } else if (++cache_fail_streak_ >= config_.cache_fail_threshold) {
+        } else if (++cache_fail_streak_ >= kCacheFailThreshold) {
           // Disk is persistently unhealthy: stop adding a failing write +
           // fsync to every future spec. Execution continues uncached.
           cache_degraded_ = true;
@@ -122,20 +155,10 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
     }
   }
 
-  request_stats_.errors = response.errors.size();
-  request_stats_.wall_ms =
+  counters.spec_errors.inc(response.errors.size());
+  last_.wall_ms =
       obs::MonotonicClock::ms_between(t0, obs::MonotonicClock::now());
-  if (request_stats_.cache_hits > 0) {
-    service_counters().spec_cache_hits.inc(request_stats_.cache_hits);
-  }
-  if (request_stats_.errors > 0) {
-    service_counters().spec_errors.inc(request_stats_.errors);
-  }
   return response;
-}
-
-CacheStats CampaignService::cache_stats() const {
-  return cache_ ? cache_->stats() : CacheStats{};
 }
 
 experiments::GridExecutor CampaignService::executor() {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -23,19 +24,6 @@ struct ServiceConfig {
   unsigned threads{0};
   /// Sharder knobs (its `workers` field is overridden by `workers` above).
   ShardOptions shard{};
-  /// Consecutive failed cache stores before the service latches the cache
-  /// off for its remaining lifetime (a full disk would otherwise add a
-  /// failing write + fsync to every spec of every request, forever).
-  /// Lookups and stores both stop; execution continues undegraded.
-  int cache_fail_threshold{3};
-};
-
-/// What the most recent run_grid / run_grid_checked did.
-struct RequestStats {
-  std::size_t specs{0};        ///< specs in the request
-  std::size_t cache_hits{0};   ///< specs served from the cache
-  std::size_t errors{0};       ///< specs that became typed error records
-  double wall_ms{0.0};         ///< end-to-end request wall time
 };
 
 /// One grid request with per-request execution controls.
@@ -55,10 +43,22 @@ struct GridRequest {
 /// and freshly-computed cells is indistinguishable from a cold in-process
 /// run of the whole grid.
 ///
+/// The service hands its cache an oracle key folded from each deployed
+/// oracle's content hash (CacheConfig::oracle_key), so services with
+/// different oracles never serve each other's results from a shared
+/// directory (see campaign_cell_fingerprint for what the cache still
+/// leaves out).
+///
 /// The service degrades, never dies: fork failure falls back to threaded
 /// execution (inside the sharder), cache IO errors are absorbed and — after
-/// a streak of failed stores — latch the cache off, and a request deadline
-/// turns unfinished campaigns into typed error records (run_grid_checked).
+/// three consecutive failed stores — latch the cache off for the service's
+/// remaining lifetime (a full disk would otherwise add a failing write +
+/// fsync to every spec of every request, forever; execution continues
+/// uncached), and a request deadline turns unfinished campaigns into typed
+/// error records (run_grid_checked).
+///
+/// Requests, cache hits and errors are counted in the metrics registry
+/// (`rt_service_*_total`), next to the cache's and the sharder's counters.
 class CampaignService {
  public:
   CampaignService(const experiments::CampaignRunner& runner,
@@ -76,25 +76,22 @@ class CampaignService {
   [[nodiscard]] experiments::GridOutcome run_grid_checked(
       const GridRequest& request);
 
-  /// Stats of the most recent run_grid.
-  [[nodiscard]] const RequestStats& last_request() const {
-    return request_stats_;
-  }
-
-  /// Cumulative cache counters (all zero when caching is off).
-  [[nodiscard]] CacheStats cache_stats() const;
-
-  /// Sharder stats of the most recent run_grid (empty when workers == 0
-  /// or every spec was a cache hit).
-  [[nodiscard]] const ShardStats& shard_stats() const {
-    return shard_stats_;
-  }
+  /// Wall time and shard retry waves of the most recent request, read by
+  /// perfbench's in-process grid workloads (`last_request().wall_ms`,
+  /// `shard_stats().shard_retries`). Every count lives in the metrics
+  /// registry; `shard_retries` is the request's delta of
+  /// `rt_shard_retry_waves_total`.
+  struct LastRequest {
+    double wall_ms{0.0};
+    std::uint64_t shard_retries{0};
+  };
+  [[nodiscard]] const LastRequest& last_request() const { return last_; }
+  [[nodiscard]] const LastRequest& shard_stats() const { return last_; }
 
   /// The cache, or nullptr when caching is off.
   [[nodiscard]] CampaignCellCache* cache() { return cache_.get(); }
 
-  /// True once `cache_fail_threshold` consecutive stores failed and the
-  /// service latched the cache off (see ServiceConfig).
+  /// True once consecutive failed stores latched the cache off.
   [[nodiscard]] bool cache_degraded() const { return cache_degraded_; }
 
   /// This service as a pluggable experiments::GridExecutor, for dropping
@@ -108,8 +105,7 @@ class CampaignService {
   const experiments::CampaignRunner& runner_;
   ServiceConfig config_;
   std::unique_ptr<CampaignCellCache> cache_;
-  RequestStats request_stats_;
-  ShardStats shard_stats_;
+  LastRequest last_;
   int cache_fail_streak_{0};
   bool cache_degraded_{false};
 };

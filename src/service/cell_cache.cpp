@@ -27,16 +27,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// The registry mirror of CacheStats: one counter per field, process-wide
-/// across every CampaignCellCache instance. test_service pins that the
-/// registry deltas equal the per-instance CacheStats deltas.
+/// The cache's counters, process-wide across every CampaignCellCache
+/// instance; each is bumped where its event happens.
 struct CacheCounters {
   obs::Counter hits;
   obs::Counter misses;
-  obs::Counter stale;
-  obs::Counter corrupt;
+  obs::Counter stale;    ///< entry ignored: other version or oracle key
+  obs::Counter corrupt;  ///< entry ignored: malformed/truncated/mismatched
   obs::Counter evictions;
   obs::Counter stores;
+  /// IO failures (write/fsync/rename on store, read errors on lookup),
+  /// absorbed: a failed store declines, a failed read misses.
   obs::Counter io_errors;
 };
 
@@ -61,32 +62,6 @@ const CacheCounters& cache_counters() {
   }();
   return c;
 }
-
-/// Mirrors whatever a cache method did to `live` into the registry when
-/// the scope exits, so each early return in lookup() stays one line.
-class StatsMirror {
- public:
-  explicit StatsMirror(const CacheStats& live)
-      : live_(live), before_(live) {}
-  ~StatsMirror() {
-    const CacheCounters& c = cache_counters();
-    const auto bump = [](const obs::Counter& counter, std::uint64_t now,
-                         std::uint64_t then) {
-      if (now > then) counter.inc(now - then);
-    };
-    bump(c.hits, live_.hits, before_.hits);
-    bump(c.misses, live_.misses, before_.misses);
-    bump(c.stale, live_.stale, before_.stale);
-    bump(c.corrupt, live_.corrupt, before_.corrupt);
-    bump(c.evictions, live_.evictions, before_.evictions);
-    bump(c.stores, live_.stores, before_.stores);
-    bump(c.io_errors, live_.io_errors, before_.io_errors);
-  }
-
- private:
-  const CacheStats& live_;
-  CacheStats before_;
-};
 
 constexpr const char* kCacheMagic = "RTCACHE";
 /// A budget-triggered sweep evicts down to max_bytes minus this fraction,
@@ -226,7 +201,6 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
     const experiments::CampaignSpec& spec) {
   RT_TRACE_SPAN("cache_lookup", "cache");
   std::lock_guard<std::mutex> lock(mutex_);
-  StatsMirror mirror(stats_);
   const std::uint64_t fp =
       campaign_cell_fingerprint(spec, config_.code_version);
   const fs::path path =
@@ -237,21 +211,22 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
     case ReadOutcome::kOk:
       break;
     case ReadOutcome::kNotFound:
-      ++stats_.misses;
+      cache_counters().misses.inc();
       return std::nullopt;
     case ReadOutcome::kIoError:
       // Disk trouble reading an entry that exists: absorbed as a miss (the
       // grid re-runs the cell), counted so the service layer can notice.
-      ++stats_.io_errors;
-      ++stats_.misses;
+      cache_counters().io_errors.inc();
+      cache_counters().misses.inc();
       return std::nullopt;
   }
 
   // Header line:
   //   RTCACHE <header version> <code_version> <fingerprint> <content fnv>
+  //   [<oracle key>]
   const std::size_t eol = blob.find('\n');
   if (eol == std::string::npos) {
-    ++stats_.corrupt;
+    cache_counters().corrupt.inc();
     return std::nullopt;
   }
   const std::string header = blob.substr(0, eol);
@@ -259,39 +234,48 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
   unsigned long long header_version = 0;
   if (std::sscanf(header.c_str(), "%15s %llu", magic, &header_version) != 2 ||
       std::string(magic) != kCacheMagic) {
-    ++stats_.corrupt;
+    cache_counters().corrupt.inc();
     return std::nullopt;
   }
   if (header_version != kCacheHeaderVersion) {
     // A well-formed entry from another header generation (e.g. pre-checksum
     // v1): stale, not corrupt — nothing is damaged, the format just moved.
-    ++stats_.stale;
+    cache_counters().stale.inc();
     return std::nullopt;
   }
   unsigned long long file_code_version = 0;
   unsigned long long file_fp = 0;
   unsigned long long file_checksum = 0;
-  if (std::sscanf(header.c_str(), "%15s %llu %llu %llx %llx", magic,
-                  &header_version, &file_code_version, &file_fp,
-                  &file_checksum) != 5) {
-    ++stats_.corrupt;
+  unsigned long long file_oracle_key = 0;
+  const int fields = std::sscanf(
+      header.c_str(), "%15s %llu %llu %llx %llx %llx", magic, &header_version,
+      &file_code_version, &file_fp, &file_checksum, &file_oracle_key);
+  if (fields < 5) {
+    cache_counters().corrupt.inc();
     return std::nullopt;
   }
   if (file_code_version != config_.code_version) {
     // Written by a build with different simulation semantics: ignore it
     // (it will be overwritten by the store that follows the re-run).
-    ++stats_.stale;
+    cache_counters().stale.inc();
+    return std::nullopt;
+  }
+  if (config_.oracle_key &&
+      (fields != 6 || file_oracle_key != *config_.oracle_key)) {
+    // Computed with other oracles (or by a writer that recorded none):
+    // well-formed, but not this cache's result.
+    cache_counters().stale.inc();
     return std::nullopt;
   }
   if (file_fp != fp) {
-    ++stats_.corrupt;
+    cache_counters().corrupt.inc();
     return std::nullopt;
   }
   const std::string_view payload = std::string_view(blob).substr(eol + 1);
   if (content_checksum(payload) != file_checksum) {
     // Byte rot that might still parse (e.g. a flipped bit inside a hex
     // double): without this check it would be served as a wrong result.
-    ++stats_.corrupt;
+    cache_counters().corrupt.inc();
     return std::nullopt;
   }
 
@@ -300,7 +284,7 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
     result = experiments::deserialize_campaign_result(
         std::string_view(blob).substr(eol + 1));
   } catch (const experiments::SerdeError&) {
-    ++stats_.corrupt;
+    cache_counters().corrupt.inc();
     return std::nullopt;
   }
   // Belt and braces against a fingerprint collision or a renamed file: the
@@ -308,11 +292,11 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
   if (result.spec.name != spec.name || result.spec.seed != spec.seed ||
       result.spec.runs != spec.runs ||
       result.spec.scenario != spec.scenario) {
-    ++stats_.corrupt;
+    cache_counters().corrupt.inc();
     return std::nullopt;
   }
 
-  ++stats_.hits;
+  cache_counters().hits.inc();
   // LRU re-touch: the authoritative order is the monotonic counter (mtime
   // has 1 s granularity on some filesystems, which let a hit tie with a
   // cold store and lose to the path tie-break); the mtime refresh stays as
@@ -327,7 +311,6 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
                               const experiments::CampaignResult& result) {
   RT_TRACE_SPAN("cache_store", "cache");
   std::lock_guard<std::mutex> lock(mutex_);
-  StatsMirror mirror(stats_);
   const std::uint64_t fp =
       campaign_cell_fingerprint(spec, config_.code_version);
   const fs::path path =
@@ -339,7 +322,9 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
                      std::to_string(kCacheHeaderVersion) + ' ' +
                      std::to_string(config_.code_version) + ' ' +
                      fingerprint_hex(fp) + ' ' +
-                     fingerprint_hex(content_checksum(payload)) + '\n';
+                     fingerprint_hex(content_checksum(payload));
+  if (config_.oracle_key) blob += ' ' + fingerprint_hex(*config_.oracle_key);
+  blob += '\n';
   blob += payload;
 
   // Crash-durable store: write the temp file, fsync IT, then rename over
@@ -350,7 +335,7 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
     if (fd >= 0) ::close(fd);
     std::error_code ec;
     fs::remove(tmp, ec);
-    ++stats_.io_errors;
+    cache_counters().io_errors.inc();
     return false;
   };
   const int fd =
@@ -380,21 +365,20 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
     (void)sys_fsync(FaultSite::kCacheFsync, dirfd);
     ::close(dirfd);
   }
-  ++stats_.stores;
+  cache_counters().stores.inc();
   touch_locked(path.string());
 
   if (config_.max_bytes > 0 && bytes_ > config_.max_bytes) {
-    stats_.evictions += evict_locked(
-        config_.max_bytes - config_.max_bytes / kLowWaterDivisor);
+    cache_counters().evictions.inc(evict_locked(
+        config_.max_bytes - config_.max_bytes / kLowWaterDivisor));
   }
   return true;
 }
 
 std::size_t CampaignCellCache::evict_to_limit(std::size_t limit_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  StatsMirror mirror(stats_);
   const std::size_t removed = evict_locked(limit_bytes);
-  stats_.evictions += removed;
+  cache_counters().evictions.inc(removed);
   return removed;
 }
 
@@ -449,11 +433,6 @@ std::size_t CampaignCellCache::evict_locked(std::size_t limit_bytes) {
   }
   bytes_ = total;
   return removed;
-}
-
-CacheStats CampaignCellCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace rt::service

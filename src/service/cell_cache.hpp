@@ -25,30 +25,17 @@ inline constexpr std::uint64_t kCampaignCodeVersion = 2;
 /// mode, runs, seed, explicit scenario params (so every sweep value gets
 /// its own key) and the monitor stack; `name` is folded too (it is derived
 /// from the axes, and keeping it in means a cached result's spec is exactly
-/// the requested spec). Equal fingerprints at equal code versions imply
-/// bit-identical CampaignResults.
+/// the requested spec).
+///
+/// The key covers the spec and the code version only. Which oracles
+/// computed an entry is checked through its header instead (see
+/// CacheConfig::oracle_key), so every reader finds an entry at the same
+/// path. Nothing covers the runner's LoopConfig: two services that share a
+/// cache directory must run the same loop configuration, or they can
+/// serve each other's results.
 [[nodiscard]] std::uint64_t campaign_cell_fingerprint(
     const experiments::CampaignSpec& spec,
     std::uint64_t code_version = kCampaignCodeVersion);
-
-/// Hit/miss/hygiene counters of one cache instance.
-struct CacheStats {
-  std::uint64_t hits{0};
-  std::uint64_t misses{0};     ///< no entry on disk (or unreadable)
-  std::uint64_t stale{0};      ///< entry ignored: other code/header version
-  std::uint64_t corrupt{0};    ///< entry ignored: malformed/truncated/mismatched
-  std::uint64_t evictions{0};  ///< files removed by the LRU size sweep
-  std::uint64_t stores{0};     ///< entries durably written (store() == true)
-  /// IO failures (write/fsync/rename on store, read errors on lookup). The
-  /// cache absorbs these — a failed store declines, a failed read misses —
-  /// and the service layer watches this counter to latch the cache off
-  /// after repeated failures (see CampaignService).
-  std::uint64_t io_errors{0};
-
-  [[nodiscard]] std::uint64_t lookups() const {
-    return hits + misses + stale + corrupt;
-  }
-};
 
 struct CacheConfig {
   std::string dir;
@@ -58,12 +45,20 @@ struct CacheConfig {
   /// is back under 7/8 of it, so a full cache sweeps once per eighth of its
   /// budget rather than on every store. 0 = unbounded.
   std::size_t max_bytes{256ull * 1024 * 1024};
+  /// Folded into every key and written into every entry header.
   std::uint64_t code_version{kCampaignCodeVersion};
+  /// Identity of the oracles this cache's results are computed with
+  /// (CampaignService sets it from its runner). When set, stores write it
+  /// into the entry header and lookups count an entry that carries another
+  /// key, or none, as `stale`: never served. Unset, no key is written or
+  /// checked.
+  std::optional<std::uint64_t> oracle_key{};
 };
 
 /// Content-addressed on-disk cache of campaign results:
 /// `<dir>/cell_<fingerprint hex16>.rtcr`, each file one header line
-/// (`RTCACHE 2 <code_version> <fingerprint> <content fnv64>`) plus the
+/// (`RTCACHE 2 <code_version> <fingerprint> <content fnv64>`, then the
+/// oracle key when the cache has one) plus the
 /// serialized CampaignResult (experiments::serialize_campaign_result).
 /// Damaged, stale or mismatched files are counted misses — never wrong
 /// results: the header's FNV-1a content checksum catches byte corruption
@@ -73,9 +68,11 @@ struct CacheConfig {
 /// rename, then a best-effort fsync of the directory, so a power cut leaves
 /// either the old entry or the complete new one. All file IO goes through
 /// the rt::service fault-injection shims; IO failures are absorbed (a store
-/// declines, a lookup misses) and counted in CacheStats::io_errors, never
-/// thrown. Instance methods are mutex-serialized, safe from concurrent
-/// threads.
+/// declines, a lookup misses) and counted in
+/// `rt_campaign_cache_io_errors_total`, never thrown. Every lookup outcome,
+/// store and eviction is counted in the process-wide metrics registry
+/// (`rt_campaign_cache_*_total`). Instance methods are mutex-serialized,
+/// safe from concurrent threads.
 ///
 /// A hit or a store costs O(1) file operations, plus a directory sweep
 /// once per eighth of the byte budget when the cache is full. The LRU
@@ -101,7 +98,7 @@ class CampaignCellCache {
 
   /// Serializes and stores the result under the spec's fingerprint, then
   /// runs the LRU sweep down to 7/8 of the budget if the running byte
-  /// total has crossed it. Returns false (and counts an io_error) when
+  /// total has crossed it. Returns false (and counts an I/O error) when
   /// the entry could not be durably written; the cache is unchanged in
   /// that case and the caller may decide to stop trying (see
   /// CampaignService's cache-off latch).
@@ -118,7 +115,6 @@ class CampaignCellCache {
   [[nodiscard]] std::string entry_path(
       const experiments::CampaignSpec& spec) const;
 
-  [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 
  private:
@@ -131,8 +127,7 @@ class CampaignCellCache {
   void touch_locked(const std::string& entry_path);
 
   CacheConfig config_;
-  mutable std::mutex mutex_;
-  CacheStats stats_;
+  std::mutex mutex_;
   /// Monotonic access sequence for LRU ordering. fs::last_write_time has
   /// 1 s granularity on some filesystems, so a hit and a cold store within
   /// the same second used to tie and fall through to the path tie-break —

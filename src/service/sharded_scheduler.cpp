@@ -42,9 +42,13 @@ constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 /// sentinel can never collide with a real cell.
 constexpr std::uint64_t kTraceFrameCell = ~0ull;
 
-/// Registry mirror of ShardStats, accumulated across every grid this
-/// process runs. The chaos pass in bench/table_service asserts on these
-/// instead of scraping stderr text.
+/// Ceiling of the exponential retry backoff.
+constexpr int kRetryBackoffMaxMs = 2000;
+
+/// The sharder's counters, accumulated across every grid this process
+/// runs. Forked workers keep their metric increments to themselves — only
+/// their trace buffers are shipped back — so these count parent-process
+/// events, matching FaultInjector::injected_total() semantics.
 struct ShardCounters {
   obs::Counter waves;
   obs::Counter worker_deaths;
@@ -52,6 +56,7 @@ struct ShardCounters {
   obs::Counter fork_failures;
   obs::Counter cells_recovered;
   obs::Counter deadline_expirations;
+  obs::Counter forks;
 };
 
 const ShardCounters& shard_counters() {
@@ -69,7 +74,9 @@ const ShardCounters& shard_counters() {
         reg.counter("rt_shard_cells_recovered_in_process_total",
                     "Cells recovered by the threaded in-process fallback"),
         reg.counter("rt_shard_deadline_expirations_total",
-                    "Grids cut short by a request deadline")};
+                    "Grids cut short by a request deadline"),
+        reg.counter("rt_shard_forks_total",
+                    "Worker processes forked (first wave + retries)")};
   }();
   return c;
 }
@@ -176,17 +183,17 @@ ShardedCampaignScheduler::ShardedCampaignScheduler(
 GridOutcome ShardedCampaignScheduler::run_all_checked(
     const std::vector<CampaignSpec>& specs,
     const GridDeadline& deadline) const {
-  stats_ = ShardStats{};
   experiments::GridSlots slots(specs);
   const std::vector<experiments::GridCell>& cells = slots.cells();
   if (cells.empty()) return std::move(slots).finish(false);
+  const ShardCounters& counters = shard_counters();
 
   unsigned workers = opts_.workers == 0
                          ? runtime::ThreadPool::default_threads()
                          : opts_.workers;
   workers = std::max(
       1u, std::min(workers, static_cast<unsigned>(cells.size())));
-  stats_.workers = workers;
+  bool deadline_expired = false;
 
   // Deterministic worker ids (fork order), folded into the fault-injection
   // schedule stream so distinct workers draw distinct — but reproducible —
@@ -244,7 +251,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
                             bool allow_crash_hook) {
     RT_TRACE_SPAN("shard_wave", "shard",
                   static_cast<std::uint64_t>(shards.size()), "shards");
-    shard_counters().waves.inc();
+    counters.waves.inc();
     const std::size_t n = shards.size();
     std::vector<int> rfds(n, -1);
     std::vector<int> wfds(n, -1);
@@ -266,7 +273,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
         // fork() failed (EAGAIN under pressure): shard handled as dead;
         // the retry waves (with backoff) and the threaded in-process
         // fallback below are the degradation path.
-        ++stats_.fork_failures;
+        counters.fork_failures.inc();
         continue;
       }
       if (pid == 0) {
@@ -280,6 +287,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
                 : -1;
         child_main(shards[s], wfds[s], crash_after, worker_id);
       }
+      counters.forks.inc();
       pids[s] = pid;
     }
     for (std::size_t s = 0; s < n; ++s) {
@@ -291,7 +299,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
         RT_TRACE_SPAN("shard_drain", "shard", wids[s], "worker");
         while (true) {
           if (deadline_passed(deadline)) {
-            stats_.deadline_expired = true;
+            deadline_expired = true;
             dead = true;
             break;
           }
@@ -333,7 +341,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
           dead = true;
         }
       }
-      if (dead) ++stats_.worker_deaths;
+      if (dead) counters.worker_deaths.inc();
     }
   };
 
@@ -358,53 +366,34 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     if (deadline_passed(deadline)) break;
     int backoff = opts_.retry_backoff_ms > 0
                       ? std::min(opts_.retry_backoff_ms << attempt,
-                                 opts_.retry_backoff_max_ms)
+                                 kRetryBackoffMaxMs)
                       : 0;
     if (deadline) backoff = std::min(backoff, ms_until(*deadline));
     if (backoff > 0) sleep_ms(backoff);
     if (deadline_passed(deadline)) break;
-    ++stats_.shard_retries;
+    counters.retry_waves.inc();
     RT_TRACE_SPAN("shard_retry_wave", "shard",
                   static_cast<std::uint64_t>(attempt) + 1, "attempt");
     run_wave({std::move(missing)}, /*allow_crash_hook=*/false);
   }
 
   // Last resort: the parent runs whatever is still missing itself, fanned
-  // over a thread pool (so total fork failure degrades to threaded, not
-  // serial, execution). A cell that throws or misses the deadline stays
+  // over one thread per worker (so total fork failure degrades to threaded,
+  // not serial, execution). A cell that throws or misses the deadline stays
   // unfilled and becomes a typed error in finish().
   const std::vector<std::size_t> missing = slots.unfilled();
   if (!missing.empty() && !deadline_passed(deadline)) {
     RT_TRACE_SPAN("shard_fallback", "shard",
                   static_cast<std::uint64_t>(missing.size()), "cells");
-    stats_.cells_recovered_in_process += static_cast<int>(missing.size());
-    unsigned threads = opts_.fallback_threads == 0 ? workers
-                                                   : opts_.fallback_threads;
-    threads = std::max(
-        1u, std::min(threads, static_cast<unsigned>(missing.size())));
-    stats_.fallback_threads = threads;
-    slots.run(runner_, missing, threads, deadline);
+    counters.cells_recovered.inc(missing.size());
+    slots.run(runner_, missing,
+              std::min(workers, static_cast<unsigned>(missing.size())),
+              deadline);
   }
-  if (deadline_passed(deadline)) stats_.deadline_expired = true;
+  if (deadline_passed(deadline)) deadline_expired = true;
+  if (deadline_expired) counters.deadline_expirations.inc();
 
-  // Mirror this grid's ShardStats into the process-wide registry (the
-  // wave counter is bumped live inside run_wave). Forked workers keep
-  // their metric increments to themselves — only their trace buffers are
-  // shipped back — so registry counts are parent-process events, matching
-  // FaultInjector::injected_total() semantics.
-  {
-    const ShardCounters& c = shard_counters();
-    if (stats_.worker_deaths > 0) c.worker_deaths.inc(stats_.worker_deaths);
-    if (stats_.shard_retries > 0) c.retry_waves.inc(stats_.shard_retries);
-    if (stats_.fork_failures > 0) c.fork_failures.inc(stats_.fork_failures);
-    if (stats_.cells_recovered_in_process > 0) {
-      c.cells_recovered.inc(
-          static_cast<std::uint64_t>(stats_.cells_recovered_in_process));
-    }
-    if (stats_.deadline_expired) c.deadline_expirations.inc();
-  }
-
-  return std::move(slots).finish(stats_.deadline_expired);
+  return std::move(slots).finish(deadline_expired);
 }
 
 }  // namespace rt::service

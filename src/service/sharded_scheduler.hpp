@@ -20,34 +20,17 @@ struct ShardOptions {
   /// longer is declared dead (killed + reaped) and its shard retried. The
   /// budget covers the whole read — EINTR storms cannot extend it.
   int read_timeout_ms{600000};
-  /// Capped exponential backoff before each retry wave: attempt k sleeps
-  /// min(retry_backoff_ms << k, retry_backoff_max_ms). A worker killed by
-  /// resource pressure (fork EAGAIN, OOM) gets breathing room instead of an
+  /// Exponential backoff before each retry wave: attempt k sleeps
+  /// min(retry_backoff_ms << k, 2000) ms. A worker killed by resource
+  /// pressure (fork EAGAIN, OOM) gets breathing room instead of an
   /// immediate re-fork into the same pressure.
   int retry_backoff_ms{25};
-  int retry_backoff_max_ms{2000};
-  /// Threads of the in-process fallback that finishes cells no worker
-  /// delivered (fork exhaustion, retries exhausted). 0 = same as the
-  /// (clamped) worker count. Fork failure thereby degrades to threaded
-  /// execution rather than a serial crawl.
-  unsigned fallback_threads{0};
   /// Test hooks: the first-wave worker for shard `crash_shard` calls
   /// _exit(42) after streaming `crash_after_cells` results. Retries are
   /// never crashed, so the harness can prove death -> retry -> identical
   /// results. -1 = disabled.
   int crash_shard{-1};
   int crash_after_cells{0};
-};
-
-/// What a sharded run observed about its workers.
-struct ShardStats {
-  unsigned workers{0};          ///< workers actually forked in the first wave
-  int worker_deaths{0};         ///< abnormal exits / truncated streams / timeouts
-  int shard_retries{0};         ///< re-forked recovery workers
-  int fork_failures{0};         ///< fork() calls that failed (EAGAIN etc.)
-  int cells_recovered_in_process{0};  ///< cells the parent ran itself
-  unsigned fallback_threads{0};  ///< threads of the in-process fallback (0 = unused)
-  bool deadline_expired{false};  ///< the request deadline fired mid-grid
 };
 
 /// Multi-process campaign grid execution: forks N workers over disjoint,
@@ -63,11 +46,14 @@ struct ShardStats {
 /// garbage) is detected and re-run, never merged. Worker death (crash,
 /// kill, truncated frame, silence past the timeout) is detected per shard;
 /// the missing cells are re-forked up to `max_retries` times (with capped
-/// exponential backoff) and finally run in-process over a thread pool, so
-/// results are complete and identical even under worker loss or total fork
-/// failure. All syscalls go through the rt::service fault-injection shims
-/// (service/fault_injection.hpp); the chaos suite drives every failure path
-/// above deterministically.
+/// exponential backoff) and finally run in-process over a thread pool of
+/// one thread per worker, so results are complete and identical even under
+/// worker loss or total fork failure. All syscalls go through the
+/// rt::service fault-injection shims (service/fault_injection.hpp); the
+/// chaos suite drives every failure path above deterministically. Forks,
+/// deaths, retry waves, fork failures, in-process recoveries and deadline
+/// expiries are counted in the metrics registry (`rt_shard_*_total`) as
+/// they happen, in the parent process.
 class ShardedCampaignScheduler {
  public:
   explicit ShardedCampaignScheduler(const experiments::CampaignRunner& runner,
@@ -81,13 +67,9 @@ class ShardedCampaignScheduler {
       const std::vector<experiments::CampaignSpec>& specs,
       const experiments::GridDeadline& deadline) const;
 
-  /// Stats of the most recent run.
-  [[nodiscard]] const ShardStats& stats() const { return stats_; }
-
  private:
   const experiments::CampaignRunner& runner_;
   ShardOptions opts_;
-  mutable ShardStats stats_;
 };
 
 }  // namespace rt::service

@@ -255,9 +255,10 @@ TEST(Ids, SilentOnNominalTraffic) {
   obj.type = sim::ActorType::kVehicle;
   obj.dims = sim::default_dimensions(obj.type);
   obj.rel_position = {30.0, 0.0};
+  std::vector<perception::TrackView> tracks;
   for (int f = 0; f < 400; ++f) {
     const auto frame = det.detect({obj}, f / 15.0);
-    const auto tracks = mot.update(frame);
+    mot.update_into(frame, tracks);
     ids.observe(frame, tracks, {});
   }
   EXPECT_FALSE(ids.report().flagged);

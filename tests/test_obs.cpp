@@ -100,6 +100,13 @@ TEST(Metrics, CrossThreadMergeIsDeterministic) {
   // multiset of observations, differently interleaved and sharded.
   feed(one, 1);
   feed(eight, 8);
+  // Counter::value() sums the same shards a snapshot merges.
+  for (MetricsRegistry* reg : {&one, &eight}) {
+    EXPECT_EQ(reg->counter("ops_total").value(), 8000u);
+    EXPECT_EQ(reg->counter("ops_total").value(),
+              reg->snapshot().counter("ops_total"));
+  }
+  EXPECT_EQ(Counter().value(), 0u);
   EXPECT_EQ(render_json(one.snapshot()), render_json(eight.snapshot()));
   EXPECT_EQ(render_prometheus(one.snapshot()),
             render_prometheus(eight.snapshot()));

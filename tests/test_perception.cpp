@@ -165,7 +165,9 @@ TEST_P(HungarianRandomTest, MatchesBruteForceOptimum) {
   const std::size_t n = 2 + static_cast<std::size_t>(GetParam() % 5);
   math::Matrix cost(n, n);
   for (auto& v : cost.data()) v = rng.uniform(0.0, 10.0);
-  const auto fast = solve_assignment(cost);
+  AssignmentScratch scratch;
+  AssignmentResult fast;
+  solve_assignment_into(cost, scratch, fast);
   const auto slow = brute_force(cost);
   EXPECT_NEAR(fast.total_cost, slow.total_cost, 1e-9);
 }
@@ -174,7 +176,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HungarianRandomTest, ::testing::Range(0, 20));
 
 TEST(Hungarian, RectangularMoreRowsThanCols) {
   math::Matrix cost{{1.0}, {0.5}, {2.0}};
-  const auto res = solve_assignment(cost);
+  AssignmentScratch scratch;
+  AssignmentResult res;
+  solve_assignment_into(cost, scratch, res);
   // Only one column: exactly one row assigned, the cheapest.
   int assigned = 0;
   for (std::size_t r = 0; r < 3; ++r) {
@@ -187,9 +191,84 @@ TEST(Hungarian, RectangularMoreRowsThanCols) {
   EXPECT_NEAR(res.total_cost, 0.5, 1e-12);
 }
 
+/// Minimum cost over every partial permutation that matches
+/// min(rows, cols) rows, each to a distinct column: the optimum the padded
+/// Hungarian solver must reach on rectangular inputs.
+double brute_force_partial(const math::Matrix& cost, std::size_t row,
+                           std::vector<char>& col_used, std::size_t left) {
+  if (left == 0) return 0.0;
+  if (cost.rows() - row < left) return 1e18;  // too few rows remain
+  double best = brute_force_partial(cost, row + 1, col_used, left);
+  for (std::size_t c = 0; c < cost.cols(); ++c) {
+    if (col_used[c]) continue;
+    col_used[c] = 1;
+    best = std::min(best, cost(row, c) + brute_force_partial(
+                                             cost, row + 1, col_used,
+                                             left - 1));
+    col_used[c] = 0;
+  }
+  return best;
+}
+
+TEST(Hungarian, TieHeavyAssignmentsArePinned) {
+  // Every shape 1..6 x 1..6, costs drawn from four values so that exact
+  // ties are common, plus 1e3 class-mismatch blocks as the tracker builds
+  // them. Each result must be an optimal partial permutation, and the
+  // exact assignments the solver picks among tied optima are pinned.
+  stats::Rng rng(2107);
+  const double values[] = {0.0, 0.25, 0.5, 1.0};
+  AssignmentScratch scratch;
+  AssignmentResult res;
+  std::uint64_t h = stats::kFnv1aOffset;
+  for (std::size_t rows = 1; rows <= 6; ++rows) {
+    for (std::size_t cols = 1; cols <= 6; ++cols) {
+      for (int rep = 0; rep < 4; ++rep) {
+        math::Matrix cost(rows, cols);
+        for (double& v : cost.data()) v = values[rng.uniform_int(0, 3)];
+        if (rep % 2 == 1) {
+          // A class-mismatch block: these rows may not take these columns.
+          const auto r0 = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(rows) - 1));
+          const auto c0 = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(cols) - 1));
+          for (std::size_t r = r0; r < rows; r += 2) {
+            for (std::size_t c = c0; c < cols; ++c) cost(r, c) = 1e3;
+          }
+        }
+        solve_assignment_into(cost, scratch, res);
+        SCOPED_TRACE(testing::Message() << rows << "x" << cols << " #" << rep);
+        ASSERT_EQ(res.assignment.size(), rows);
+        std::vector<char> taken(cols, 0);
+        std::size_t matched = 0;
+        double total = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const int c = res.assignment[r];
+          h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(c + 1));
+          if (c < 0) continue;
+          ASSERT_LT(static_cast<std::size_t>(c), cols);
+          ASSERT_FALSE(taken[static_cast<std::size_t>(c)]) << "column reused";
+          taken[static_cast<std::size_t>(c)] = 1;
+          total += cost(r, static_cast<std::size_t>(c));
+          ++matched;
+        }
+        EXPECT_EQ(matched, std::min(rows, cols));
+        std::vector<char> col_used(cols, 0);
+        const double optimum =
+            brute_force_partial(cost, 0, col_used, std::min(rows, cols));
+        EXPECT_EQ(total, optimum);
+        EXPECT_EQ(res.total_cost, optimum);
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x9c4bdf2fd9d99d23ull) << std::hex << h;
+}
+
 TEST(Hungarian, EmptyInputs) {
-  EXPECT_TRUE(solve_assignment(math::Matrix(0, 0)).assignment.empty());
-  const auto res = solve_assignment(math::Matrix(2, 0));
+  AssignmentScratch scratch;
+  AssignmentResult res;
+  solve_assignment_into(math::Matrix(0, 0), scratch, res);
+  EXPECT_TRUE(res.assignment.empty());
+  solve_assignment_into(math::Matrix(2, 0), scratch, res);
   EXPECT_EQ(res.assignment.size(), 2u);
   EXPECT_EQ(res.assignment[0], -1);
 }
@@ -257,7 +336,7 @@ TEST(MotTracker, TracksAcrossFramesWithStableId) {
     CameraFrame frame;
     frame.detections.push_back(
         make_detection(100.0 + 2.0 * f, 200.0, 50.0, 40.0));
-    tracks = mot.update(frame);
+    mot.update_into(frame, tracks);
   }
   ASSERT_EQ(tracks.size(), 1u);
   EXPECT_EQ(tracks[0].track_id, 1);
@@ -271,8 +350,11 @@ TEST(MotTracker, ConfirmationRequiresMinHits) {
   MotTracker mot(1.0 / 15.0);
   CameraFrame frame;
   frame.detections.push_back(make_detection(100.0, 100.0, 40.0, 40.0));
-  EXPECT_TRUE(mot.update(frame).empty());   // first hit: unconfirmed
-  EXPECT_FALSE(mot.update(frame).empty());  // second hit: confirmed
+  std::vector<TrackView> tracks;
+  mot.update_into(frame, tracks);
+  EXPECT_TRUE(tracks.empty());  // first hit: unconfirmed
+  mot.update_into(frame, tracks);
+  EXPECT_FALSE(tracks.empty());  // second hit: confirmed
 }
 
 TEST(MotTracker, DropsTrackAfterMaxMisses) {
@@ -281,11 +363,12 @@ TEST(MotTracker, DropsTrackAfterMaxMisses) {
   MotTracker mot(1.0 / 15.0, cfg);
   CameraFrame frame;
   frame.detections.push_back(make_detection(100.0, 100.0, 40.0, 40.0));
-  mot.update(frame);
-  mot.update(frame);
+  std::vector<TrackView> tracks;
+  mot.update_into(frame, tracks);
+  mot.update_into(frame, tracks);
   EXPECT_EQ(mot.live_track_count(), 1u);
   CameraFrame empty;
-  for (int i = 0; i < 4; ++i) mot.update(empty);
+  for (int i = 0; i < 4; ++i) mot.update_into(empty, tracks);
   EXPECT_EQ(mot.live_track_count(), 0u);
 }
 
@@ -293,12 +376,13 @@ TEST(MotTracker, ClassConsistencyInAssociation) {
   MotTracker mot(1.0 / 15.0);
   CameraFrame veh;
   veh.detections.push_back(make_detection(100.0, 100.0, 40.0, 40.0));
-  mot.update(veh);
-  mot.update(veh);
+  std::vector<TrackView> tracks;
+  mot.update_into(veh, tracks);
+  mot.update_into(veh, tracks);
   CameraFrame ped;
   ped.detections.push_back(
       make_detection(100.0, 100.0, 40.0, 40.0, sim::ActorType::kPedestrian));
-  mot.update(ped);
+  mot.update_into(ped, tracks);
   // Same position but different class: a second track is born.
   EXPECT_EQ(mot.live_track_count(), 2u);
 }
@@ -307,12 +391,13 @@ TEST(MotTracker, InnovationGateRejectsOutliers) {
   MotTracker mot(1.0 / 15.0);
   CameraFrame frame;
   frame.detections.push_back(make_detection(100.0, 100.0, 40.0, 40.0));
-  for (int i = 0; i < 5; ++i) mot.update(frame);
+  std::vector<TrackView> tracks;
+  for (int i = 0; i < 5; ++i) mot.update_into(frame, tracks);
   // An outlier jump far beyond the characterized noise: must not drag the
   // track (it spawns a new one or is dropped).
   CameraFrame outlier;
   outlier.detections.push_back(make_detection(100.0, 160.0, 40.0, 40.0));
-  mot.update(outlier);
+  mot.update_into(outlier, tracks);
   const auto t = mot.track(1);
   ASSERT_TRUE(t.has_value());
   EXPECT_NEAR(t->bbox.cy, 100.0, 5.0);
@@ -321,11 +406,12 @@ TEST(MotTracker, InnovationGateRejectsOutliers) {
 TEST(MotTracker, PredictNextBbox) {
   MotTracker mot(1.0 / 15.0);
   CameraFrame frame;
+  std::vector<TrackView> tracks;
   for (int f = 0; f < 8; ++f) {
     frame.detections.clear();
     frame.detections.push_back(
         make_detection(100.0 + 3.0 * f, 100.0, 40.0, 40.0));
-    mot.update(frame);
+    mot.update_into(frame, tracks);
   }
   const auto pred = mot.predict_next_bbox(1);
   ASSERT_TRUE(pred.has_value());
@@ -490,48 +576,6 @@ TEST(PerceptionSystem, EndToEndTracksGroundTruth) {
 
 
 // --------------------------------- scratch-based hot-path refactor pins
-
-TEST(Hungarian, ScratchOverloadMatchesDefault) {
-  stats::Rng rng(55);
-  AssignmentScratch scratch;
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t rows = 1 + static_cast<std::size_t>(round % 5);
-    const std::size_t cols = 1 + static_cast<std::size_t>((round * 3) % 6);
-    math::Matrix cost(rows, cols);
-    for (double& v : cost.data()) v = rng.uniform(0.0, 1.0);
-    const AssignmentResult a = solve_assignment(cost);
-    const AssignmentResult b = solve_assignment(cost, scratch);
-    EXPECT_EQ(a.assignment, b.assignment);
-    EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
-  }
-}
-
-TEST(MotTracker, UpdateIntoMatchesUpdate) {
-  MotTracker a(1.0 / 15.0);
-  MotTracker b(1.0 / 15.0);
-  stats::Rng rng(66);
-  std::vector<TrackView> buf;
-  for (int frame_i = 0; frame_i < 40; ++frame_i) {
-    CameraFrame frame;
-    frame.time = frame_i / 15.0;
-    for (int j = 0; j < 3; ++j) {
-      Detection d;
-      d.bbox = {120.0 + 140.0 * j + rng.normal(0.0, 1.5),
-                300.0 + rng.normal(0.0, 1.0), 50.0, 50.0};
-      frame.detections.push_back(d);
-    }
-    const auto via_update = a.update(frame);
-    b.update_into(frame, buf);
-    ASSERT_EQ(via_update.size(), buf.size());
-    for (std::size_t t = 0; t < buf.size(); ++t) {
-      EXPECT_EQ(via_update[t].track_id, buf[t].track_id);
-      EXPECT_EQ(via_update[t].bbox.cx, buf[t].bbox.cx);
-      EXPECT_EQ(via_update[t].bbox.cy, buf[t].bbox.cy);
-      EXPECT_EQ(via_update[t].hits, buf[t].hits);
-      EXPECT_EQ(via_update[t].matched_this_frame, buf[t].matched_this_frame);
-    }
-  }
-}
 
 // Golden pin computed on the pre-kernel-refactor implementation (chained
 // allocating Matrix operators): a 200-step noisy BboxTrack walk, folding

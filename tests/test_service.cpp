@@ -4,21 +4,30 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/safety_oracle.hpp"
 #include "experiments/campaign.hpp"
 #include "experiments/campaign_grid.hpp"
 #include "experiments/campaign_serde.hpp"
 #include "experiments/defense_grid.hpp"
 #include "experiments/transfer_matrix.hpp"
+#include "nn/dataset.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
 #include "service/campaign_service.hpp"
 #include "service/cell_cache.hpp"
+#include "service/fault_injection.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "sim/scenario_registry.hpp"
+#include "stats/rng.hpp"
 
 namespace rt::service {
 namespace {
@@ -68,6 +77,70 @@ CampaignSpec small_spec(const char* name = "DS-1-Disappear-RwoSH-t",
           2,    seed};
 }
 
+/// A small oracle trained on the synthetic monotone law
+/// delta_{t+k} = delta - 0.3 k: enough to make R-mode runs trigger.
+std::shared_ptr<core::SafetyOracle> synthetic_oracle() {
+  auto oracle = std::make_shared<core::SafetyOracle>(77);
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  stats::Rng rng(4);
+  for (int i = 0; i < 400; ++i) {
+    const double delta = rng.uniform(0.0, 40.0);
+    const double k = rng.uniform(3.0, 70.0);
+    xs.push_back({delta, rng.uniform(-10.0, 0.0), rng.uniform(-1.0, 1.0),
+                  rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), k});
+    ys.push_back(delta - 0.3 * k);
+  }
+  nn::TrainConfig cfg;
+  cfg.epochs = 40;
+  cfg.lr = 2e-3;
+  oracle->train(nn::Dataset::from_samples(xs, ys), cfg);
+  return oracle;
+}
+
+/// A copy of `oracle` whose first network weight is changed, made by a
+/// save / edit / load round trip through `dir`.
+std::shared_ptr<core::SafetyOracle> nudged_copy(
+    const core::SafetyOracle& oracle, const std::string& dir) {
+  const std::string path = dir + "/oracle.txt";
+  oracle.save(path);
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // "dense <in> <out> <w0> ...": the first weight is the fourth token.
+  std::size_t begin = text.find("dense ");
+  for (int token = 0; token < 3; ++token) begin = text.find(' ', begin) + 1;
+  text.replace(begin, text.find(' ', begin) - begin, "0.125");
+  { std::ofstream(path, std::ios::trunc) << text; }
+  auto copy = std::make_shared<core::SafetyOracle>(77);
+  if (!copy->load(path)) throw std::runtime_error("cannot reload " + path);
+  return copy;
+}
+
+CampaignSpec oracle_spec() {
+  return {"DS-1-Disappear-R-t", "DS-1", core::AttackVector::kDisappear,
+          AttackMode::kRobotack, 6, 5};
+}
+
+/// How far registry counters moved since construction. The registry is
+/// process-wide and cumulative, so tests read deltas.
+class CounterDelta {
+ public:
+  std::uint64_t operator()(const std::string& name) const {
+    return obs::MetricsRegistry::global().snapshot().counter(name) -
+           before_.counter(name);
+  }
+  /// rt_campaign_cache_<what>_total.
+  std::uint64_t cache(const std::string& what) const {
+    return (*this)("rt_campaign_cache_" + what + "_total");
+  }
+
+ private:
+  obs::MetricsSnapshot before_ = obs::MetricsRegistry::global().snapshot();
+};
+
 // ------------------------------------------------- ShardedCampaignScheduler
 
 TEST(ShardedScheduler, BitIdenticalToInProcessAtAnyWorkerCount) {
@@ -84,14 +157,17 @@ TEST(ShardedScheduler, BitIdenticalToInProcessAtAnyWorkerCount) {
     ShardOptions opts;
     opts.workers = workers;
     const ShardedCampaignScheduler sharded(runner, opts);
+    const CounterDelta moved;
     const auto out = sharded.run_all_checked(specs, {});
     EXPECT_TRUE(out.errors.empty()) << workers << " workers";
     EXPECT_FALSE(out.first_failure) << workers << " workers";
     const auto& results = out.results;
     EXPECT_EQ(grid_bytes(results), reference) << workers << " workers";
-    EXPECT_EQ(sharded.stats().workers, workers);
-    EXPECT_EQ(sharded.stats().worker_deaths, 0) << workers << " workers";
-    EXPECT_EQ(sharded.stats().shard_retries, 0) << workers << " workers";
+    EXPECT_EQ(moved("rt_shard_forks_total"), workers);
+    EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 0u)
+        << workers << " workers";
+    EXPECT_EQ(moved("rt_shard_retry_waves_total"), 0u)
+        << workers << " workers";
   }
 }
 
@@ -102,11 +178,12 @@ TEST(ShardedScheduler, MoreWorkersThanCellsClampsAndCompletes) {
   ShardOptions opts;
   opts.workers = 16;
   const ShardedCampaignScheduler sharded(runner, opts);
+  const CounterDelta moved;
   const auto out = sharded.run_all_checked(specs, {});
   EXPECT_TRUE(out.errors.empty());
   EXPECT_FALSE(out.first_failure);
   const auto& results = out.results;
-  EXPECT_EQ(sharded.stats().workers, 2u);
+  EXPECT_EQ(moved("rt_shard_forks_total"), 2u);
   EXPECT_EQ(grid_bytes(results),
             grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
 }
@@ -136,13 +213,14 @@ TEST(ShardedScheduler, WorkerDeathIsRetriedToIdenticalResults) {
   opts.crash_shard = 0;
   opts.crash_after_cells = 1;
   const ShardedCampaignScheduler sharded(runner, opts);
+  const CounterDelta moved;
   const auto out = sharded.run_all_checked(specs, {});
   EXPECT_TRUE(out.errors.empty());
   EXPECT_FALSE(out.first_failure);
   const auto& results = out.results;
   EXPECT_EQ(grid_bytes(results), reference);
-  EXPECT_GE(sharded.stats().worker_deaths, 1);
-  EXPECT_GE(sharded.stats().shard_retries, 1);
+  EXPECT_GE(moved("rt_shard_worker_deaths_total"), 1u);
+  EXPECT_GE(moved("rt_shard_retry_waves_total"), 1u);
 }
 
 TEST(ShardedScheduler, ExhaustedRetriesFallBackInProcess) {
@@ -158,15 +236,16 @@ TEST(ShardedScheduler, ExhaustedRetriesFallBackInProcess) {
   opts.crash_shard = 1;
   opts.crash_after_cells = 0;
   const ShardedCampaignScheduler sharded(runner, opts);
+  const CounterDelta moved;
   const auto out = sharded.run_all_checked(specs, {});
   EXPECT_TRUE(out.errors.empty());
   EXPECT_FALSE(out.first_failure);
   const auto& results = out.results;
   EXPECT_EQ(grid_bytes(results),
             grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
-  EXPECT_GE(sharded.stats().worker_deaths, 1);
-  EXPECT_EQ(sharded.stats().shard_retries, 0);
-  EXPECT_GT(sharded.stats().cells_recovered_in_process, 0);
+  EXPECT_GE(moved("rt_shard_worker_deaths_total"), 1u);
+  EXPECT_EQ(moved("rt_shard_retry_waves_total"), 0u);
+  EXPECT_GT(moved("rt_shard_cells_recovered_in_process_total"), 0u);
 }
 
 #if RT_OBS_TRACING
@@ -259,26 +338,28 @@ TEST(CellCache, FingerprintChangesOnEveryResultDeterminingField) {
 // ------------------------------------------------------------- cell cache
 
 TEST(CellCache, MissThenStoreThenBitExactHit) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   CampaignCellCache cache({scratch_dir("cache_hit")});
   const CampaignSpec spec = small_spec();
 
   EXPECT_FALSE(cache.lookup(spec).has_value());
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(moved.cache("misses"), 1u);
 
   const CampaignResult fresh = runner.run(spec);
   cache.store(spec, fresh);
-  EXPECT_EQ(cache.stats().stores, 1u);
+  EXPECT_EQ(moved.cache("stores"), 1u);
 
   const auto hit = cache.lookup(spec);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(moved.cache("hits"), 1u);
   EXPECT_EQ(experiments::serialize_campaign_result(*hit),
             experiments::serialize_campaign_result(fresh));
 }
 
 TEST(CellCache, StaleCodeVersionIsIgnoredNeverServed) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const std::string dir = scratch_dir("cache_stale");
@@ -293,7 +374,7 @@ TEST(CellCache, StaleCodeVersionIsIgnoredNeverServed) {
   // path) is rejected on its header, counted stale.
   CampaignCellCache new_cache({dir, 0, kCampaignCodeVersion + 1});
   EXPECT_FALSE(new_cache.lookup(spec).has_value());
-  EXPECT_EQ(new_cache.stats().stale + new_cache.stats().misses, 1u);
+  EXPECT_EQ(moved.cache("stale") + moved.cache("misses"), 1u);
 
   // Force the stale-header path precisely: copy the old entry to the path
   // the new cache would use.
@@ -301,10 +382,11 @@ TEST(CellCache, StaleCodeVersionIsIgnoredNeverServed) {
   fs::copy_file(old_cache.entry_path(spec), new_cache.entry_path(spec),
                 fs::copy_options::overwrite_existing);
   EXPECT_FALSE(new_cache.lookup(spec).has_value());
-  EXPECT_EQ(new_cache.stats().stale, 1u);
+  EXPECT_EQ(moved.cache("stale"), 1u);
 }
 
 TEST(CellCache, CorruptAndTruncatedEntriesAreCountedNotServed) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   CampaignCellCache cache({scratch_dir("cache_corrupt")});
@@ -323,7 +405,7 @@ TEST(CellCache, CorruptAndTruncatedEntriesAreCountedNotServed) {
     out << blob.substr(0, blob.size() / 2);
   }
   EXPECT_FALSE(cache.lookup(spec).has_value());
-  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(moved.cache("corrupt"), 1u);
 
   // Garbage header.
   {
@@ -331,10 +413,11 @@ TEST(CellCache, CorruptAndTruncatedEntriesAreCountedNotServed) {
     out << "not a cache file\n";
   }
   EXPECT_FALSE(cache.lookup(spec).has_value());
-  EXPECT_EQ(cache.stats().corrupt, 2u);
+  EXPECT_EQ(moved.cache("corrupt"), 2u);
 }
 
 TEST(CellCache, LruEvictionRemovesOldestFirst) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const std::string dir = scratch_dir("cache_lru");
@@ -361,7 +444,7 @@ TEST(CellCache, LruEvictionRemovesOldestFirst) {
   EXPECT_FALSE(fs::exists(cache.entry_path(specs[1])));
   EXPECT_TRUE(fs::exists(cache.entry_path(specs[2])));
   EXPECT_TRUE(fs::exists(cache.entry_path(specs[3])));
-  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(moved.cache("evictions"), 2u);
 
   // A hit re-touches its entry: after hitting specs[2], adding age to
   // specs[3] and evicting to one entry keeps the freshly-hit specs[2].
@@ -471,6 +554,7 @@ TEST(CellCache, EvictionFallsBackToMtimeForCounterlessEntries) {
 }
 
 TEST(CellCache, StoreSweepsToConfiguredBudget) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const std::string dir = scratch_dir("cache_budget");
@@ -495,7 +579,7 @@ TEST(CellCache, StoreSweepsToConfiguredBudget) {
     files += de.path().extension() == ".rtcr" ? 1 : 0;
   }
   EXPECT_LE(files, 2u);
-  EXPECT_GE(cache.stats().evictions, 2u);
+  EXPECT_GE(moved.cache("evictions"), 2u);
 }
 
 /// `n` cache entries of identical size: one real result re-labelled with
@@ -539,6 +623,7 @@ TEST(CellCache, FullCacheSweepsToLowWater) {
   // A budget-triggered sweep evicts down to 7/8 of the budget, so the
   // stores after it evict nothing until the budget is crossed again:
   // evictions come in batches, not one per store.
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const std::uintmax_t size = entry_bytes(runner);
@@ -548,22 +633,22 @@ TEST(CellCache, FullCacheSweepsToLowWater) {
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(cache.store(entries[i].first, entries[i].second));
   }
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(moved.cache("evictions"), 0u);
   EXPECT_EQ(count_files(dir, ".rtcr"), 16u);
 
   ASSERT_TRUE(cache.store(entries[16].first, entries[16].second));
   EXPECT_LE(count_files(dir, ".rtcr"), 14u);
-  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(moved.cache("evictions"), 3u);
   // The newest entry survives its own sweep; the oldest went first.
   EXPECT_TRUE(fs::exists(cache.entry_path(entries[16].first)));
   EXPECT_FALSE(fs::exists(cache.entry_path(entries[0].first)));
 
   for (int i = 17; i < 19; ++i) {
     ASSERT_TRUE(cache.store(entries[i].first, entries[i].second));
-    EXPECT_EQ(cache.stats().evictions, 3u) << "store " << i;
+    EXPECT_EQ(moved.cache("evictions"), 3u) << "store " << i;
   }
   ASSERT_TRUE(cache.store(entries[19].first, entries[19].second));
-  EXPECT_EQ(cache.stats().evictions, 6u);
+  EXPECT_EQ(moved.cache("evictions"), 6u);
   EXPECT_LE(count_files(dir, ".rtcr"), 14u);
   EXPECT_EQ(count_files(dir, ".touch"), count_files(dir, ".rtcr"));
 }
@@ -571,6 +656,7 @@ TEST(CellCache, FullCacheSweepsToLowWater) {
 TEST(CellCache, ReopenedCacheCountsExistingBytes) {
   // The running total starts from what is already on disk: a cache
   // reopened with a smaller budget sweeps on its very first store.
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const std::uintmax_t size = entry_bytes(runner);
@@ -586,7 +672,7 @@ TEST(CellCache, ReopenedCacheCountsExistingBytes) {
       static_cast<std::size_t>(size) * 2 + static_cast<std::size_t>(size) / 2;
   CampaignCellCache cache({dir, budget});
   ASSERT_TRUE(cache.store(entries[4].first, entries[4].second));
-  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(moved.cache("evictions"), 3u);
   EXPECT_LE(count_files(dir, ".rtcr") * size, budget);
   EXPECT_TRUE(fs::exists(cache.entry_path(entries[4].first)));
 }
@@ -595,6 +681,7 @@ TEST(CellCache, OverwriteDoesNotInflateBudget) {
   // Re-storing an entry replaces its bytes rather than adding to them. A
   // neighbour makes a wrongly inflated total observable: the sweep it
   // would trigger evicts down to 7/8 of a two-entry budget, i.e. one entry.
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const std::uintmax_t size = entry_bytes(runner);
@@ -607,7 +694,7 @@ TEST(CellCache, OverwriteDoesNotInflateBudget) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(cache.store(entries[1].first, entries[1].second));
   }
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(moved.cache("evictions"), 0u);
   EXPECT_TRUE(fs::exists(cache.entry_path(entries[0].first)));
   EXPECT_TRUE(fs::exists(cache.entry_path(entries[1].first)));
 }
@@ -662,15 +749,15 @@ TEST(CampaignService, SecondRequestIsAllHitsAndBitIdentical) {
   cfg.threads = 2;
   CampaignService svc(runner, cfg);
 
+  const CounterDelta moved;
   const auto cold = svc.run_grid(specs);
-  EXPECT_EQ(svc.last_request().specs, specs.size());
-  EXPECT_EQ(svc.last_request().cache_hits, 0u);
+  EXPECT_EQ(moved("rt_service_spec_cache_hits_total"), 0u);
 
   const auto warm = svc.run_grid(specs);
-  EXPECT_EQ(svc.last_request().cache_hits, specs.size());
+  EXPECT_EQ(moved("rt_service_spec_cache_hits_total"), specs.size());
   EXPECT_EQ(grid_bytes(warm), grid_bytes(cold));
-  EXPECT_EQ(svc.cache_stats().hits, specs.size());
-  EXPECT_EQ(svc.cache_stats().misses, specs.size());
+  EXPECT_EQ(moved.cache("hits"), specs.size());
+  EXPECT_EQ(moved.cache("misses"), specs.size());
 }
 
 TEST(CampaignService, PartialOverlapRunsOnlyTheMisses) {
@@ -685,8 +772,9 @@ TEST(CampaignService, PartialOverlapRunsOnlyTheMisses) {
   (void)svc.run_grid(first);
   const std::vector<CampaignSpec> second{small_spec("b", 2),
                                          small_spec("c", 3)};
+  const CounterDelta moved;
   const auto results = svc.run_grid(second);
-  EXPECT_EQ(svc.last_request().cache_hits, 1u);
+  EXPECT_EQ(moved("rt_service_spec_cache_hits_total"), 1u);
   ASSERT_EQ(results.size(), 2u);
   // Order follows the request, hit or miss.
   EXPECT_EQ(results[0].spec.name, "b");
@@ -713,8 +801,9 @@ TEST(CampaignService, ShardedCacheEntriesMatchInProcessEntries) {
   forked.cache = CacheConfig{scratch_dir("svc_forked")};
   forked.workers = 3;
   CampaignService b(runner, forked);
+  const CounterDelta moved;
   (void)b.run_grid(specs);
-  EXPECT_EQ(b.shard_stats().workers, 3u);
+  EXPECT_EQ(moved("rt_shard_forks_total"), 3u);
 
   for (const auto& spec : specs) {
     std::ifstream fa(a.cache()->entry_path(spec), std::ios::binary);
@@ -744,8 +833,10 @@ TEST(CampaignService, ExecutorPlugsIntoDefenseGrid) {
   CampaignService svc(runner, svc_cfg);
   cfg.executor = svc.executor();
   const auto routed = experiments::run_defense_grid(cfg, loop, {});
+  const CounterDelta moved;
   const auto again = experiments::run_defense_grid(cfg, loop, {});
-  EXPECT_EQ(svc.last_request().cache_hits, svc.last_request().specs);
+  EXPECT_GT(moved("rt_service_spec_cache_hits_total"), 0u);
+  EXPECT_EQ(moved.cache("misses"), 0u);
 
   ASSERT_EQ(routed.cells.size(), plain.cells.size());
   for (std::size_t i = 0; i < plain.cells.size(); ++i) {
@@ -756,6 +847,189 @@ TEST(CampaignService, ExecutorPlugsIntoDefenseGrid) {
                      plain.cells[i].detection_rate);
     EXPECT_EQ(again.cells[i].detected, plain.cells[i].detected);
   }
+}
+
+TEST(CampaignService, OracleServiceNeverServesANoOracleEntry) {
+  // A service without oracles and one with them share a cache directory.
+  // The oracle service must not be answered from the other's entry: the
+  // entry is stale to it, and it computes what an uncached run with its
+  // oracles computes.
+  LoopConfig loop;
+  const CampaignSpec spec = oracle_spec();
+  experiments::OracleSet oracles;
+  oracles[core::AttackVector::kDisappear] = synthetic_oracle();
+  const CampaignRunner bare(loop, {});
+  const CampaignRunner armed(loop, oracles);
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_oracle_key")};
+  cfg.threads = 1;
+
+  CampaignService without(bare, cfg);
+  const auto bare_bytes = grid_bytes(without.run_grid({spec}));
+  const std::string armed_bytes = grid_bytes({armed.run(spec)});
+  ASSERT_NE(bare_bytes, armed_bytes) << "the oracle must change the result";
+
+  CampaignService with(armed, cfg);
+  const CounterDelta moved;
+  EXPECT_EQ(grid_bytes(with.run_grid({spec})), armed_bytes);
+  EXPECT_EQ(moved.cache("hits"), 0u);
+  EXPECT_EQ(moved.cache("stale"), 1u);
+  // Its own entry is served to it afterwards; the service without oracles
+  // is not served that entry either.
+  EXPECT_EQ(grid_bytes(with.run_grid({spec})), armed_bytes);
+  EXPECT_EQ(moved.cache("hits"), 1u);
+  EXPECT_EQ(grid_bytes(without.run_grid({spec})), bare_bytes);
+  EXPECT_EQ(moved.cache("hits"), 1u);
+  EXPECT_EQ(moved.cache("stale"), 2u);
+}
+
+TEST(CampaignService, EntryWithoutAnOracleKeyIsNeverServed) {
+  // A plain cache records no oracle key, as entries written before the
+  // key existed: a service, even one without oracles, must not serve it.
+  LoopConfig loop;
+  const CampaignRunner bare(loop, {});
+  const CampaignSpec spec = small_spec();
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_oracle_unkeyed")};
+  cfg.threads = 1;
+  CampaignCellCache(*cfg.cache).store(spec, bare.run(spec));
+  const CounterDelta moved;
+  (void)CampaignService(bare, cfg).run_grid({spec});
+  EXPECT_EQ(moved.cache("hits"), 0u);
+  EXPECT_EQ(moved.cache("stale"), 1u);
+}
+
+TEST(CampaignService, OracleDifferingInOneWeightMisses) {
+  LoopConfig loop;
+  const CampaignSpec spec = oracle_spec();
+  const auto oracle = synthetic_oracle();
+  const auto nudged = nudged_copy(*oracle, scratch_dir("svc_oracle_nudge"));
+  ASSERT_NE(nudged->content_hash(), oracle->content_hash());
+  const CampaignRunner first(loop, {{core::AttackVector::kDisappear, oracle}});
+  const CampaignRunner second(loop,
+                              {{core::AttackVector::kDisappear, nudged}});
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_oracle_weight")};
+  cfg.threads = 1;
+
+  (void)CampaignService(first, cfg).run_grid({spec});
+  const CounterDelta moved;
+  EXPECT_EQ(grid_bytes(CampaignService(second, cfg).run_grid({spec})),
+            grid_bytes({second.run(spec)}));
+  EXPECT_EQ(moved.cache("hits"), 0u);
+  EXPECT_EQ(moved.cache("stale"), 1u);
+  // The same weights in a fresh service do hit.
+  (void)CampaignService(second, cfg).run_grid({spec});
+  EXPECT_EQ(moved.cache("hits"), 1u);
+}
+
+/// Every counter the service layer registers, by name.
+const char* const kServiceCounters[] = {
+    "rt_campaign_cache_hits_total",
+    "rt_campaign_cache_misses_total",
+    "rt_campaign_cache_stale_total",
+    "rt_campaign_cache_corrupt_total",
+    "rt_campaign_cache_evictions_total",
+    "rt_campaign_cache_stores_total",
+    "rt_campaign_cache_io_errors_total",
+    "rt_service_requests_total",
+    "rt_service_spec_cache_hits_total",
+    "rt_service_spec_errors_total",
+    "rt_shard_waves_total",
+    "rt_shard_worker_deaths_total",
+    "rt_shard_retry_waves_total",
+    "rt_shard_fork_failures_total",
+    "rt_shard_cells_recovered_in_process_total",
+    "rt_shard_deadline_expirations_total",
+    "rt_shard_forks_total",
+};
+
+using CounterDeltas = std::map<std::string, std::uint64_t>;
+
+TEST(CampaignService, CounterDeltasArePinned) {
+  // One cached service with two forked workers answers five requests: a
+  // cold grid, its warm repeat, a partial overlap, one request whose cache
+  // writes all fail, and one whose forks all fail. After each, every
+  // service-layer counter must have moved by exactly the pinned amount
+  // (the registry is process-wide and cumulative, hence deltas).
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_counter_pin")};
+  cfg.workers = 2;
+  cfg.shard.retry_backoff_ms = 1;
+  CampaignService svc(runner, cfg);
+
+  const auto request = [&](const std::vector<CampaignSpec>& specs,
+                           const std::optional<FaultPlan>& faults) {
+    const auto before = obs::MetricsRegistry::global().snapshot();
+    {
+      std::optional<ArmedFaults> armed;
+      if (faults) armed.emplace(*faults);
+      const auto results = svc.run_grid(specs);
+      EXPECT_EQ(grid_bytes(results),
+                grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
+    }
+    const auto after = obs::MetricsRegistry::global().snapshot();
+    CounterDeltas moved;
+    for (const char* name : kServiceCounters) {
+      const std::uint64_t d = after.counter(name) - before.counter(name);
+      if (d != 0) moved[name] = d;
+    }
+    return moved;
+  };
+  const auto one_rule = [](FaultSite site, FaultType type) {
+    FaultPlan plan;
+    plan.seed = 21;
+    plan.rules.push_back({site, type, 1.0, -1, 0});
+    return plan;
+  };
+  const std::vector<CampaignSpec> cold{small_spec("pin-a", 1),
+                                       small_spec("pin-b", 2),
+                                       small_spec("pin-c", 3)};
+
+  EXPECT_EQ(request(cold, std::nullopt),
+            (CounterDeltas{{"rt_campaign_cache_misses_total", 3},
+                           {"rt_campaign_cache_stores_total", 3},
+                           {"rt_service_requests_total", 1},
+                           {"rt_shard_forks_total", 2},
+                           {"rt_shard_waves_total", 1}}))
+      << "cold";
+  EXPECT_EQ(request(cold, std::nullopt),
+            (CounterDeltas{{"rt_campaign_cache_hits_total", 3},
+                           {"rt_service_requests_total", 1},
+                           {"rt_service_spec_cache_hits_total", 3}}))
+      << "warm";
+  EXPECT_EQ(request({small_spec("pin-b", 2), small_spec("pin-d", 4)},
+                    std::nullopt),
+            (CounterDeltas{{"rt_campaign_cache_hits_total", 1},
+                           {"rt_campaign_cache_misses_total", 1},
+                           {"rt_campaign_cache_stores_total", 1},
+                           {"rt_service_requests_total", 1},
+                           {"rt_service_spec_cache_hits_total", 1},
+                           {"rt_shard_forks_total", 2},
+                           {"rt_shard_waves_total", 1}}))
+      << "partial";
+  EXPECT_EQ(request({small_spec("pin-e", 5), small_spec("pin-f", 6)},
+                    one_rule(FaultSite::kCacheWrite, FaultType::kIoError)),
+            (CounterDeltas{{"rt_campaign_cache_misses_total", 2},
+                           {"rt_campaign_cache_io_errors_total", 2},
+                           {"rt_service_requests_total", 1},
+                           {"rt_shard_forks_total", 2},
+                           {"rt_shard_waves_total", 1}}))
+      << "cache write errors";
+  EXPECT_FALSE(svc.cache_degraded());
+  EXPECT_EQ(request({small_spec("pin-g", 7)},
+                    one_rule(FaultSite::kFork, FaultType::kForkEagain)),
+            (CounterDeltas{{"rt_campaign_cache_misses_total", 1},
+                           {"rt_campaign_cache_stores_total", 1},
+                           {"rt_service_requests_total", 1},
+                           {"rt_shard_waves_total", 3},
+                           {"rt_shard_worker_deaths_total", 4},
+                           {"rt_shard_retry_waves_total", 2},
+                           {"rt_shard_fork_failures_total", 4},
+                           {"rt_shard_cells_recovered_in_process_total", 2}}))
+      << "fork EAGAIN";
 }
 
 }  // namespace

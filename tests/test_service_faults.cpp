@@ -101,6 +101,23 @@ FaultPlan one_rule(std::uint64_t seed, FaultSite site, FaultType type,
   return plan;
 }
 
+/// How far registry counters moved since construction. The registry is
+/// process-wide and cumulative, so tests read deltas.
+class CounterDelta {
+ public:
+  std::uint64_t operator()(const std::string& name) const {
+    return obs::MetricsRegistry::global().snapshot().counter(name) -
+           before_.counter(name);
+  }
+  /// rt_campaign_cache_<what>_total.
+  std::uint64_t cache(const std::string& what) const {
+    return (*this)("rt_campaign_cache_" + what + "_total");
+  }
+
+ private:
+  obs::MetricsSnapshot before_ = obs::MetricsRegistry::global().snapshot();
+};
+
 // --------------------------------------------------------- FaultInjector
 
 TEST(FaultInjector, DecisionSequenceIsAPureFunctionOfTheSeed) {
@@ -387,7 +404,7 @@ TEST(ChaosMatrix, SameSeedSameFaultSequenceAcrossRunsAndWorkerCounts) {
 TEST(ShardedScheduler, TotalForkFailureDegradesToThreadedExecution) {
   // fork() never succeeds: the grid must still complete bit-identically via
   // the in-process thread-pool fallback, with the degradation visible in
-  // the stats instead of an exception.
+  // the registry instead of an exception.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const auto specs = chaos_grid();
@@ -398,8 +415,8 @@ TEST(ShardedScheduler, TotalForkFailureDegradesToThreadedExecution) {
   opts.workers = 3;
   opts.max_retries = 1;
   opts.retry_backoff_ms = 1;
-  opts.fallback_threads = 2;
   const ShardedCampaignScheduler sharded(runner, opts);
+  const CounterDelta moved;
   ArmedFaults armed(
       one_rule(2, FaultSite::kFork, FaultType::kForkEagain, 1.0));
   const auto out = sharded.run_all_checked(specs, {});
@@ -407,9 +424,9 @@ TEST(ShardedScheduler, TotalForkFailureDegradesToThreadedExecution) {
   EXPECT_FALSE(out.first_failure);
   const auto& results = out.results;
   EXPECT_EQ(grid_bytes(results), reference);
-  EXPECT_GE(sharded.stats().fork_failures, 3);
-  EXPECT_EQ(sharded.stats().fallback_threads, 2u);
-  EXPECT_EQ(sharded.stats().cells_recovered_in_process, 4);
+  EXPECT_GE(moved("rt_shard_fork_failures_total"), 3u);
+  EXPECT_EQ(moved("rt_shard_forks_total"), 0u);
+  EXPECT_EQ(moved("rt_shard_cells_recovered_in_process_total"), 4u);
 }
 
 TEST(ShardedScheduler, HungWorkerIsKilledWithinTheReadTimeout) {
@@ -427,6 +444,7 @@ TEST(ShardedScheduler, HungWorkerIsKilledWithinTheReadTimeout) {
   opts.max_retries = 0;  // straight to the in-process fallback
   opts.read_timeout_ms = 250;
   const ShardedCampaignScheduler sharded(runner, opts);
+  const CounterDelta moved;
   ArmedFaults armed(one_rule(6, FaultSite::kPipeWrite, FaultType::kHang,
                              1.0, /*max_faults=*/1));
   const auto t0 = Clock::now();
@@ -437,7 +455,7 @@ TEST(ShardedScheduler, HungWorkerIsKilledWithinTheReadTimeout) {
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
   EXPECT_EQ(grid_bytes(results), reference);
-  EXPECT_GE(sharded.stats().worker_deaths, 2);
+  EXPECT_GE(moved("rt_shard_worker_deaths_total"), 2u);
   EXPECT_LT(wall_s, 30.0) << "hang detection must be timeout-bounded";
 }
 
@@ -453,6 +471,7 @@ TEST(ShardedScheduler, DeadlineExpiryYieldsTypedErrorsNotHangs) {
   opts.workers = 2;
   opts.read_timeout_ms = 600000;
   const ShardedCampaignScheduler sharded(runner, opts);
+  const CounterDelta moved;
   ArmedFaults armed(
       one_rule(8, FaultSite::kPipeWrite, FaultType::kHang, 1.0, 1));
   const auto deadline = Clock::now() + std::chrono::milliseconds(300);
@@ -461,7 +480,7 @@ TEST(ShardedScheduler, DeadlineExpiryYieldsTypedErrorsNotHangs) {
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
   EXPECT_LT(wall_s, 30.0);
-  EXPECT_TRUE(sharded.stats().deadline_expired);
+  EXPECT_EQ(moved("rt_shard_deadline_expirations_total"), 1u);
   ASSERT_EQ(out.errors.size(), specs.size());
   for (std::size_t i = 0; i < out.errors.size(); ++i) {
     EXPECT_EQ(out.errors[i].spec_index, i);
@@ -477,14 +496,14 @@ TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
   // lost by design (the trace frame is the worker's LAST write), but the
   // merge must stay clean — no absorb failures, spans from the survivor and
   // the retry worker present, results bit-identical, and the death visible
-  // in the metrics registry, not just ShardStats.
+  // in the metrics registry.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const auto specs = chaos_grid();
   const std::string reference =
       grid_bytes(CampaignScheduler(runner, 1).run_all(specs));
 
-  const auto before = obs::MetricsRegistry::global().snapshot();
+  const CounterDelta moved;
   obs::Tracer::global().clear();
   obs::Tracer::global().arm(obs::TraceConfig{1 << 12});
   ShardOptions opts;
@@ -498,11 +517,10 @@ TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
   EXPECT_FALSE(out.first_failure);
   const auto& results = out.results;
   obs::Tracer::global().disarm();
-  const auto after = obs::MetricsRegistry::global().snapshot();
 
   EXPECT_EQ(grid_bytes(results), reference);
-  EXPECT_GE(sharded.stats().worker_deaths, 1);
-  EXPECT_GE(sharded.stats().shard_retries, 1);
+  EXPECT_GE(moved("rt_shard_worker_deaths_total"), 1u);
+  EXPECT_GE(moved("rt_shard_retry_waves_total"), 1u);
   EXPECT_EQ(obs::Tracer::global().absorb_failures(), 0u);
 
   const obs::ParsedTrace parsed =
@@ -515,21 +533,13 @@ TEST(ShardedScheduler, TraceMergeSurvivesWorkerDeath) {
   EXPECT_EQ(std::count(pids.begin(), pids.end(), 0u), 1) << "parent lane";
   EXPECT_EQ(pids.size(), 3u) << "parent + survivor + retry worker";
   obs::Tracer::global().clear();
-
-  // The same incidents flow through the registry (cumulative, so deltas).
-  const auto delta = [&](const char* name) {
-    return after.counter(name) - before.counter(name);
-  };
-  EXPECT_EQ(delta("rt_shard_worker_deaths_total"),
-            static_cast<std::uint64_t>(sharded.stats().worker_deaths));
-  EXPECT_EQ(delta("rt_shard_retry_waves_total"),
-            static_cast<std::uint64_t>(sharded.stats().shard_retries));
 }
 #endif  // RT_OBS_TRACING
 
 // ------------------------------------------------------ cell cache chaos
 
 TEST(CellCacheFaults, StoreIoErrorsDeclineAndLeaveNoEntry) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   CampaignCellCache cache({scratch_dir("chaos_store_eio")});
@@ -554,7 +564,7 @@ TEST(CellCacheFaults, StoreIoErrorsDeclineAndLeaveNoEntry) {
     EXPECT_FALSE(fs::exists(cache.entry_path(spec) + ".tmp"))
         << "a declined store must not leak its tmp file";
   }
-  EXPECT_GE(cache.stats().io_errors, 2u);
+  EXPECT_GE(moved.cache("io_errors"), 2u);
   // Disarmed, the same store goes through durably.
   EXPECT_TRUE(cache.store(spec, fresh));
   ASSERT_TRUE(cache.lookup(spec).has_value());
@@ -581,6 +591,7 @@ TEST(CellCacheFaults, ShortWritesStillProduceADurableBitExactEntry) {
 }
 
 TEST(CellCacheFaults, FsyncAndRenameFailuresDecline) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   CampaignCellCache cache({scratch_dir("chaos_store_sync")});
@@ -597,11 +608,12 @@ TEST(CellCacheFaults, FsyncAndRenameFailuresDecline) {
     EXPECT_FALSE(cache.store(spec, fresh));
   }
   EXPECT_FALSE(fs::exists(cache.entry_path(spec)));
-  EXPECT_EQ(cache.stats().io_errors, 2u);
-  EXPECT_EQ(cache.stats().stores, 0u);
+  EXPECT_EQ(moved.cache("io_errors"), 2u);
+  EXPECT_EQ(moved.cache("stores"), 0u);
 }
 
 TEST(CellCacheFaults, ReadIoErrorIsAMissNeverAnException) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   CampaignCellCache cache({scratch_dir("chaos_read_eio")});
@@ -612,8 +624,8 @@ TEST(CellCacheFaults, ReadIoErrorIsAMissNeverAnException) {
         one_rule(14, FaultSite::kCacheRead, FaultType::kIoError, 1.0));
     EXPECT_FALSE(cache.lookup(spec).has_value());
   }
-  EXPECT_EQ(cache.stats().io_errors, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(moved.cache("io_errors"), 1u);
+  EXPECT_EQ(moved.cache("misses"), 1u);
   // And EINTR storms (bounded) are absorbed entirely.
   {
     ArmedFaults armed(one_rule(14, FaultSite::kCacheRead, FaultType::kEintr,
@@ -626,6 +638,7 @@ TEST(CellCacheFaults, ContentChecksumCatchesSingleFlippedByte) {
   // The regression the header-v2 checksum exists for: one flipped byte
   // inside a hex-encoded double can still deserialize cleanly — without
   // the checksum that is a silently WRONG cached result.
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   CampaignCellCache cache({scratch_dir("chaos_flip")});
@@ -647,10 +660,11 @@ TEST(CellCacheFaults, ContentChecksumCatchesSingleFlippedByte) {
     out << blob;
   }
   EXPECT_FALSE(cache.lookup(spec).has_value());
-  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(moved.cache("corrupt"), 1u);
 }
 
 TEST(CellCacheFaults, ZeroLengthAndV1EntriesAreCorruptAndStale) {
+  const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   CampaignCellCache cache({scratch_dir("chaos_zero")});
@@ -661,7 +675,7 @@ TEST(CellCacheFaults, ZeroLengthAndV1EntriesAreCorruptAndStale) {
   // our own store can no longer produce one): corrupt, never served.
   { std::ofstream out(cache.entry_path(spec), std::ios::trunc); }
   EXPECT_FALSE(cache.lookup(spec).has_value());
-  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(moved.cache("corrupt"), 1u);
 
   // A well-formed pre-checksum v1 header: stale (format generation), not
   // corrupt — the bytes are fine, the format moved on.
@@ -675,8 +689,8 @@ TEST(CellCacheFaults, ZeroLengthAndV1EntriesAreCorruptAndStale) {
         << experiments::serialize_campaign_result(fresh);
   }
   EXPECT_FALSE(cache.lookup(spec).has_value());
-  EXPECT_EQ(cache.stats().stale, 1u);
-  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(moved.cache("stale"), 1u);
+  EXPECT_EQ(moved.cache("corrupt"), 1u);
 }
 
 // ------------------------------------------------- CampaignService chaos
@@ -687,7 +701,6 @@ TEST(CampaignServiceFaults, PersistentStoreFailuresLatchTheCacheOff) {
   ServiceConfig cfg;
   cfg.cache = CacheConfig{scratch_dir("chaos_latch")};
   cfg.threads = 1;
-  cfg.cache_fail_threshold = 2;
   CampaignService svc(runner, cfg);
   const std::vector<CampaignSpec> specs{small_spec("a", 1),
                                         small_spec("b", 2),
@@ -695,6 +708,7 @@ TEST(CampaignServiceFaults, PersistentStoreFailuresLatchTheCacheOff) {
   const std::string reference =
       grid_bytes(CampaignScheduler(runner, 1).run_all(specs));
 
+  const CounterDelta moved;
   {
     ArmedFaults armed(
         one_rule(15, FaultSite::kCacheWrite, FaultType::kIoError, 1.0));
@@ -702,16 +716,18 @@ TEST(CampaignServiceFaults, PersistentStoreFailuresLatchTheCacheOff) {
     EXPECT_EQ(grid_bytes(results), reference)
         << "a dead disk must not change results";
   }
+  // Three failed stores in a row latch the cache off.
   EXPECT_TRUE(svc.cache_degraded());
-  EXPECT_GE(svc.cache_stats().io_errors, 2u);
-  EXPECT_EQ(svc.cache_stats().stores, 0u);
+  EXPECT_EQ(moved.cache("io_errors"), 3u);
+  EXPECT_EQ(moved.cache("stores"), 0u);
 
   // Disk is healthy again, but the latch holds (no lookups, no stores):
   // results are still correct, just uncached.
+  const CounterDelta latched;
   const auto again = svc.run_grid(specs);
   EXPECT_EQ(grid_bytes(again), reference);
-  EXPECT_EQ(svc.last_request().cache_hits, 0u);
-  EXPECT_EQ(svc.cache_stats().stores, 0u);
+  EXPECT_EQ(latched.cache("hits") + latched.cache("misses"), 0u);
+  EXPECT_EQ(latched.cache("stores"), 0u);
 }
 
 TEST(CampaignServiceFaults, DeadlineProducesTypedErrorsInProcess) {
@@ -723,13 +739,14 @@ TEST(CampaignServiceFaults, DeadlineProducesTypedErrorsInProcess) {
   GridRequest request;
   request.specs = chaos_grid();
   request.deadline_ms = 1e-6;  // expired before the first cell boundary
+  const CounterDelta moved;
   const GridOutcome response = svc.run_grid_checked(request);
   ASSERT_EQ(response.errors.size(), request.specs.size());
   for (const auto& err : response.errors) {
     EXPECT_EQ(err.code, CampaignErrorCode::kDeadlineExceeded);
     EXPECT_TRUE(response.results[err.spec_index].runs.empty());
   }
-  EXPECT_EQ(svc.last_request().errors, request.specs.size());
+  EXPECT_EQ(moved("rt_service_spec_errors_total"), request.specs.size());
 }
 
 TEST(CampaignServiceFaults, DeadlineProducesTypedErrorsSharded) {
@@ -784,6 +801,7 @@ TEST(CampaignServiceFaults, ExecutionFailureIsTypedAtTheFailingSpec) {
     CampaignService svc(runner, cfg);
     GridRequest request;
     request.specs = specs;
+    const CounterDelta moved;
     const auto response = svc.run_grid_checked(request);
     ASSERT_EQ(response.errors.size(), 1u) << label;
     const auto& err = response.errors.front();
@@ -795,7 +813,7 @@ TEST(CampaignServiceFaults, ExecutionFailureIsTypedAtTheFailingSpec) {
     EXPECT_TRUE(response.results[1].runs.empty()) << label;
     EXPECT_EQ(grid_bytes({response.results[0]}), reference) << label;
     if (svc.cache() != nullptr) {
-      EXPECT_EQ(svc.cache_stats().stores, 1u) << label;
+      EXPECT_EQ(moved.cache("stores"), 1u) << label;
       EXPECT_TRUE(svc.cache()->lookup(good).has_value()) << label;
       EXPECT_FALSE(svc.cache()->lookup(bad).has_value()) << label;
     }
