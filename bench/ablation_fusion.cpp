@@ -10,7 +10,8 @@
 using namespace rt;
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/111);
+  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/111,
+                                         bench::GridRoute::kInProcess);
   bench::header("Ablation — sensor fusion (DS-1 Move_Out, vehicle victim)");
   experiments::LoopConfig base;
   const auto oracles = bench::oracles(base);
@@ -59,5 +60,6 @@ int main(int argc, char** argv) {
       "\nexpected: without LiDAR corroboration the camera-channel attack\n"
       "gets easier (and the golden runs less stable) — fusion is the\n"
       "defense the attacker must out-maneuver, not a full shield.\n");
+  bench::finish_observability(opts);
   return 0;
 }

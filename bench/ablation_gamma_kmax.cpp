@@ -49,7 +49,8 @@ experiments::CampaignResult run_with(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/1357);
+  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/1357,
+                                         bench::GridRoute::kInProcess);
   experiments::LoopConfig loop;
   const auto oracles = bench::oracles(loop);
   const int n = opts.runs;
@@ -108,5 +109,6 @@ int main(int argc, char** argv) {
         "the IDS absence-alarm rate (blackout beyond the natural tail).\n");
   }
   bench::maybe_write_csv(opts, csv_head, csv_rows);
+  bench::finish_observability(opts);
   return 0;
 }

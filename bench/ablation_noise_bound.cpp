@@ -12,7 +12,8 @@
 using namespace rt;
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/8642);
+  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/8642,
+                                         bench::GridRoute::kInProcess);
   bench::header("Ablation — perturbation noise bound vs IDS detection");
   experiments::LoopConfig loop;
   loop.enable_ids = true;
@@ -78,5 +79,6 @@ int main(int argc, char** argv) {
       "\nexpected shape: tighter bounds slow the hijack (lower success);\n"
       "looser bounds raise IDS innovation alarms. The paper's 1-sigma rule\n"
       "sits at the stealth/effectiveness knee.\n");
+  bench::finish_observability(opts);
   return 0;
 }

@@ -84,10 +84,13 @@ void BM_DetectorModel(benchmark::State& state) {
   stats::Rng rng(4);
   sim::Scenario sc = sim::make_scenario("DS-5", rng);
   sim::World world = sc.make_world();
-  const auto gt = world.ground_truth();
+  std::vector<sim::GroundTruthObject> gt;
+  world.ground_truth_into(gt);
+  perception::CameraFrame frame;
   double t = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(det.detect(gt, t));
+    det.detect_into(gt, t, frame);
+    benchmark::DoNotOptimize(frame.detections.data());
     t += 1.0 / 15.0;
   }
 }
@@ -102,12 +105,17 @@ void BM_FullPerceptionStep(benchmark::State& state) {
   stats::Rng rng(7);
   sim::Scenario sc = sim::make_scenario("DS-5", rng);
   sim::World world = sc.make_world();
-  const auto gt = world.ground_truth();
+  std::vector<sim::GroundTruthObject> gt;
+  world.ground_truth_into(gt);
+  std::vector<perception::LidarMeasurement> scan;
+  perception::CameraFrame frame;
   perception::PerceptionOutput out;
   double t = 0.0;
   for (auto _ : state) {
-    sys.ingest_lidar(lidar.scan(gt));
-    sys.step_into(det.detect(gt, t), out);
+    lidar.scan_into(gt, scan);
+    sys.ingest_lidar(scan);
+    det.detect_into(gt, t, frame);
+    sys.step_into(frame, out);
     benchmark::DoNotOptimize(out.world.data());
     t += 1.0 / 15.0;
   }
@@ -128,7 +136,7 @@ void BM_CampaignSchedulerThroughput(benchmark::State& state) {
       core::AttackVector::kDisappear, experiments::AttackMode::kNoSh, 16,
       4242};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.run(spec));
+    benchmark::DoNotOptimize(scheduler.run_all({spec}).front());
   }
   state.SetItemsProcessed(state.iterations() * spec.runs);
 }

@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
-
 #include <vector>
 
 #include "experiments/campaign.hpp"
@@ -20,31 +20,6 @@
 #include "service/campaign_service.hpp"
 
 namespace rt::bench {
-
-/// Number of runs per campaign: paper uses 131-185; default is sized to
-/// keep every bench binary under ~a minute. Override with ROBOTACK_RUNS.
-inline int runs_per_campaign() {
-  if (const char* env = std::getenv("ROBOTACK_RUNS")) {
-    return std::max(4, std::atoi(env));
-  }
-  return 60;
-}
-
-/// Campaign-engine thread count: 0 = one thread per hardware core.
-/// Override with ROBOTACK_THREADS (e.g. =1 for the serial baseline).
-inline unsigned campaign_threads() {
-  if (const char* env = std::getenv("ROBOTACK_THREADS")) {
-    return static_cast<unsigned>(std::max(1, std::atoi(env)));
-  }
-  return 0;
-}
-
-/// Campaign result-cache directory shared by the table_* drivers and the
-/// campaign server: empty = no caching. Override with RT_CAMPAIGN_CACHE.
-inline std::string campaign_cache_dir() {
-  if (const char* env = std::getenv("RT_CAMPAIGN_CACHE")) return env;
-  return {};
-}
 
 /// Loads (or trains once and caches under data/) the three per-vector
 /// safety-hijacker oracles.
@@ -64,92 +39,128 @@ inline void header(const char* title) {
 /// environment knobs (ROBOTACK_RUNS / ROBOTACK_THREADS) so existing
 /// invocations keep working; flags override the environment.
 struct BenchOptions {
-  int runs{0};
+  int runs{60};  ///< paper uses 131-185; sized to keep drivers ~a minute
   unsigned threads{0};  ///< 0 = one thread per hardware core
   std::uint64_t seed{0};
   std::string csv_path;   ///< empty = no CSV output
   std::string json_path;  ///< empty = no JSON perf records
-  std::string cache_dir;  ///< empty = no result cache (env RT_CAMPAIGN_CACHE)
+  std::string cache_dir;  ///< empty = no result cache
   unsigned workers{0};    ///< forked grid workers; 0 = in-process threads
   std::string trace_path;    ///< Chrome trace JSON written on exit
   std::string metrics_path;  ///< Prometheus metrics text written on exit
 };
 
+/// How a driver runs its grid, which decides whether it takes the service
+/// flags (--cache-dir, --workers).
+enum class GridRoute {
+  kService,    ///< through make_service: the flags pick cache and workers
+  kInProcess,  ///< in-process only: the flags are usage errors
+};
+
 /// Parses --runs N, --seed S, --threads T, --csv PATH, --json PATH,
-/// --cache-dir PATH, --workers N, --trace PATH, --metrics PATH (and
-/// --help). Unknown flags or missing values print usage and exit non-zero.
+/// --trace PATH, --metrics PATH, --help, and for service-routed drivers
+/// --cache-dir PATH and --workers N. Numbers are strict
+/// (experiments::parse_uint): runs in [1, INT_MAX], threads and workers in
+/// [0, 4096], for the flags and the ROBOTACK_RUNS / ROBOTACK_THREADS knobs
+/// alike. Unknown flags, missing values and bad numbers print usage and
+/// exit 2.
 inline BenchOptions parse_options(int argc, char** argv,
-                                  std::uint64_t default_seed) {
+                                  std::uint64_t default_seed,
+                                  GridRoute route = GridRoute::kService) {
+  const bool service = route == GridRoute::kService;
   BenchOptions opts;
-  opts.runs = runs_per_campaign();
-  opts.threads = campaign_threads();
   opts.seed = default_seed;
-  opts.cache_dir = campaign_cache_dir();
   const auto usage = [&](std::FILE* out) {
     std::fprintf(out,
                  "usage: %s [--runs N] [--seed S] [--threads T] [--csv PATH] "
-                 "[--json PATH] [--cache-dir PATH] [--workers N]\n"
+                 "[--json PATH]%s [--trace PATH] [--metrics PATH]\n"
                  "  --runs N     runs per campaign (default %d; env ROBOTACK_RUNS)\n"
                  "  --seed S     base campaign seed (default %llu)\n"
                  "  --threads T  campaign-engine threads, 0 = per core "
                  "(env ROBOTACK_THREADS)\n"
                  "  --csv PATH   also write the result table as CSV\n"
                  "  --json PATH  also write machine-readable perf records\n"
-                 "  --cache-dir PATH  campaign result cache "
-                 "(env RT_CAMPAIGN_CACHE; empty = off)\n"
-                 "  --workers N  forked grid worker processes "
-                 "(0 = in-process threads)\n"
+                 "%s"
                  "  --trace PATH    arm span tracing, write a Chrome trace "
                  "JSON on exit (env RT_TRACE=PATH)\n"
                  "  --metrics PATH  write the final metrics snapshot as "
                  "Prometheus text on exit\n",
-                 argv[0], opts.runs,
-                 static_cast<unsigned long long>(default_seed));
+                 argv[0], service ? " [--cache-dir PATH] [--workers N]" : "",
+                 opts.runs,
+                 static_cast<unsigned long long>(default_seed),
+                 service ? "  --cache-dir PATH  campaign result cache "
+                           "(empty = off)\n"
+                           "  --workers N  forked grid worker processes "
+                           "(0 = in-process threads)\n"
+                         : "");
   };
+  // A bad number is a usage error, never a silent 0 or a wrapped -1.
+  const auto number = [&](const char* what, const char* text,
+                          std::uint64_t lo, std::uint64_t hi) {
+    const auto parsed = experiments::parse_uint(text, lo, hi);
+    if (!parsed) {
+      std::fprintf(stderr, "%s: %s expects an integer in [%llu, %llu], got "
+                   "'%s'\n", argv[0], what, static_cast<unsigned long long>(lo),
+                   static_cast<unsigned long long>(hi), text);
+      usage(stderr);
+      std::exit(2);
+    }
+    return *parsed;
+  };
+  constexpr std::uint64_t kMaxRuns = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kMaxThreads = 4096;
+  if (const char* env = std::getenv("ROBOTACK_RUNS")) {
+    opts.runs = std::max(
+        4, static_cast<int>(number("ROBOTACK_RUNS", env, 1, kMaxRuns)));
+  }
+  if (const char* env = std::getenv("ROBOTACK_THREADS")) {
+    opts.threads = static_cast<unsigned>(
+        number("ROBOTACK_THREADS", env, 0, kMaxThreads));
+  }
   for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], argv[i]);
+        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
         usage(stderr);
         std::exit(2);
       }
       return argv[++i];
     };
-    const auto numeric = [&](const char* text) -> unsigned long long {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv[0],
-                     argv[i - 1], text);
-        usage(stderr);
-        std::exit(2);
-      }
-      return parsed;
-    };
-    if (std::strcmp(argv[i], "--runs") == 0) {
-      opts.runs = std::max(1, static_cast<int>(numeric(value())));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opts.seed = numeric(value());
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = static_cast<unsigned>(numeric(value()));
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
+    if (!service && (std::strcmp(flag, "--cache-dir") == 0 ||
+                     std::strcmp(flag, "--workers") == 0)) {
+      std::fprintf(stderr, "%s: %s is not supported: this driver runs its "
+                   "grid in-process only\n", argv[0], flag);
+      usage(stderr);
+      std::exit(2);
+    }
+    if (std::strcmp(flag, "--runs") == 0) {
+      opts.runs = static_cast<int>(number(flag, value(), 1, kMaxRuns));
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      opts.seed = number(flag, value(), 0,
+                         std::numeric_limits<std::uint64_t>::max());
+    } else if (std::strcmp(flag, "--threads") == 0) {
+      opts.threads =
+          static_cast<unsigned>(number(flag, value(), 0, kMaxThreads));
+    } else if (std::strcmp(flag, "--csv") == 0) {
       opts.csv_path = value();
-    } else if (std::strcmp(argv[i], "--json") == 0) {
+    } else if (std::strcmp(flag, "--json") == 0) {
       opts.json_path = value();
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
+    } else if (std::strcmp(flag, "--cache-dir") == 0) {
       opts.cache_dir = value();
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      opts.workers = static_cast<unsigned>(numeric(value()));
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
+    } else if (std::strcmp(flag, "--workers") == 0) {
+      opts.workers =
+          static_cast<unsigned>(number(flag, value(), 0, kMaxThreads));
+    } else if (std::strcmp(flag, "--trace") == 0) {
       opts.trace_path = value();
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
+    } else if (std::strcmp(flag, "--metrics") == 0) {
       opts.metrics_path = value();
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
+    } else if (std::strcmp(flag, "--help") == 0 ||
+               std::strcmp(flag, "-h") == 0) {
       usage(stdout);
       std::exit(0);
     } else {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], argv[i]);
+      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], flag);
       usage(stderr);
       std::exit(2);
     }

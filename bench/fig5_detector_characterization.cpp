@@ -83,7 +83,8 @@ void print_class(const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/20200613);
+  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/20200613,
+                                         bench::GridRoute::kInProcess);
   bench::header(
       "Fig. 5 — YOLOv3 detector characterization (paper vs measured)");
 
@@ -130,5 +131,6 @@ int main(int argc, char** argv) {
       "   attacker bound uses the full configured population fit.\n"
       " - streak p99 is empirical; the paper's own p99 (31 / 59.4) also far\n"
       "   exceeds its fitted exponential's analytic p99 (heavy tail).\n");
+  bench::finish_observability(opts);
   return 0;
 }

@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   experiments::LoopConfig loop;
   const auto oracles = bench::oracles(loop);
   experiments::CampaignRunner runner(loop, oracles);
-  experiments::CampaignScheduler scheduler(runner, opts.threads);
+  const auto svc = bench::make_service(runner, opts);
+  const auto service_before = obs::MetricsRegistry::global().snapshot();
 
   // Every panel's R / R-w/o-SH pair as one grid: modes × vectors ×
   // scenarios, with the Move_In scenarios as a second block.
@@ -46,7 +47,8 @@ int main(int argc, char** argv) {
           .vectors({core::AttackVector::kMoveIn})
           .scenarios({"DS-3", "DS-4"})
           .build();
-  const auto results = scheduler.run_all(specs);
+  const auto results = svc->run_grid(specs);
+  bench::report_service_stats(*svc, service_before);
   const auto find = [&](const std::string& name)
       -> const experiments::CampaignResult& {
     for (const auto& r : results) {
@@ -120,5 +122,6 @@ int main(int argc, char** argv) {
                         experiments::fmt_pct(rs.crash_rate())});
   }
   bench::maybe_write_csv(opts, csv_head, csv_rows);
+  bench::finish_observability(opts);
   return 0;
 }

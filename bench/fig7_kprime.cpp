@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   experiments::LoopConfig loop;
   const auto oracles = bench::oracles(loop);
   experiments::CampaignRunner runner(loop, oracles);
-  experiments::CampaignScheduler scheduler(runner, opts.threads);
+  const auto svc = bench::make_service(runner, opts);
+  const auto service_before = obs::MetricsRegistry::global().snapshot();
   const int n = opts.runs;
 
   struct Cell {
@@ -45,7 +46,8 @@ int main(int argc, char** argv) {
                      experiments::AttackMode::kRobotack, n, opts.seed,
                      std::nullopt});
   }
-  const auto results = scheduler.run_all(specs);
+  const auto results = svc->run_grid(specs);
+  bench::report_service_stats(*svc, service_before);
 
   std::vector<std::string> csv_head{"cell",   "n_kprime", "min", "q1",
                                     "median", "q3",       "max"};
@@ -76,5 +78,6 @@ int main(int argc, char** argv) {
       "for the pedestrian's small bbox, so the absolute K' ordering between\n"
       "classes can differ from the paper (see EXPERIMENTS.md); K' remaining\n"
       "a small fraction of the total attack K (stealth, §VI-E) holds.\n");
+  bench::finish_observability(opts);
   return 0;
 }

@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
   // (a) success probability vs binned prediction error, Move_Out campaigns.
   bench::header("(a) success probability vs NN prediction error (binned)");
   experiments::CampaignRunner runner(loop, oracles);
-  experiments::CampaignScheduler scheduler(runner, opts.threads);
+  const auto svc = bench::make_service(runner, opts);
+  const auto service_before = obs::MetricsRegistry::global().snapshot();
   const int n = opts.runs;
   std::vector<experiments::CampaignSpec> specs;
   for (const char* name : {"DS-1", "DS-2"}) {
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
                      std::nullopt});
   }
   std::vector<std::pair<double, bool>> samples;  // (|error|, success)
-  for (const auto& result : scheduler.run_all(specs)) {
+  for (const auto& result : svc->run_grid(specs)) {
     for (const auto& r : result.runs) {
       if (!r.attack.triggered) continue;
       const double err =
@@ -89,6 +90,7 @@ int main(int argc, char** argv) {
       samples.emplace_back(err, r.crash || r.eb);
     }
   }
+  bench::report_service_stats(*svc, service_before);
   // Bin by error and report success fraction (paper: decreasing).
   const double bins[] = {0.0, 2.0, 4.0, 6.0, 9.0, 13.0, 1e9};
   std::vector<std::string> csv_head{"err_lo", "err_hi", "n", "success_prob"};
@@ -117,5 +119,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper: success probability decreases as prediction error grows;\n"
       "NN within ~5 m (vehicles) / ~1.5 m (pedestrians) on validation.\n");
+  bench::finish_observability(opts);
   return 0;
 }

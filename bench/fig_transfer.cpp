@@ -15,7 +15,8 @@
 using namespace rt;
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/424242);
+  const auto opts = bench::parse_options(argc, argv, /*default_seed=*/424242,
+                                         bench::GridRoute::kInProcess);
   bench::header("Transfer matrix — train-on-X / eval-on-Y oracle transfer");
 
   experiments::LoopConfig loop;
@@ -89,5 +90,6 @@ int main(int argc, char** argv) {
   };
   print_gap("diagonal:    ", diag);
   print_gap("off-diagonal:", off);
+  bench::finish_observability(opts);
   return 0;
 }

@@ -26,16 +26,15 @@ int main(int argc, char** argv) {
   experiments::DefenseGridConfig cfg;
   cfg.runs = opts.runs;
   cfg.seed = opts.seed;
-  cfg.threads = opts.threads;
 
-  // --cache-dir / --workers route the grid through the campaign service
-  // (content-hash cache and/or forked shards); results are identical.
+  // The grid runs through the campaign service; --cache-dir / --workers add
+  // its content-hash cache and/or forked shards. Results are identical.
   experiments::CampaignRunner runner(loop, oracles);
   const auto svc = bench::make_service(runner, opts);
   const auto service_before = obs::MetricsRegistry::global().snapshot();
-  if (!opts.cache_dir.empty() || opts.workers >= 1) {
-    cfg.executor = svc->executor();
-  }
+  const unsigned threads = opts.threads == 0
+                               ? runtime::ThreadPool::default_threads()
+                               : opts.threads;
 
   const auto& monitors = defense::MonitorRegistry::global();
   std::printf("monitors:\n");
@@ -44,12 +43,10 @@ int main(int argc, char** argv) {
                 monitors.get(key).description.c_str());
   }
   std::printf("runs per campaign: %d, seed %llu, threads %u\n", cfg.runs,
-              static_cast<unsigned long long>(cfg.seed),
-              cfg.threads == 0 ? runtime::ThreadPool::default_threads()
-                               : cfg.threads);
+              static_cast<unsigned long long>(cfg.seed), threads);
 
   const obs::Stopwatch watch;
-  const auto grid = experiments::run_defense_grid(cfg, loop, oracles);
+  const auto grid = experiments::run_defense_grid(cfg, svc->executor());
   const double elapsed = watch.elapsed_s();
   int total_runs = 0;
   for (const auto& c : grid.cells) total_runs += c.n;
@@ -57,9 +54,7 @@ int main(int argc, char** argv) {
               grid.cells.size(), total_runs, elapsed, total_runs / elapsed);
   bench::report_service_stats(*svc, service_before);
   bench::maybe_write_bench_json(
-      opts, {{"defense_grid", total_runs / elapsed, elapsed * 1000.0,
-              cfg.threads == 0 ? runtime::ThreadPool::default_threads()
-                               : cfg.threads,
+      opts, {{"defense_grid", total_runs / elapsed, elapsed * 1000.0, threads,
               opts.seed}});
 
   std::vector<std::string> head{"campaign", "monitor", "#runs",

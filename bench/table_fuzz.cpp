@@ -19,16 +19,6 @@ using namespace rt;
 
 namespace {
 
-experiments::ScenarioSearchResult run_search(
-    experiments::ScenarioSearchConfig cfg, const experiments::LoopConfig& loop,
-    double& elapsed_s) {
-  const obs::Stopwatch watch;
-  const auto result =
-      experiments::run_scenario_search(cfg, loop, /*oracles=*/{});
-  elapsed_s = watch.elapsed_s();
-  return result;
-}
-
 void print_frontier(const experiments::ScenarioSearchResult& result) {
   std::vector<std::string> head{"template", "corpus line", "score",
                                 "crash",    "EB",          "det rate",
@@ -58,18 +48,14 @@ int main(int argc, char** argv) {
   experiments::ScenarioSearchConfig cfg;
   cfg.runs_per_sample = opts.runs;
   cfg.seed = opts.seed;
-  cfg.threads = opts.threads;
   cfg.monitors = defense::MonitorRegistry::global().keys();
 
-  // --cache-dir / --workers score each round's specs through the campaign
-  // service (the search itself passes oracles={}; the executor's runner
-  // must match for bit-identical scoring).
-  const experiments::CampaignRunner service_runner(loop, {});
-  const auto svc = bench::make_service(service_runner, opts);
+  // Each round's specs are scored through the campaign service, on a
+  // runner without oracles (the search's R w/o SH mode needs none);
+  // --cache-dir / --workers add its cache and/or forked shards.
+  const experiments::CampaignRunner runner(loop, {});
+  const auto svc = bench::make_service(runner, opts);
   const auto service_before = obs::MetricsRegistry::global().snapshot();
-  if (!opts.cache_dir.empty() || opts.workers >= 1) {
-    cfg.executor = svc->executor();
-  }
   const unsigned threads = opts.threads == 0
                                ? runtime::ThreadPool::default_threads()
                                : opts.threads;
@@ -87,8 +73,9 @@ int main(int argc, char** argv) {
       experiments::SearchObjective::kEvadeMonitors};
   for (int i = 0; i < 2; ++i) {
     cfg.objective = objectives[i];
-    double elapsed = 0.0;
-    searches[i] = run_search(cfg, loop, elapsed);
+    const obs::Stopwatch watch;
+    searches[i] = experiments::run_scenario_search(cfg, svc->executor());
+    const double elapsed = watch.elapsed_s();
     bench::header((std::string("objective: ") + to_string(cfg.objective))
                       .c_str());
     print_frontier(searches[i]);

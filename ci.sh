@@ -104,6 +104,52 @@ echo "==> table_fuzz smoke (BENCH_fuzz.json)"
 ./build-release/bench/table_fuzz --runs 2 --threads 1 \
   --json BENCH_fuzz.json >/dev/null
 cat BENCH_fuzz.json
+# Grid drivers honour the service flags: fig7 runs its grid through the
+# campaign service, so a second pass on the same --cache-dir must be all
+# hits with a byte-identical CSV; a traced, uncached pass must match too and
+# leave a trace with the service and cell spans plus a metrics snapshot. An
+# in-process-only driver must refuse the service flags rather than ignore
+# them.
+echo "==> grid drivers honour service flags"
+flags_dir="build-release/service_flags"
+rm -rf "$flags_dir"
+mkdir -p "$flags_dir"
+./build-release/bench/fig7_kprime --runs 2 --threads 1 \
+  --cache-dir "$flags_dir/cache" --csv "$flags_dir/a.csv" \
+  >"$flags_dir/pass1.out"
+./build-release/bench/fig7_kprime --runs 2 --threads 1 \
+  --cache-dir "$flags_dir/cache" --csv "$flags_dir/b.csv" \
+  >"$flags_dir/pass2.out"
+grep -q 'cache: hits=4 misses=0 ' "$flags_dir/pass2.out" || {
+  echo "ERROR: fig7_kprime second pass was not 4 cache hits" >&2
+  cat "$flags_dir/pass2.out" >&2
+  exit 1
+}
+cmp "$flags_dir/a.csv" "$flags_dir/b.csv" || {
+  echo "ERROR: fig7_kprime cached CSV differs from the computed one" >&2
+  exit 1
+}
+./build-release/bench/fig7_kprime --runs 2 --threads 1 \
+  --csv "$flags_dir/c.csv" --trace "$flags_dir/trace.json" \
+  --metrics "$flags_dir/metrics.txt" >/dev/null
+cmp "$flags_dir/a.csv" "$flags_dir/c.csv" || {
+  echo "ERROR: arming the tracer changed the fig7_kprime result bytes" >&2
+  exit 1
+}
+./build-release/examples/trace_lint "$flags_dir/trace.json" \
+  grid_request campaign_cell
+grep -q '^rt_service_requests_total 1$' "$flags_dir/metrics.txt" || {
+  echo "ERROR: fig7_kprime --metrics did not record its grid request" >&2
+  exit 1
+}
+status=0
+./build-release/bench/ablation_fusion --cache-dir "$flags_dir/cache" \
+  >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+  echo "ERROR: ablation_fusion accepted --cache-dir (exit $status, want 2)" >&2
+  exit 1
+}
+
 # Campaign service: the cold/warm cache driver is its own gate (it exits
 # nonzero unless the warm pass is 100% hits, bit-identical, and >=10x
 # faster), and its records are the service-layer perf trajectory.

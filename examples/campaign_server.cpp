@@ -71,6 +71,7 @@
 #include <vector>
 
 #include "experiments/campaign_grid.hpp"
+#include "experiments/reporting.hpp"
 #include "experiments/sh_training.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
@@ -116,27 +117,9 @@ struct ServerOptions {
   std::exit(code);
 }
 
-/// Strict unsigned parse: the WHOLE string must be base-10 digits and the
-/// value must land in [lo, hi]. Unlike atoi/strtoull this rejects empty
-/// strings, signs, whitespace, trailing junk ("12x") and overflow instead
-/// of silently returning 0 or wrapping — a garbled `runs=abc` must be an
-/// error reply, not a 0-run campaign.
-std::optional<std::uint64_t> parse_uint(const std::string& s,
-                                        std::uint64_t lo,
-                                        std::uint64_t hi) {
-  if (s.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      return std::nullopt;  // overflow
-    }
-    v = v * 10 + digit;
-  }
-  if (v < lo || v > hi) return std::nullopt;
-  return v;
-}
+// Strict numbers for flags and request fields: a garbled `runs=abc` must
+// be an error reply, not a 0-run campaign.
+using experiments::parse_uint;
 
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> out;

@@ -6,6 +6,7 @@
 // model diverges from the truth without any single frame looking anomalous.
 
 #include <cstdio>
+#include <vector>
 
 #include "core/trajectory_hijacker.hpp"
 #include "perception/detector_model.hpp"
@@ -52,16 +53,20 @@ int main() {
   const double range = 30.0;
   perception::PerceptionOutput clean_out;
   perception::PerceptionOutput attacked_out;
+  const std::vector<sim::GroundTruthObject> gt{lead_vehicle(range)};
+  std::vector<perception::LidarMeasurement> scan;
+  perception::CameraFrame clean_frame;
+  perception::CameraFrame frame;
   for (int f = 0; f < 60; ++f) {
-    const auto gt = lead_vehicle(range);
     if (f % 2 == 0) {
-      const auto scan = lidar.scan({gt});
+      lidar.scan_into(gt, scan);
       clean.ingest_lidar(scan);
       attacked.ingest_lidar(scan);
     }
-    clean.step_into(det_clean.detect({gt}, f * dt), clean_out);
+    det_clean.detect_into(gt, f * dt, clean_frame);
+    clean.step_into(clean_frame, clean_out);
 
-    auto frame = det_attacked.detect({gt}, f * dt);
+    det_attacked.detect_into(gt, f * dt, frame);
     double shift_frac = 0.0;
     if (f >= 15 && !frame.detections.empty()) {
       const auto pred = ads_replica.predict_next_bbox(1);

@@ -312,10 +312,6 @@ std::vector<CampaignResult> CampaignScheduler::run_all(
   return run_all_checked(specs).complete_or_throw();
 }
 
-CampaignResult CampaignScheduler::run(const CampaignSpec& spec) const {
-  return run_all({spec}).front();
-}
-
 std::vector<CampaignSpec> table2_campaigns(int runs_per,
                                            std::uint64_t seed) {
   using core::AttackVector;

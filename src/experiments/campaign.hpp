@@ -233,11 +233,12 @@ class GridSlots {
   GridOutcome out_;
 };
 
-/// Pluggable campaign-batch executor: runs every spec and returns results
-/// in spec order. Grid harnesses (defense grid, scenario search) accept one
-/// so the service layer can substitute cached and/or multi-process
-/// execution (rt::service::CampaignService::executor()) for the default
-/// in-process CampaignScheduler without the harness knowing.
+/// Campaign-batch executor: runs every spec and returns results in spec
+/// order. Grid harnesses (defense grid, scenario search) run only through
+/// the one their caller passes, so the caller owns the single runner (loop
+/// config + oracles) a grid runs on. Drivers pass
+/// rt::service::CampaignService::executor(), whose cache and forked
+/// workers the harness never sees; tests may wrap a CampaignScheduler.
 using GridExecutor = std::function<std::vector<CampaignResult>(
     const std::vector<CampaignSpec>&)>;
 
@@ -263,9 +264,6 @@ class CampaignScheduler {
   [[nodiscard]] GridOutcome run_all_checked(
       const std::vector<CampaignSpec>& specs,
       const GridDeadline& deadline = {}) const;
-
-  /// Convenience: single-spec batch.
-  [[nodiscard]] CampaignResult run(const CampaignSpec& spec) const;
 
   [[nodiscard]] unsigned threads() const { return threads_; }
 

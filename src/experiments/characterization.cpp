@@ -57,9 +57,11 @@ CharacterizationResult characterize_detector(
   std::unordered_map<sim::ActorId, int> active_streak;
 
   const int frames = static_cast<int>(config.duration_s * config.camera_hz);
+  std::vector<sim::GroundTruthObject> gt;
+  perception::CameraFrame frame;
   for (int f = 0; f < frames; ++f) {
-    const auto gt = world.ground_truth();
-    const auto frame = detector.detect(gt, f * dt);
+    world.ground_truth_into(gt);
+    detector.detect_into(gt, f * dt, frame);
 
     for (const auto& obj : gt) {
       const auto truth_box = camera.project(obj);

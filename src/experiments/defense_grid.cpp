@@ -33,8 +33,7 @@ std::vector<std::vector<std::string>> DefenseGrid::csv_rows() const {
 }
 
 DefenseGrid run_defense_grid(const DefenseGridConfig& cfg,
-                             const LoopConfig& base,
-                             const OracleSet& oracles) {
+                             const GridExecutor& executor) {
   const std::vector<std::string> scenarios =
       cfg.scenarios.empty() ? sim::ScenarioRegistry::global().keys()
                             : cfg.scenarios;
@@ -52,12 +51,7 @@ DefenseGrid run_defense_grid(const DefenseGridConfig& cfg,
         .vectors({transfer_vector_for(family)})
         .add_grid();
   }
-  const auto specs = builder.build();
-
-  CampaignRunner runner(base, oracles);
-  CampaignScheduler scheduler(runner, cfg.threads);
-  const auto results =
-      cfg.executor ? cfg.executor(specs) : scheduler.run_all(specs);
+  const auto results = executor(builder.build());
 
   DefenseGrid grid;
   grid.cells.reserve(results.size());

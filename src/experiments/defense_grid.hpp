@@ -8,7 +8,9 @@
 namespace rt::experiments {
 
 /// Configuration of the attack-vs-defense evaluation grid: every cell is a
-/// <scenario family, natural vector, attack mode, monitor> campaign.
+/// <scenario family, natural vector, attack mode, monitor> campaign. How the
+/// grid runs (threads, workers, cache, oracles) is the executor's business,
+/// not the config's: see run_defense_grid.
 struct DefenseGridConfig {
   /// Scenario families (registry keys). Empty = every registered family.
   std::vector<std::string> scenarios{};
@@ -21,12 +23,6 @@ struct DefenseGridConfig {
                                 AttackMode::kGolden};
   int runs{8};
   std::uint64_t seed{20200613};
-  /// 0 = one thread per core. Results are thread-count-invariant.
-  unsigned threads{0};
-  /// Optional campaign-batch executor (e.g. a cached / multi-process
-  /// rt::service::CampaignService). Unset = the in-process scheduler with
-  /// `threads` threads. Any conforming executor yields identical grids.
-  GridExecutor executor{};
 };
 
 /// One aggregated cell of the matrix.
@@ -58,14 +54,15 @@ struct DefenseGrid {
   [[nodiscard]] std::vector<std::vector<std::string>> csv_rows() const;
 };
 
-/// Builds and runs the attack-vs-defense matrix on the parallel campaign
-/// engine: for every scenario family its natural attack vector (from the
-/// victim-geometry metadata, see transfer_vector_for) is crossed with the
-/// configured modes and monitors. Deterministic for a fixed config at any
-/// thread count — monitors consume no randomness and every run's streams
-/// are counter-based.
+/// Builds the attack-vs-defense matrix and runs it as one batch on the
+/// caller's executor (e.g. rt::service::CampaignService::executor(), whose
+/// runner supplies the loop config and the oracles R rows need): for every
+/// scenario family its natural attack vector (from the victim-geometry
+/// metadata, see transfer_vector_for) is crossed with the configured modes
+/// and monitors. Deterministic for a fixed config on any conforming
+/// executor — monitors consume no randomness and every run's streams are
+/// counter-based.
 [[nodiscard]] DefenseGrid run_defense_grid(const DefenseGridConfig& cfg,
-                                           const LoopConfig& base,
-                                           const OracleSet& oracles);
+                                           const GridExecutor& executor);
 
 }  // namespace rt::experiments

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace rt::experiments {
@@ -65,6 +66,23 @@ std::string csv_escape(const std::string& cell) {
   }
   out += '"';
   return out;
+}
+
+std::optional<std::uint64_t> parse_uint(const std::string& s,
+                                        std::uint64_t lo,
+                                        std::uint64_t hi) {
+  if (s.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;  // overflow
+    }
+    v = v * 10 + digit;
+  }
+  if (v < lo || v > hi) return std::nullopt;
+  return v;
 }
 
 void write_csv(const std::string& path,

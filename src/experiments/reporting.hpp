@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,15 @@ namespace rt::experiments {
 /// are wrapped in double quotes with embedded quotes doubled; clean cells
 /// pass through unchanged.
 [[nodiscard]] std::string csv_escape(const std::string& cell);
+
+/// Strict unsigned parse for CLI flags, env knobs and request fields: the
+/// WHOLE string must be base-10 digits and the value must land in
+/// [lo, hi]. Unlike atoi/strtoull this rejects empty strings, signs,
+/// whitespace, trailing junk ("12x") and overflow instead of silently
+/// returning 0 or wrapping (strtoull reads "-1" as 2^64 - 1).
+[[nodiscard]] std::optional<std::uint64_t> parse_uint(const std::string& s,
+                                                      std::uint64_t lo,
+                                                      std::uint64_t hi);
 
 /// Writes rows as CSV with RFC-4180 quoting applied per cell.
 void write_csv(const std::string& path,

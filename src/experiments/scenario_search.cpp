@@ -125,8 +125,7 @@ std::vector<std::vector<std::string>> ScenarioSearchResult::csv_rows() const {
 }
 
 ScenarioSearchResult run_scenario_search(const ScenarioSearchConfig& cfg,
-                                         const LoopConfig& base,
-                                         const OracleSet& oracles) {
+                                         const GridExecutor& executor) {
   const auto& registry = sim::ScenarioRegistry::global();
   const sim::ScenarioSampler sampler(registry);
   const std::vector<std::string> templates =
@@ -138,9 +137,6 @@ ScenarioSearchResult run_scenario_search(const ScenarioSearchConfig& cfg,
       cfg.runs_per_sample <= 0) {
     return out;
   }
-
-  CampaignRunner runner(base, oracles);
-  CampaignScheduler scheduler(runner, cfg.threads);
 
   std::vector<double> best_score(templates.size(), 0.0);
   std::vector<std::uint64_t> drawn(templates.size(), 0);
@@ -205,8 +201,7 @@ ScenarioSearchResult run_scenario_search(const ScenarioSearchConfig& cfg,
     }
     if (specs.empty()) continue;
 
-    const std::vector<CampaignResult> results =
-        cfg.executor ? cfg.executor(specs) : scheduler.run_all(specs);
+    const std::vector<CampaignResult> results = executor(specs);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const CampaignResult& result = results[i];
       SearchFrontierEntry entry;

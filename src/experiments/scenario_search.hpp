@@ -52,7 +52,9 @@ struct CleanRunCheck {
 [[nodiscard]] CleanRunCheck check_clean_run(const sim::SampledScenario& sample,
                                             const LoopConfig& base);
 
-/// Configuration of the coverage-guided scenario search.
+/// Configuration of the coverage-guided scenario search. How each round's
+/// specs run is the executor's business, not the config's: see
+/// run_scenario_search.
 struct ScenarioSearchConfig {
   /// Templates to fuzz (registry keys). Empty = every registered family.
   std::vector<std::string> templates{};
@@ -66,14 +68,9 @@ struct ScenarioSearchConfig {
   /// Closed-loop runs per sampled configuration (one CampaignSpec each).
   int runs_per_sample{6};
   std::uint64_t seed{20200613};
-  /// 0 = one thread per core. Results are thread-count-invariant.
-  unsigned threads{0};
-  /// Optional campaign-batch executor (e.g. a cached / multi-process
-  /// rt::service::CampaignService) for scoring each round's specs. Unset =
-  /// the in-process scheduler with `threads` threads.
-  GridExecutor executor{};
-  /// Attack condition scored by the search. kNoSh works with an empty
-  /// oracle set (no training), which keeps the bench driver hermetic.
+  /// Attack condition scored by the search. kNoSh works on an executor
+  /// whose runner has no oracles (no training), which keeps the bench
+  /// driver hermetic.
   AttackMode mode{AttackMode::kNoSh};
   /// Monitor stack deployed on every scored run (defense registry keys).
   /// Required for kEvadeMonitors; optional context otherwise.
@@ -115,12 +112,13 @@ struct ScenarioSearchResult {
 /// Coverage-guided search over the sampled scenario space: a deterministic
 /// multi-armed bandit over templates (allocation follows the best score
 /// seen per template, with a uniform floor so no family starves) whose
-/// every evaluation is a seeded campaign on the parallel engine. Fully
-/// reproducible: sample seeds derive from (cfg.seed, template, counter)
-/// via FNV-1a, so the result is identical at any thread count, and every
-/// frontier entry is replayable from its corpus line.
+/// every evaluation is a seeded campaign; each round's specs run as one
+/// batch on the caller's executor (e.g.
+/// rt::service::CampaignService::executor()). Fully reproducible: sample
+/// seeds derive from (cfg.seed, template, counter) via FNV-1a, so the
+/// result is identical on any conforming executor, and every frontier
+/// entry is replayable from its corpus line.
 [[nodiscard]] ScenarioSearchResult run_scenario_search(
-    const ScenarioSearchConfig& cfg, const LoopConfig& base,
-    const OracleSet& oracles);
+    const ScenarioSearchConfig& cfg, const GridExecutor& executor);
 
 }  // namespace rt::experiments

@@ -20,15 +20,8 @@ struct MseLoss {
     return pred.cols() > 0 ? s / static_cast<double>(pred.cols()) : 0.0;
   }
 
-  /// dL/dpred for the batch.
-  [[nodiscard]] static math::Matrix gradient(const math::Matrix& pred,
-                                             const math::Matrix& target) {
-    math::Matrix g;
-    gradient_into(pred, target, g);
-    return g;
-  }
-
-  /// dL/dpred into a caller-owned buffer (allocation-free at steady state).
+  /// dL/dpred for the batch into a caller-owned buffer (allocation-free at
+  /// steady state).
   static void gradient_into(const math::Matrix& pred,
                             const math::Matrix& target, math::Matrix& g) {
     const double scale =

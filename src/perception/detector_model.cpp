@@ -14,13 +14,6 @@ bool DetectorModel::in_streak(sim::ActorId id) const {
   return it != streak_left_.end() && it->second.left > 0;
 }
 
-CameraFrame DetectorModel::detect(
-    const std::vector<sim::GroundTruthObject>& objects, double sim_time) {
-  CameraFrame frame;
-  detect_into(objects, sim_time, frame);
-  return frame;
-}
-
 void DetectorModel::detect_into(
     const std::vector<sim::GroundTruthObject>& objects, double sim_time,
     CameraFrame& frame) {

@@ -29,11 +29,8 @@ class DetectorModel {
   DetectorModel(CameraModel camera, DetectorNoiseModel noise,
                 stats::Rng rng);
 
-  /// Runs the detector on the current world snapshot.
-  /// `sim_time` stamps the output frame.
-  [[nodiscard]] CameraFrame detect(
-      const std::vector<sim::GroundTruthObject>& objects, double sim_time);
-  /// Same, into a caller-owned frame (detections cleared first).
+  /// Runs the detector on the current world snapshot into a caller-owned
+  /// frame (detections cleared first). `sim_time` stamps the frame.
   void detect_into(const std::vector<sim::GroundTruthObject>& objects,
                    double sim_time, CameraFrame& frame);
 

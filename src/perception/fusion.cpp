@@ -5,13 +5,6 @@
 
 namespace rt::perception {
 
-std::vector<FusedObject> Fusion::fuse(const std::vector<WorldTrack>& camera,
-                                      const std::vector<LidarTrack>& lidar) {
-  std::vector<FusedObject> out;
-  fuse_into(camera, lidar, out);
-  return out;
-}
-
 void Fusion::fuse_into(const std::vector<WorldTrack>& camera,
                        const std::vector<LidarTrack>& lidar,
                        std::vector<FusedObject>& out) {

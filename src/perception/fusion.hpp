@@ -82,10 +82,8 @@ class Fusion {
   Fusion(FusionConfig config, LidarConfig lidar_config, double dt)
       : config_(config), lidar_config_(lidar_config), dt_(dt) {}
 
-  /// Fuses this frame's camera world-tracks with the latest LiDAR tracks.
-  std::vector<FusedObject> fuse(const std::vector<WorldTrack>& camera,
-                                const std::vector<LidarTrack>& lidar);
-  /// Same, into a caller-owned buffer (cleared first).
+  /// Fuses this frame's camera world-tracks with the latest LiDAR tracks
+  /// into a caller-owned buffer (cleared first).
   void fuse_into(const std::vector<WorldTrack>& camera,
                  const std::vector<LidarTrack>& lidar,
                  std::vector<FusedObject>& out);

@@ -5,13 +5,6 @@
 
 namespace rt::perception {
 
-std::vector<LidarMeasurement> LidarModel::scan(
-    const std::vector<sim::GroundTruthObject>& objects) {
-  std::vector<LidarMeasurement> out;
-  scan_into(objects, out);
-  return out;
-}
-
 void LidarModel::scan_into(const std::vector<sim::GroundTruthObject>& objects,
                            std::vector<LidarMeasurement>& out) {
   out.clear();

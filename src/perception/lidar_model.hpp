@@ -56,8 +56,6 @@ class LidarModel {
   /// Scan into a caller-owned buffer (cleared first).
   void scan_into(const std::vector<sim::GroundTruthObject>& objects,
                  std::vector<LidarMeasurement>& out);
-  [[nodiscard]] std::vector<LidarMeasurement> scan(
-      const std::vector<sim::GroundTruthObject>& objects);
 
   [[nodiscard]] const LidarConfig& config() const { return config_; }
 

@@ -6,13 +6,6 @@
 
 namespace rt::perception {
 
-std::vector<WorldTrack> TrackProjector::project(
-    const std::vector<TrackView>& tracks) {
-  std::vector<WorldTrack> out;
-  project_into(tracks, out);
-  return out;
-}
-
 void TrackProjector::project_into(const std::vector<TrackView>& tracks,
                                   std::vector<WorldTrack>& out) {
   out.clear();

@@ -34,11 +34,9 @@ class TrackProjector {
                           double velocity_ema_alpha = 0.22)
       : camera_(camera), dt_(dt), alpha_(velocity_ema_alpha) {}
 
-  /// Projects this frame's confirmed tracks; drops tracks that cannot be
-  /// grounded (bottom edge above the horizon). Forgets state of vanished
-  /// tracks.
-  std::vector<WorldTrack> project(const std::vector<TrackView>& tracks);
-  /// Same, into a caller-owned buffer (cleared first).
+  /// Projects this frame's confirmed tracks into a caller-owned buffer
+  /// (cleared first); drops tracks that cannot be grounded (bottom edge
+  /// above the horizon). Forgets state of vanished tracks.
   void project_into(const std::vector<TrackView>& tracks,
                     std::vector<WorldTrack>& out);
 

@@ -94,9 +94,9 @@ class CampaignService {
   /// True once consecutive failed stores latched the cache off.
   [[nodiscard]] bool cache_degraded() const { return cache_degraded_; }
 
-  /// This service as a pluggable experiments::GridExecutor, for dropping
-  /// cached / sharded execution into grid harnesses (defense grid,
-  /// scenario search) that know nothing about rt::service.
+  /// This service as the experiments::GridExecutor that the grid
+  /// harnesses (defense grid, scenario search) run on; they know nothing
+  /// about rt::service.
   [[nodiscard]] experiments::GridExecutor executor();
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }

@@ -29,12 +29,6 @@ GroundTruthObject World::snapshot(const Actor& a) const {
   return g;
 }
 
-std::vector<GroundTruthObject> World::ground_truth() const {
-  std::vector<GroundTruthObject> out;
-  ground_truth_into(out);
-  return out;
-}
-
 void World::ground_truth_into(std::vector<GroundTruthObject>& out) const {
   out.clear();
   out.reserve(actors_.size());

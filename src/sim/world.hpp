@@ -51,10 +51,8 @@ class World {
   /// Advances the world by `dt` with the given ego acceleration command.
   void step(double dt, double ego_accel_command);
 
-  /// Ground truth for all actors, relative to the ego.
-  [[nodiscard]] std::vector<GroundTruthObject> ground_truth() const;
-  /// Snapshot into a caller-owned buffer (cleared first; capacity reused by
-  /// per-frame callers).
+  /// Ground truth for all actors, relative to the ego, into a caller-owned
+  /// buffer (cleared first; capacity reused by per-frame callers).
   void ground_truth_into(std::vector<GroundTruthObject>& out) const;
 
   /// Ground truth for one actor by id; nullopt if the id is unknown.

@@ -255,9 +255,11 @@ TEST(Ids, SilentOnNominalTraffic) {
   obj.type = sim::ActorType::kVehicle;
   obj.dims = sim::default_dimensions(obj.type);
   obj.rel_position = {30.0, 0.0};
+  const std::vector<sim::GroundTruthObject> objs{obj};
   std::vector<perception::TrackView> tracks;
+  perception::CameraFrame frame;
   for (int f = 0; f < 400; ++f) {
-    const auto frame = det.detect({obj}, f / 15.0);
+    det.detect_into(objs, f / 15.0, frame);
     mot.update_into(frame, tracks);
     ids.observe(frame, tracks, {});
   }

@@ -109,11 +109,16 @@ CampaignSpec small_spec() {
           core::AttackVector::kDisappear, AttackMode::kRobotack, 8, 777};
 }
 
+/// small_spec() as a one-campaign grid on a `threads`-thread scheduler.
+CampaignResult run_small(const CampaignRunner& runner, unsigned threads) {
+  return CampaignScheduler(runner, threads).run_all({small_spec()}).front();
+}
+
 TEST(CampaignScheduler, OneThreadMatchesSerialRunner) {
   LoopConfig loop;
   CampaignRunner runner(loop, {});
   const auto serial = runner.run(small_spec());
-  const auto scheduled = CampaignScheduler(runner, 1).run(small_spec());
+  const auto scheduled = run_small(runner, 1);
   expect_identical(serial, scheduled);
 }
 
@@ -122,12 +127,12 @@ TEST(CampaignScheduler, HardwareConcurrencyMatchesOneThread) {
   // bit-identical at 1 thread and at hardware_concurrency() threads.
   LoopConfig loop;
   CampaignRunner runner(loop, {});
-  const auto one = CampaignScheduler(runner, 1).run(small_spec());
+  const auto one = run_small(runner, 1);
   const unsigned hw = ThreadPool::default_threads();
-  const auto many = CampaignScheduler(runner, hw).run(small_spec());
+  const auto many = run_small(runner, hw);
   expect_identical(one, many);
   // And at an oversubscribed thread count (> runs, > cores).
-  const auto over = CampaignScheduler(runner, 16).run(small_spec());
+  const auto over = run_small(runner, 16);
   expect_identical(one, over);
 }
 
@@ -183,9 +188,9 @@ TEST(CampaignScheduler, SharedOracleRobotackModeIsDeterministic) {
   oracles[core::AttackVector::kDisappear] =
       train_oracle(core::AttackVector::kDisappear, loop, sh);
   CampaignRunner runner(loop, oracles);
-  const auto one = CampaignScheduler(runner, 1).run(small_spec());
+  const auto one = run_small(runner, 1);
   EXPECT_GT(one.triggered_count(), 0);  // the oracle actually fires
-  const auto many = CampaignScheduler(runner, 8).run(small_spec());
+  const auto many = run_small(runner, 8);
   expect_identical(one, many);
 }
 

@@ -562,9 +562,10 @@ TEST(DefenseGrid, SmallGridSchemaAndAggregates) {
                experiments::AttackMode::kGolden};
   cfg.runs = 4;
   cfg.seed = 4242;
-  cfg.threads = 1;
-  experiments::LoopConfig loop;
-  const auto grid = experiments::run_defense_grid(cfg, loop, {});
+  const experiments::CampaignRunner runner(experiments::LoopConfig{}, {});
+  const experiments::CampaignScheduler scheduler(runner, 1);
+  const auto grid = experiments::run_defense_grid(
+      cfg, [&](const auto& specs) { return scheduler.run_all(specs); });
   // 2 scenarios x 2 modes x 2 monitor cells.
   ASSERT_EQ(grid.cells.size(), 8u);
   const auto rows = grid.csv_rows();

@@ -113,7 +113,7 @@ TEST(GoldenTableII, Ds1DisappearMiniCampaign) {
                                  8,
                                  20200613};
   const auto result =
-      experiments::CampaignScheduler(runner, 0).run(spec);
+      experiments::CampaignScheduler(runner, 0).run_all({spec}).front();
 
   // Row shape (Table II columns: ID, K, #runs, EB, crash).
   ASSERT_EQ(result.n(), 8);

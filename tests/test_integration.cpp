@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "experiments/campaign.hpp"
 #include "experiments/characterization.hpp"
@@ -201,6 +203,37 @@ TEST(Reporting, CsvEscapeRfc4180) {
   EXPECT_EQ(csv_escape("line1\nline2"), "\"line1\nline2\"");
   EXPECT_EQ(csv_escape("cr\rcell"), "\"cr\rcell\"");
   EXPECT_EQ(csv_escape("both,\"x\""), "\"both,\"\"x\"\"\"");
+}
+
+TEST(Reporting, ParseUintIsStrict) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const auto runs = [](const std::string& s) {
+    return parse_uint(s, 1, std::numeric_limits<int>::max());
+  };
+  const auto threads = [](const std::string& s) {
+    return parse_uint(s, 0, 4096);
+  };
+  EXPECT_EQ(runs("12"), 12u);
+  EXPECT_EQ(threads("007"), 7u);
+  // Empty, signed, padded and junk-suffixed text is rejected, never read
+  // as 0 or wrapped (strtoull takes "-1" as 2^64 - 1).
+  for (const char* bad : {"", "-1", "+1", "-0", " 1", "1 ", "\t1", "12x",
+                          "0x10", "1.5", "1e3"}) {
+    EXPECT_FALSE(parse_uint(bad, 0, kMax).has_value()) << "'" << bad << "'";
+  }
+  // Overflow: 2^64 - 1 parses, one more digit's worth does not.
+  EXPECT_EQ(parse_uint("18446744073709551615", 0, kMax), kMax);
+  EXPECT_FALSE(parse_uint("18446744073709551616", 0, kMax).has_value());
+  EXPECT_FALSE(parse_uint("99999999999999999999999", 0, kMax).has_value());
+  // Both bounds are inclusive.
+  EXPECT_FALSE(runs("0").has_value());
+  EXPECT_EQ(runs("1"), 1u);
+  EXPECT_EQ(runs("2147483647"), 2147483647u);
+  EXPECT_FALSE(runs("2147483648").has_value());
+  EXPECT_EQ(threads("0"), 0u);
+  EXPECT_EQ(threads("4096"), 4096u);
+  EXPECT_FALSE(threads("4097").has_value());
+  EXPECT_FALSE(threads("4294967295").has_value());
 }
 
 TEST(Reporting, WriteCsvQuotesDirtyCells) {

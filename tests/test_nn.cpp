@@ -80,8 +80,9 @@ TEST(Mlp, GradientCheck) {
   // training-mode forward_into left in the workspace. With no dropout in
   // this net, training and inference outputs are identical.
   Mlp::Workspace ws;
-  const math::Matrix& pred = net.forward_into(x, ws);
-  net.backward_into(MseLoss::gradient(pred, y), ws);
+  math::Matrix grad;
+  MseLoss::gradient_into(net.forward_into(x, ws), y, grad);
+  net.backward_into(grad, ws);
   const auto params = net.parameters();
   const auto grads = net.gradients();
 
@@ -134,7 +135,8 @@ TEST(MseLoss, ValueGradMae) {
   math::Matrix pred{{1.0, 2.0}};
   math::Matrix target{{0.0, 4.0}};
   EXPECT_DOUBLE_EQ(MseLoss::value(pred, target), (1.0 + 4.0) / 2.0);
-  const math::Matrix g = MseLoss::gradient(pred, target);
+  math::Matrix g;
+  MseLoss::gradient_into(pred, target, g);
   EXPECT_DOUBLE_EQ(g(0, 0), 1.0);   // 2*(1-0)/2
   EXPECT_DOUBLE_EQ(g(0, 1), -2.0);  // 2*(2-4)/2
   EXPECT_DOUBLE_EQ(MseLoss::mae(pred, target), 1.5);
@@ -420,17 +422,6 @@ TEST(MlpWorkspace, ContentHashPinsWeightBits) {
   ASSERT_FALSE(params.empty());
   (*params[0])(0, 0) = std::nextafter((*params[0])(0, 0), 1e9);
   EXPECT_NE(a.content_hash(), b.content_hash());
-}
-
-TEST(MseLoss, GradientIntoMatchesGradient) {
-  stats::Rng rng(41);
-  math::Matrix pred(1, 7);
-  math::Matrix target(1, 7);
-  for (double& v : pred.data()) v = rng.uniform(-2.0, 2.0);
-  for (double& v : target.data()) v = rng.uniform(-2.0, 2.0);
-  math::Matrix g;
-  MseLoss::gradient_into(pred, target, g);
-  EXPECT_TRUE(bits_equal(g, MseLoss::gradient(pred, target)));
 }
 
 TEST(StandardScaler, TransformInPlaceMatchesTransform) {

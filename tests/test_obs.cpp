@@ -249,12 +249,14 @@ TEST(Tracing, ArmedTracerNeverChangesCampaignBytes) {
   Tracer::global().clear();
   ASSERT_FALSE(Tracer::global().armed());
   const std::string base = experiments::serialize_campaign_result(
-      experiments::CampaignScheduler(runner, 1).run(spec));
+      experiments::CampaignScheduler(runner, 1).run_all({spec}).front());
 
   for (const unsigned threads : {1u, 8u}) {
     TracerGuard guard(1 << 12);
     const std::string traced = experiments::serialize_campaign_result(
-        experiments::CampaignScheduler(runner, threads).run(spec));
+        experiments::CampaignScheduler(runner, threads)
+            .run_all({spec})
+            .front());
     EXPECT_EQ(traced, base) << "tracing changed results at " << threads
                             << " threads";
     EXPECT_GT(Tracer::global().span_count(), 0u)

@@ -89,9 +89,11 @@ TEST(DetectorModel, DetectsVisibleObjects) {
                     stats::Rng(1));
   std::vector<sim::GroundTruthObject> objs{
       make_object(30.0, 0.0, sim::ActorType::kVehicle)};
+  CameraFrame frame;
   int detected = 0;
   for (int f = 0; f < 300; ++f) {
-    detected += static_cast<int>(!det.detect(objs, f / 15.0).detections.empty());
+    det.detect_into(objs, f / 15.0, frame);
+    detected += static_cast<int>(!frame.detections.empty());
   }
   // Most frames produce a detection; streaks cause the rest.
   EXPECT_GT(detected, 240);
@@ -104,9 +106,10 @@ TEST(DetectorModel, MisdetectionStreaksAreConsecutive) {
   std::vector<sim::GroundTruthObject> objs{
       make_object(30.0, 0.0, sim::ActorType::kPedestrian)};
   // Count streak structure: once in a streak, in_streak holds until over.
+  CameraFrame frame;
   int streak_frames = 0;
   for (int f = 0; f < 2000; ++f) {
-    (void)det.detect(objs, f / 15.0);
+    det.detect_into(objs, f / 15.0, frame);
     if (det.in_streak(1)) ++streak_frames;
   }
   EXPECT_GT(streak_frames, 0);
@@ -116,11 +119,13 @@ TEST(DetectorModel, CenterErrorRoughlyMatchesPopulationSigma) {
   CameraModel cam;
   DetectorModel det(cam, DetectorNoiseModel::paper_defaults(),
                     stats::Rng(17));
-  const auto obj = make_object(25.0, 0.0, sim::ActorType::kVehicle);
-  const auto truth = cam.project(obj);
+  const std::vector<sim::GroundTruthObject> objs{
+      make_object(25.0, 0.0, sim::ActorType::kVehicle)};
+  const auto truth = cam.project(objs[0]);
+  CameraFrame frame;
   std::vector<double> deltas;
   for (int f = 0; f < 6000; ++f) {
-    const auto frame = det.detect({obj}, f / 15.0);
+    det.detect_into(objs, f / 15.0, frame);
     if (frame.detections.empty()) continue;
     const auto& b = frame.detections[0].bbox;
     if (math::iou(b, *truth) <= 0.0) continue;
@@ -426,10 +431,12 @@ TEST(LidarModel, ClassDependentRange) {
   const auto far_vehicle = make_object(70.0, 0.0, sim::ActorType::kVehicle);
   auto far_ped = make_object(70.0, 0.0, sim::ActorType::kPedestrian);
   far_ped.id = 2;
+  std::vector<LidarMeasurement> scan;
   int veh_hits = 0;
   int ped_hits = 0;
   for (int i = 0; i < 200; ++i) {
-    for (const auto& m : lidar.scan({far_vehicle, far_ped})) {
+    lidar.scan_into({far_vehicle, far_ped}, scan);
+    for (const auto& m : scan) {
       if (m.truth_id == 1) ++veh_hits;
       if (m.truth_id == 2) ++ped_hits;
     }
@@ -441,8 +448,10 @@ TEST(LidarModel, ClassDependentRange) {
 
 TEST(LidarModel, PointCountFallsWithRange) {
   LidarModel lidar(LidarConfig{}, stats::Rng(4));
-  const auto near = lidar.scan({make_object(10.0, 0.0, sim::ActorType::kVehicle)});
-  const auto far = lidar.scan({make_object(60.0, 0.0, sim::ActorType::kVehicle)});
+  std::vector<LidarMeasurement> near;
+  std::vector<LidarMeasurement> far;
+  lidar.scan_into({make_object(10.0, 0.0, sim::ActorType::kVehicle)}, near);
+  lidar.scan_into({make_object(60.0, 0.0, sim::ActorType::kVehicle)}, far);
   ASSERT_FALSE(near.empty());
   ASSERT_FALSE(far.empty());
   EXPECT_GT(near[0].point_count, far[0].point_count);
@@ -492,7 +501,8 @@ TEST(Fusion, PairedPublishesQuicklyWithBlendedPosition) {
   Fusion fusion(FusionConfig{}, LidarConfig{}, 1.0 / 15.0);
   const auto cam = make_world_track(1, 30.0, 1.0, sim::ActorType::kVehicle, 2);
   const auto lid = make_lidar_track(1, 30.0, 0.0);
-  const auto out = fusion.fuse({cam}, {lid});
+  std::vector<FusedObject> out;
+  fusion.fuse_into({cam}, {lid}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].lidar_corroborated);
   // Vehicle: 85% lidar weight -> y = 0.15 * 1.0
@@ -504,19 +514,24 @@ TEST(Fusion, CameraOnlyFarPublishesAfterShortAge) {
   // Pedestrian at 60 m: beyond LiDAR pedestrian coverage -> age 4 suffices.
   const auto young =
       make_world_track(1, 60.0, 0.0, sim::ActorType::kPedestrian, 3);
-  EXPECT_TRUE(fusion.fuse({young}, {}).empty());
+  std::vector<FusedObject> out;
+  fusion.fuse_into({young}, {}, out);
+  EXPECT_TRUE(out.empty());
   const auto old =
       make_world_track(1, 60.0, 0.0, sim::ActorType::kPedestrian, 4);
-  EXPECT_EQ(fusion.fuse({old}, {}).size(), 1u);
+  fusion.fuse_into({old}, {}, out);
+  EXPECT_EQ(out.size(), 1u);
 }
 
 TEST(Fusion, CameraOnlyInCoverageNeedsLongerAge) {
   Fusion fusion(FusionConfig{}, LidarConfig{}, 1.0 / 15.0);
   // Vehicle at 30 m with NO lidar track: sensor disagreement.
   const auto t10 = make_world_track(1, 30.0, 0.0, sim::ActorType::kVehicle, 10);
-  EXPECT_TRUE(fusion.fuse({t10}, {}).empty());
+  std::vector<FusedObject> out;
+  fusion.fuse_into({t10}, {}, out);
+  EXPECT_TRUE(out.empty());
   const auto t12 = make_world_track(1, 30.0, 0.0, sim::ActorType::kVehicle, 12);
-  const auto out = fusion.fuse({t12}, {});
+  fusion.fuse_into({t12}, {}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].lidar_expected);
   EXPECT_FALSE(out[0].lidar_corroborated);
@@ -524,7 +539,9 @@ TEST(Fusion, CameraOnlyInCoverageNeedsLongerAge) {
 
 TEST(Fusion, LidarOnlyNeverPublished) {
   Fusion fusion(FusionConfig{}, LidarConfig{}, 1.0 / 15.0);
-  EXPECT_TRUE(fusion.fuse({}, {make_lidar_track(1, 20.0, 0.0)}).empty());
+  std::vector<FusedObject> out;
+  fusion.fuse_into({}, {make_lidar_track(1, 20.0, 0.0)}, out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Fusion, LateralHijackBreaksPairing) {
@@ -533,7 +550,8 @@ TEST(Fusion, LateralHijackBreaksPairing) {
   // Camera track laterally displaced beyond the 2.0 m lateral gate.
   const auto cam =
       make_world_track(1, 30.0, 2.5, sim::ActorType::kVehicle, 20);
-  const auto out = fusion.fuse({cam}, {lid});
+  std::vector<FusedObject> out;
+  fusion.fuse_into({cam}, {lid}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].lidar_corroborated);
   EXPECT_NEAR(out[0].rel_position.y, 2.5, 1e-9);  // camera-only position
@@ -546,12 +564,16 @@ TEST(Fusion, CoastsThenDropsVanishedObject) {
   // 100 m: beyond LiDAR coverage, so camera-only age 4 publishes.
   const auto cam =
       make_world_track(1, 100.0, 0.0, sim::ActorType::kVehicle, 10);
-  EXPECT_EQ(fusion.fuse({cam}, {}).size(), 1u);
-  auto coast1 = fusion.fuse({}, {});
-  ASSERT_EQ(coast1.size(), 1u);
-  EXPECT_TRUE(coast1[0].coasting);
-  EXPECT_EQ(fusion.fuse({}, {}).size(), 1u);
-  EXPECT_TRUE(fusion.fuse({}, {}).empty());
+  std::vector<FusedObject> out;
+  fusion.fuse_into({cam}, {}, out);
+  EXPECT_EQ(out.size(), 1u);
+  fusion.fuse_into({}, {}, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].coasting);
+  fusion.fuse_into({}, {}, out);
+  EXPECT_EQ(out.size(), 1u);
+  fusion.fuse_into({}, {}, out);
+  EXPECT_TRUE(out.empty());
 }
 
 // --------------------------------------------------------------- pipeline
@@ -562,11 +584,18 @@ TEST(PerceptionSystem, EndToEndTracksGroundTruth) {
   DetectorModel det(cam, DetectorNoiseModel::paper_defaults(), stats::Rng(9));
   LidarModel lidar(LidarConfig{}, stats::Rng(10));
 
-  const auto obj = make_object(35.0, 0.0, sim::ActorType::kVehicle);
+  const std::vector<sim::GroundTruthObject> objs{
+      make_object(35.0, 0.0, sim::ActorType::kVehicle)};
+  std::vector<LidarMeasurement> scan;
+  CameraFrame frame;
   PerceptionOutput out;
   for (int f = 0; f < 45; ++f) {
-    if (f % 2 == 0) sys.ingest_lidar(lidar.scan({obj}));
-    sys.step_into(det.detect({obj}, f / 15.0), out);
+    if (f % 2 == 0) {
+      lidar.scan_into(objs, scan);
+      sys.ingest_lidar(scan);
+    }
+    det.detect_into(objs, f / 15.0, frame);
+    sys.step_into(frame, out);
   }
   ASSERT_FALSE(out.world.empty());
   EXPECT_NEAR(out.world[0].rel_position.x, 35.0, 2.0);

@@ -296,11 +296,14 @@ TEST(FusionProperty, PublicationLatch) {
   lid.track_id = 1;
   lid.rel_position = {30.0, 0.0};
   lid.hits = 5;
+  std::vector<perception::FusedObject> out;
   // Paired: published immediately.
-  EXPECT_EQ(fusion.fuse({cam}, {lid}).size(), 1u);
+  fusion.fuse_into({cam}, {lid}, out);
+  EXPECT_EQ(out.size(), 1u);
   // LiDAR lost (e.g. hijacked camera track drifted): still published.
   cam.rel_position.y = 2.5;
-  EXPECT_EQ(fusion.fuse({cam}, {}).size(), 1u);
+  fusion.fuse_into({cam}, {}, out);
+  EXPECT_EQ(out.size(), 1u);
 }
 
 // -------------------------------------------------------------------- fits

@@ -348,11 +348,14 @@ TEST(ScenarioSearch, DeterministicAcrossThreadCountsWithFrontier) {
   cfg.runs_per_sample = 3;
   cfg.seed = 97;
   cfg.monitors = full_stack();
-  const LoopConfig loop;
-  cfg.threads = 1;
-  const auto one = run_scenario_search(cfg, loop, {});
-  cfg.threads = 8;
-  const auto many = run_scenario_search(cfg, loop, {});
+  const CampaignRunner runner(LoopConfig{}, {});
+  const auto on_threads = [&](unsigned threads) -> GridExecutor {
+    return [&runner, threads](const std::vector<CampaignSpec>& specs) {
+      return CampaignScheduler(runner, threads).run_all(specs);
+    };
+  };
+  const auto one = run_scenario_search(cfg, on_threads(1));
+  const auto many = run_scenario_search(cfg, on_threads(8));
   ASSERT_FALSE(one.frontier.empty());
   ASSERT_EQ(one.evaluated.size(), many.evaluated.size());
   ASSERT_EQ(one.frontier.size(), many.frontier.size());

@@ -824,17 +824,17 @@ TEST(CampaignService, ExecutorPlugsIntoDefenseGrid) {
   cfg.monitors = {"", "innovation-gate"};
   cfg.modes = {AttackMode::kNoSh, AttackMode::kGolden};
   cfg.runs = 2;
-  cfg.threads = 1;
-  const auto plain = experiments::run_defense_grid(cfg, loop, {});
-
   CampaignRunner runner(loop, {});
+  const CampaignScheduler scheduler(runner, 1);
+  const auto plain = experiments::run_defense_grid(
+      cfg, [&](const auto& specs) { return scheduler.run_all(specs); });
+
   ServiceConfig svc_cfg;
   svc_cfg.cache = CacheConfig{scratch_dir("svc_grid")};
   CampaignService svc(runner, svc_cfg);
-  cfg.executor = svc.executor();
-  const auto routed = experiments::run_defense_grid(cfg, loop, {});
+  const auto routed = experiments::run_defense_grid(cfg, svc.executor());
   const CounterDelta moved;
-  const auto again = experiments::run_defense_grid(cfg, loop, {});
+  const auto again = experiments::run_defense_grid(cfg, svc.executor());
   EXPECT_GT(moved("rt_service_spec_cache_hits_total"), 0u);
   EXPECT_EQ(moved.cache("misses"), 0u);
 

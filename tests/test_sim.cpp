@@ -97,7 +97,8 @@ TEST(World, GroundTruthRelativeState) {
                       std::vector<Waypoint>{{{1000.0, 0.0}, 7.0}});
   World w(ego, std::move(actors));
   w.step(0.1, 0.0);
-  const auto gt = w.ground_truth();
+  std::vector<GroundTruthObject> gt;
+  w.ground_truth_into(gt);
   ASSERT_EQ(gt.size(), 1u);
   EXPECT_NEAR(gt[0].rel_position.x, 30.0 + 0.7 - 0.5, 0.2);
   EXPECT_NEAR(gt[0].abs_velocity.x, 7.0, 1e-6);
@@ -158,7 +159,9 @@ TEST_P(ScenarioBuildTest, ConstructsConsistentWorld) {
   EXPECT_TRUE(found);
   World w = s.make_world();
   EXPECT_FALSE(w.collision());
-  EXPECT_EQ(w.ground_truth().size(), s.actors.size());
+  std::vector<GroundTruthObject> gt;
+  w.ground_truth_into(gt);
+  EXPECT_EQ(gt.size(), s.actors.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, ScenarioBuildTest,
