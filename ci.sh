@@ -7,7 +7,21 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 echo "==> Release"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j "$jobs"
+# A clean build, so the log holds every translation unit's warnings.
+cmake --build build-release -j "$jobs" --clean-first >build-release/build.log 2>&1 || {
+  cat build-release/build.log
+  exit 1
+}
+cat build-release/build.log
+# The project's own code builds warning-free under -Wall -Wextra. Warnings
+# reported at a system-header path (libstdc++'s -Wrestrict false positive
+# in char_traits.h) are outside the check.
+echo "==> no compiler warnings in src/ examples/ bench/ tests/"
+if grep -E "^($(pwd)/)?(src|examples|bench|tests)/[^:]+:[0-9]+:([0-9]+:)? warning:" \
+     build-release/build.log; then
+  echo "ERROR: the Release build warns in the project's own code" >&2
+  exit 1
+fi
 ctest --test-dir build-release --output-on-failure -j "$jobs"
 
 # The golden-regression binaries are the contract that perf refactors never

@@ -5,8 +5,7 @@
 // clients against one server and byte-compare their outputs against a
 // serial run:
 //
-//   campaign_client --socket /tmp/rt.sock \
-//       'run scenarios=DS-1 modes=Golden runs=2 seed=5'
+//   campaign_client --socket /tmp/rt.sock 'run scenarios=DS-1 runs=2 seed=5'
 //
 // Exits non-zero if the server cannot be reached, a response times out
 // (--timeout-ms, default 120000), or the connection dies mid-response.

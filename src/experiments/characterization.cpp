@@ -9,31 +9,31 @@
 
 namespace rt::experiments {
 
-namespace {
-
-/// The characterization "drive": a static ego observing a population of
-/// vehicles and pedestrians spread over ranges and lateral offsets (the
-/// statistics of interest — center-error and miss streaks — depend on the
-/// detector, not on ego motion).
 std::vector<sim::Actor> characterization_actors() {
   using sim::Actor;
   using sim::ActorType;
   std::vector<Actor> actors;
   sim::ActorId id = 1;
-  // Vehicles at a spread of ranges, ego lane and adjacent lane.
+  // Vehicles at a spread of ranges, adjacent lane (odd ids) and ego lane
+  // (even ids).
   for (const double x : {15.0, 25.0, 40.0, 60.0, 90.0}) {
-    actors.emplace_back(id++, ActorType::kVehicle,
-                        math::Vec2{x, (id % 2 == 0)
+    const sim::ActorId aid = id++;
+    actors.emplace_back(aid, ActorType::kVehicle,
+                        math::Vec2{x, (aid % 2 == 0)
                                           ? sim::Road::kEgoLaneCenter
                                           : sim::Road::kAdjacentLaneCenter});
   }
-  // Pedestrians on the curb and in the parking lane.
+  // Pedestrians on the curb and in the parking lane (y = -3 for odd ids,
+  // -5 for even ids).
   for (const double x : {12.0, 20.0, 30.0, 45.0, 65.0}) {
-    actors.emplace_back(id++, ActorType::kPedestrian,
-                        math::Vec2{x, (id % 2 == 0) ? -5.0 : -3.0});
+    const sim::ActorId aid = id++;
+    actors.emplace_back(aid, ActorType::kPedestrian,
+                        math::Vec2{x, (aid % 2 == 0) ? -5.0 : -3.0});
   }
   return actors;
 }
+
+namespace {
 
 void finish_streak(ClassCharacterization& c, int& streak) {
   if (streak > 0) {

@@ -4,6 +4,7 @@
 
 #include "perception/camera_model.hpp"
 #include "perception/noise_model.hpp"
+#include "sim/actor.hpp"
 #include "stats/fit.hpp"
 
 namespace rt::experiments {
@@ -47,6 +48,12 @@ struct CharacterizationResult {
     return t == sim::ActorType::kVehicle ? vehicle : pedestrian;
   }
 };
+
+/// The characterization "drive": a static ego observing a population of
+/// vehicles and pedestrians spread over ranges and lateral offsets (the
+/// statistics of interest — center-error and miss streaks — depend on the
+/// detector, not on ego motion).
+[[nodiscard]] std::vector<sim::Actor> characterization_actors();
 
 /// Runs the characterization drive against the detector model and fits the
 /// paper's distributions. The drive places vehicles and pedestrians at a

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "math/v4.hpp"
+
 namespace rt::math {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
@@ -70,6 +72,73 @@ void require_no_alias(const Matrix& a, const Matrix& b, const Matrix& out) {
   if (&out == &a || &out == &b) throw_kernel_alias();
 }
 
+using detail::V4;
+
+/// The R x 4V block of out = a * b whose top-left element is at a, b, out
+/// (row strides lda, ldb, ldo): R * V accumulators live in registers for
+/// the whole branch-free k loop.
+template <std::size_t R, std::size_t V>
+void gemm_block(const double* a, std::size_t lda, const double* b,
+                std::size_t ldb, std::size_t inner, double* out,
+                std::size_t ldo) {
+  V4 acc[R][V] = {};
+  for (std::size_t k = 0; k < inner; ++k) {
+    V4 bk[V];
+    for (std::size_t v = 0; v < V; ++v) bk[v] = detail::load4(b + k * ldb + 4 * v);
+    for (std::size_t r = 0; r < R; ++r) {
+      const double ark = a[r * lda + k];
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += ark * bk[v];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      detail::store4(out + r * ldo + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+/// The same block for the last `width` (< 4) columns, in scalar code.
+template <std::size_t R>
+void gemm_edge(const double* a, std::size_t lda, const double* b,
+               std::size_t ldb, std::size_t inner, double* out,
+               std::size_t ldo, std::size_t width) {
+  double acc[R][3] = {};
+  for (std::size_t k = 0; k < inner; ++k) {
+    for (std::size_t r = 0; r < R; ++r) {
+      const double ark = a[r * lda + k];
+      for (std::size_t j = 0; j < width; ++j) acc[r][j] += ark * b[k * ldb + j];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t j = 0; j < width; ++j) out[r * ldo + j] = acc[r][j];
+  }
+}
+
+/// R consecutive output rows: 8-wide column tiles, then a 4-wide one and a
+/// scalar edge for the leftover columns.
+template <std::size_t R>
+void gemm_rows(const double* a, const double* b, double* out,
+               std::size_t inner, std::size_t cols) {
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    gemm_block<R, 2>(a, inner, b + j, cols, inner, out + j, cols);
+  }
+  if (j + 4 <= cols) {
+    gemm_block<R, 1>(a, inner, b + j, cols, inner, out + j, cols);
+    j += 4;
+  }
+  if (j < cols) gemm_edge<R>(a, inner, b + j, cols, inner, out + j, cols,
+                             cols - j);
+}
+
+/// x - x is 0 exactly for finite x (NaN for inf and NaN); the scan is
+/// branch-free so it vectorises.
+bool all_finite(std::span<const double> v) {
+  long bad = 0;
+  for (const double x : v) bad |= !(x - x == 0.0);
+  return bad == 0;
+}
+
 }  // namespace
 
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -79,41 +148,38 @@ void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t inner = a.cols();
   const std::size_t cols = b.cols();
   out.resize(rows, cols);
-  // Register-tiled path (the NN forward and both backward products):
-  // accumulate each output row in fixed-width column tiles held in a local
-  // array, so the compiler keeps the whole tile in registers instead of
-  // dragging a load-add-store chain through `out`, whose aliasing it cannot
-  // prove.
-  // Per output element the terms still sum in ascending k with the same
-  // skip-exact-zero-lhs shortcut — bit-identical to the plain i-k-j loop
-  // this replaces.
-  constexpr std::size_t kTile = 16;
   const double* ad = a.data().data();
   const double* bd = b.data().data();
   double* od = out.data().data();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* arow = ad + i * inner;
-    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
-      const std::size_t width = std::min(kTile, cols - j0);
-      double acc[kTile] = {};
-      if (width == kTile) {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = arow[k];
-          if (v == 0.0) continue;
-          const double* brow = bd + k * cols + j0;
-          for (std::size_t j = 0; j < kTile; ++j) acc[j] += v * brow[j];
-        }
-      } else {
-        for (std::size_t k = 0; k < inner; ++k) {
-          const double v = arow[k];
-          if (v == 0.0) continue;
-          const double* brow = bd + k * cols + j0;
-          for (std::size_t j = 0; j < width; ++j) acc[j] += v * brow[j];
+  // The contract is the skip-exact-zero-lhs i-k-j loop: per element, terms
+  // v * b(k, j) summed in ascending k from +0.0, skipping v == ±0. Under
+  // round-to-nearest that accumulator is never -0.0 (x + y rounds to -0.0
+  // only when both are -0.0), so a ±0 term — v = ±0 times a FINITE b(k, j)
+  // — leaves it unchanged, and the 4 x 8 register tile below may add every
+  // term branch-free with the same bits. Only a non-finite b(k, j) breaks
+  // that (0 * inf is NaN), so such a b takes the skip-zero loop itself.
+  if (!all_finite(b.data())) {
+    std::fill(od, od + rows * cols, 0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t k = 0; k < inner; ++k) {
+        const double v = ad[i * inner + k];
+        if (v == 0.0) continue;
+        for (std::size_t j = 0; j < cols; ++j) {
+          od[i * cols + j] += v * bd[k * cols + j];
         }
       }
-      double* orow = od + i * cols + j0;
-      for (std::size_t j = 0; j < width; ++j) orow[j] = acc[j];
     }
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    gemm_rows<4>(ad + i * inner, bd, od + i * cols, inner, cols);
+  }
+  switch (rows - i) {
+    case 3: gemm_rows<3>(ad + i * inner, bd, od + i * cols, inner, cols); break;
+    case 2: gemm_rows<2>(ad + i * inner, bd, od + i * cols, inner, cols); break;
+    case 1: gemm_rows<1>(ad + i * inner, bd, od + i * cols, inner, cols); break;
+    default: break;
   }
 }
 

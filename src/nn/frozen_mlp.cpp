@@ -1,24 +1,17 @@
 #include "nn/frozen_mlp.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
+
+#include "math/v4.hpp"
 
 namespace rt::nn {
 
 namespace {
 
-/// Four doubles in one 256-bit register (one AVX op under RT_AVX2, two SSE2
-/// ops otherwise; never contracted to FMA, see CMakeLists.txt).
-using V4 = double __attribute__((vector_size(32)));
-
-V4 load(const double* p) {
-  V4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-void store(double* p, V4 v) { std::memcpy(p, &v, sizeof v); }
+using math::detail::load4;
+using math::detail::store4;
+using math::detail::V4;
 
 /// Outputs [0, 4 * B) of one stage, starting at `w` (row k of the
 /// transposed weights at w + k * stride) and `bias`. Each lane is the
@@ -34,14 +27,14 @@ void stage_block(const double* w, std::size_t stride, const double* bias,
     const double xk = x[k];
     const double* row = w + k * stride;
     for (std::size_t b = 0; b < B; ++b) {
-      const V4 wv = load(row + 4 * b);
+      const V4 wv = load4(row + 4 * b);
       acc[b] = wv != 0.0 ? acc[b] + wv * xk : acc[b];
     }
   }
   for (std::size_t b = 0; b < B; ++b) {
-    V4 v = acc[b] + load(bias + 4 * b);
+    V4 v = acc[b] + load4(bias + 4 * b);
     if (relu) v = v < 0.0 ? V4{} : v;
-    store(y + 4 * b, v);
+    store4(y + 4 * b, v);
   }
 }
 

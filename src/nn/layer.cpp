@@ -1,6 +1,7 @@
 #include "nn/layer.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace rt::nn {
 
@@ -12,6 +13,30 @@ Dense::Dense(std::size_t in, std::size_t out, stats::Rng& rng)
 
 Dense::Dense(std::size_t in, std::size_t out)
     : w_(out, in), b_(out, 1), gw_(out, in), gb_(out, 1) {}
+
+std::uint64_t dropout_threshold(double keep) {
+  if (!(keep > 0.0 && keep < 1.0)) {
+    throw std::invalid_argument("dropout_threshold: keep must be in (0, 1)");
+  }
+  const auto kept = [keep](std::uint64_t word) {
+    double x = static_cast<double>(word) * 0x1p-64;
+    if (x >= 1.0) x = std::nextafter(1.0, 0.0);
+    return x < keep;
+  };
+  // Bisect for the smallest rejected word. Word 0 (x = 0) is kept and the
+  // top word (x clamped to 1 - 2^-53 >= keep) is not.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = UINT64_MAX;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (kept(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
 
 void Dense::forward_into(const math::Matrix& x, math::Matrix& y,
                          bool /*training*/) {
@@ -59,11 +84,16 @@ void Relu::backward_into(const math::Matrix& x_in,
                          const math::Matrix& grad_out,
                          math::Matrix& grad_in, math::Matrix& /*scratch*/) {
   grad_in.resize(grad_out.rows(), grad_out.cols());
-  const auto xd = x_in.data();
-  const auto gd = grad_out.data();
-  const auto od = grad_in.data();
-  for (std::size_t i = 0; i < gd.size(); ++i) {
-    od[i] = gd[i] * (xd[i] > 0.0 ? 1.0 : 0.0);
+  // Raw restrict pointers (no aliasing to rule out) and the 0/1 factor as
+  // its own value (no per-element branch) let GCC vectorise the loop; each
+  // element keeps the same product.
+  const double* __restrict xd = x_in.data().data();
+  const double* __restrict gd = grad_out.data().data();
+  double* __restrict od = grad_in.data().data();
+  const std::size_t n = grad_out.data().size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pass = xd[i] > 0.0 ? 1.0 : 0.0;
+    od[i] = gd[i] * pass;
   }
 }
 
@@ -84,10 +114,18 @@ void Dropout::forward_into(const math::Matrix& x, math::Matrix& y,
   const auto xd = x.data();
   const auto yd = y.data();
   const auto md = mask_.data();
+  // Inside (0, 1) each unit takes one engine word and is kept exactly when
+  // Rng::bernoulli(keep) would keep it; outside it Rng::bernoulli draws
+  // nothing and returns a constant (or throws on a NaN rate).
+  const bool draws = keep > 0.0 && keep < 1.0;
+  const bool constant = !draws && rng_.bernoulli(keep);
+  const std::uint64_t threshold = draws ? dropout_threshold(keep) : 0;
+  auto& engine = rng_.engine();
   for (std::size_t i = 0; i < xd.size(); ++i) {
+    const bool kept = draws ? engine() < threshold : constant;
     // Inverted dropout: kept units are scaled by 1/keep so inference needs
     // no rescaling.
-    md[i] = rng_.bernoulli(keep) ? 1.0 / keep : 0.0;
+    md[i] = kept ? 1.0 / keep : 0.0;
     yd[i] = xd[i] * md[i];
   }
 }

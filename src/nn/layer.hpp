@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,6 +93,20 @@ class Relu : public Layer {
                      math::Matrix& grad_in, math::Matrix& scratch) override;
   [[nodiscard]] std::string kind() const override { return "relu"; }
 };
+
+/// The dropout mask draw as an integer threshold: a unit is kept iff the
+/// next `mt19937_64` word is below `dropout_threshold(keep)`.
+///
+/// libstdc++'s `std::bernoulli_distribution(keep)` keeps a unit iff x < keep
+/// for x = word * 2^-64 rounded to double and clamped below 1.0
+/// (`generate_canonical<double, 53>` over a 64-bit engine, one word per
+/// draw). x never decreases as the word grows, so the kept words are
+/// exactly [0, threshold), and a mask drawn against the threshold is
+/// bit-identical to one drawn through `Rng::bernoulli` on the same engine,
+/// without a distribution object, range checks or an int-to-double
+/// conversion per unit. Requires 0 < keep < 1 (`std::invalid_argument`
+/// otherwise).
+[[nodiscard]] std::uint64_t dropout_threshold(double keep);
 
 /// Inverted dropout (active only during training). The paper uses a 0.1
 /// dropout rate in the safety hijacker's network.

@@ -77,8 +77,7 @@ const ScenarioSpec& ScenarioRegistry::get(const std::string& key) const {
 }
 
 std::size_t ScenarioRegistry::index_of(const std::string& key) const {
-  get(key);  // throws with the full key list when absent
-  return index_.at(key);
+  return static_cast<std::size_t>(&get(key) - specs_.data());
 }
 
 std::vector<std::string> ScenarioRegistry::keys() const {

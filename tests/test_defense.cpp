@@ -576,7 +576,9 @@ TEST(DefenseGrid, SmallGridSchemaAndAggregates) {
   for (const auto& cell : grid.cells) {
     EXPECT_EQ(cell.n, 4);
     EXPECT_EQ(cell.vector_name, "Move_Out");
-    if (cell.mode == "Golden") EXPECT_EQ(cell.triggered, 0);
+    if (cell.mode == "Golden") {
+      EXPECT_EQ(cell.triggered, 0);
+    }
     if (cell.monitor.empty()) {
       EXPECT_EQ(cell.detected, 0);
       EXPECT_EQ(cell.false_alarms, 0);

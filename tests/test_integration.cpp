@@ -184,6 +184,21 @@ TEST(Characterization, FitsRecoverGeneratorStatistics) {
   EXPECT_LT(result.vehicle.misdetection_rate(), 0.45);
 }
 
+// Each actor's lane follows its own id, whatever order a compiler evaluates
+// constructor arguments in (the Fig. 5 CSV depends on these positions).
+TEST(Characterization, ActorLanesArePinned) {
+  const auto actors = characterization_actors();
+  const double expected_y[] = {3.7, 0.0, 3.7, 0.0, 3.7,
+                               -5.0, -3.0, -5.0, -3.0, -5.0};
+  ASSERT_EQ(actors.size(), 10u);
+  for (std::size_t i = 0; i < actors.size(); ++i) {
+    EXPECT_EQ(actors[i].id(), static_cast<sim::ActorId>(i + 1));
+    EXPECT_EQ(actors[i].type(), i < 5 ? sim::ActorType::kVehicle
+                                      : sim::ActorType::kPedestrian);
+    EXPECT_EQ(actors[i].state().position.y, expected_y[i]) << "actor " << i + 1;
+  }
+}
+
 TEST(Reporting, TableAndFormat) {
   const std::string table =
       format_table({"a", "bb"}, {{"1", "2"}, {"333", "4"}});

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "math/bbox.hpp"
 #include "math/matrix.hpp"
@@ -255,6 +256,8 @@ Matrix random_matrix(std::size_t r, std::size_t c, stats::Rng& rng) {
   return m;
 }
 
+// Sizes 1..8 hit every leftover-row count of multiply_into's 4-row tile;
+// with 13 and 33 every leftover-column count of its 8-column tile too.
 TEST(MatrixKernels, MultiplyIntoMatchesOperatorBitwise) {
   stats::Rng rng(101);
   const std::size_t sizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 16, 33};
@@ -269,6 +272,71 @@ TEST(MatrixKernels, MultiplyIntoMatchesOperatorBitwise) {
         EXPECT_TRUE(bitwise_equal(out, expected))
             << r << "x" << k << " * " << k << "x" << c;
         EXPECT_TRUE(bitwise_equal(a * b, expected));
+      }
+    }
+  }
+}
+
+// The oracle trainer's products: forward W * x, gw = grad * x^T and
+// grad_in = W^T * grad for the 6-100-100-50-1 network at batch 64, plus
+// the 118-sample evaluation of the last layer.
+TEST(MatrixKernels, TrainingShapesMatchBitwise) {
+  stats::Rng rng(108);
+  const std::size_t shapes[][3] = {
+      {100, 6, 64}, {100, 100, 64}, {50, 100, 50}, {1, 50, 118}, {100, 64, 6}};
+  for (const auto& s : shapes) {
+    const Matrix a = random_matrix(s[0], s[1], rng);
+    const Matrix b = random_matrix(s[1], s[2], rng);
+    Matrix out;
+    multiply_into(a, b, out);
+    EXPECT_TRUE(bitwise_equal(out, reference_multiply(a, b)))
+        << s[0] << "x" << s[1] << " * " << s[1] << "x" << s[2];
+  }
+}
+
+// An exact zero in `a` skips its term, so 0 * inf or 0 * NaN in `b` must not
+// reach the sum (the result stays finite and bitwise equal); inf and NaN in
+// `a` must propagate as the skip-zero loop propagates them. There NaN
+// results compare equal whatever their payload: which of two NaN operands
+// an add returns depends on operand order, which IEEE 754 leaves open.
+TEST(MatrixKernels, NonFiniteOperandsMatchSkipZeroLoop) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto same = [](const Matrix& x, const Matrix& y) {
+    if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+    for (std::size_t i = 0; i < x.data().size(); ++i) {
+      const double u = x.data()[i];
+      const double v = y.data()[i];
+      if (std::isnan(u) && std::isnan(v)) continue;
+      if (std::memcmp(&u, &v, sizeof u) != 0) return false;
+    }
+    return true;
+  };
+  stats::Rng rng(109);
+  for (const std::size_t r : {1u, 3u, 4u, 9u}) {
+    for (const std::size_t c : {1u, 5u, 8u, 13u}) {
+      for (const double bad : {inf, -inf, nan}) {
+        const std::size_t k = 6;
+        // inf / NaN in b, facing a column of exact +0 and -0 in a.
+        Matrix a = random_matrix(r, k, rng);
+        Matrix b = random_matrix(k, c, rng);
+        for (std::size_t i = 0; i < r; ++i) a(i, 2) = i % 2 == 0 ? 0.0 : -0.0;
+        for (std::size_t j = 0; j < c; ++j) b(2, j) = bad;
+        Matrix out;
+        multiply_into(a, b, out);
+        Matrix expected = reference_multiply(a, b);
+        EXPECT_TRUE(bitwise_equal(out, expected))
+            << "b " << bad << " " << r << "x" << c;
+        for (const double v : out.data()) EXPECT_TRUE(std::isfinite(v));
+
+        // inf / NaN in a (b finite, with exact zeros).
+        a = random_matrix(r, k, rng);
+        b = random_matrix(k, c, rng);
+        a(r - 1, 1) = bad;
+        b(1, 0) = 0.0;
+        multiply_into(a, b, out);
+        expected = reference_multiply(a, b);
+        EXPECT_TRUE(same(out, expected)) << "a " << bad << " " << r << "x" << c;
       }
     }
   }

@@ -3,8 +3,11 @@
 #include <cstring>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "nn/adam.hpp"
 #include "nn/dataset.hpp"
@@ -61,6 +64,68 @@ TEST(Dropout, InferencePassThroughTrainingScales) {
   for (double v : train.data()) sum += v;
   // Inverted dropout preserves the expectation.
   EXPECT_NEAR(sum / 1000.0, 1.0, 0.15);
+}
+
+// The threshold mask draw must be the draw std::bernoulli_distribution
+// makes from the same engine state, so dropout masks (and every trained
+// oracle) stay bit-identical.
+TEST(Dropout, InlineDrawMatchesBernoulliDistribution) {
+  for (const double p : {0.9, 0.5, 1e-9, 1.0 - 0x1p-53}) {
+    std::mt19937_64 words(20200613);
+    std::mt19937_64 reference = words;
+    std::bernoulli_distribution bernoulli(p);
+    const std::uint64_t threshold = dropout_threshold(p);
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      mismatches += (words() < threshold) != bernoulli(reference);
+    }
+    EXPECT_EQ(mismatches, 0) << "p = " << p;
+    EXPECT_EQ(words, reference) << "one engine word per draw, p = " << p;
+  }
+}
+
+/// A URBG replaying fixed 64-bit words, for the edges of the word -> double
+/// mapping.
+struct FixedWords {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return UINT64_MAX; }
+  result_type operator()() { return words[next++ % words.size()]; }
+  std::vector<result_type> words;
+  std::size_t next{0};
+};
+
+TEST(Dropout, InlineDrawMatchesBernoulliDistributionOnEdgeWords) {
+  // 2^64 - 2^11 is the smallest word whose double rounds to 2^64, i.e.
+  // x = 1.0 before the clamp; the word below it is the largest with x < 1.
+  const std::vector<std::uint64_t> edges = {
+      0, 1, std::uint64_t{1} << 53, std::uint64_t{1} << 63, UINT64_MAX,
+      UINT64_MAX - 2047, UINT64_MAX - 2048, UINT64_MAX - 4095};
+  for (const double p : {1e-9, 0x1p-11, std::nextafter(0x1p-11, 1.0), 0.5,
+                         0.9, 1.0 - 0x1p-53}) {
+    FixedWords urbg{edges};
+    std::bernoulli_distribution bernoulli(p);
+    for (const std::uint64_t word : edges) {
+      EXPECT_EQ(word < dropout_threshold(p), bernoulli(urbg))
+          << "word " << word << ", p = " << p;
+    }
+  }
+}
+
+// Layer-level: the training mask is the mask Rng::bernoulli(keep) draws.
+TEST(Dropout, TrainingMaskMatchesRngBernoulli) {
+  Dropout drop(0.1, stats::Rng(17));
+  stats::Rng rng(17);
+  const math::Matrix x(7, 300, 1.5);
+  math::Matrix y;
+  const double keep = 1.0 - 0.1;
+  for (int pass = 0; pass < 2; ++pass) {
+    drop.forward_into(x, y, /*training=*/true);
+    for (const double v : y.data()) {
+      const double expected = 1.5 * (rng.bernoulli(keep) ? 1.0 / keep : 0.0);
+      ASSERT_EQ(v, expected);
+    }
+  }
 }
 
 /// Numerical gradient check of a small MLP against finite differences.

@@ -142,8 +142,8 @@ TEST(NormalQuantile, KnownValues) {
   EXPECT_NEAR(normal_quantile(0.975), 1.959964, 1e-4);
   EXPECT_NEAR(normal_quantile(0.99), 2.326348, 1e-4);
   EXPECT_NEAR(normal_quantile(0.01), -2.326348, 1e-4);
-  EXPECT_THROW(normal_quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(normal_quantile(1.0), std::invalid_argument);
+  EXPECT_THROW((void)normal_quantile(0.0), std::invalid_argument);
+  EXPECT_THROW((void)normal_quantile(1.0), std::invalid_argument);
 }
 
 TEST(FitNormal, RecoversParameters) {
@@ -199,8 +199,8 @@ TEST(Summary, PercentileInterpolation) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
   EXPECT_DOUBLE_EQ(median(xs), 2.5);
-  EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
-  EXPECT_THROW(percentile(xs, 101.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile({}, 50.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(xs, 101.0), std::invalid_argument);
 }
 
 TEST(Summary, PercentileUnsortedInput) {
