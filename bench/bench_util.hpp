@@ -193,12 +193,7 @@ inline void finish_observability(const BenchOptions& opts) {
     }
   }
   if (!opts.metrics_path.empty()) {
-    const std::string text =
-        obs::render_prometheus(obs::MetricsRegistry::global().snapshot());
-    std::FILE* f = std::fopen(opts.metrics_path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
+    if (obs::write_prometheus_file(opts.metrics_path)) {
       std::printf("wrote %s\n", opts.metrics_path.c_str());
     } else {
       std::fprintf(stderr, "failed to write metrics %s\n",

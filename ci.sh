@@ -203,9 +203,11 @@ grep -q '"event":"cache_summary","hits":4,"misses":0' \
 
 # Third warm pass with the `stats` verb: the metrics registry must agree
 # with the JSONL cache summary — 4 cache hits, 0 misses, visible through
-# the exporter and not just the log line.
+# the exporter and not just the log line. `--metrics` must write the same
+# registry as Prometheus text, like every bench driver's.
 printf '%s\nstats\nquit\n' "$server_req" | ./build-release/examples/campaign_server \
   --no-oracles --cache-dir "$server_cache" \
+  --metrics build-release/server_pass3.prom \
   >build-release/server_pass3.out 2>build-release/server_pass3.log
 grep -q '"rt_campaign_cache_hits_total": 4' build-release/server_pass3.out || {
   echo "ERROR: stats verb did not report 4 cache hits" >&2
@@ -218,6 +220,10 @@ grep -q '"rt_campaign_cache_misses_total": 0' build-release/server_pass3.out || 
 }
 grep -q '"rt_service_requests_total": 1' build-release/server_pass3.out || {
   echo "ERROR: stats verb did not count the request" >&2
+  exit 1
+}
+grep -q '^rt_service_requests_total 1$' build-release/server_pass3.prom || {
+  echo "ERROR: campaign_server --metrics did not write Prometheus text" >&2
   exit 1
 }
 

@@ -90,7 +90,6 @@ class LongitudinalPlanner {
                                 double ego_length);
 
   [[nodiscard]] const PlannerConfig& config() const { return config_; }
-  [[nodiscard]] bool eb_latched() const { return eb_latched_; }
 
  private:
   PlannerConfig config_;

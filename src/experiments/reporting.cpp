@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace rt::experiments {
 
 std::string fmt(double value, int precision) {
@@ -102,18 +104,6 @@ void write_csv(const std::string& path,
 }
 
 std::string bench_json(const std::vector<BenchJsonRecord>& records) {
-  // The bench names are plain identifiers (benchmark symbol names, CLI
-  // driver tags); escape quotes/backslashes anyway so exotic names cannot
-  // produce invalid JSON.
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  };
   std::string out = "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchJsonRecord& r = records[i];
@@ -123,7 +113,11 @@ std::string bench_json(const std::vector<BenchJsonRecord>& records) {
                   "\"threads\": %u, \"seed\": %llu",
                   r.runs_per_sec, r.wall_ms, r.threads,
                   static_cast<unsigned long long>(r.seed));
-    out += "  {\"bench\": \"" + escape(r.bench) + "\", " + numbers + "}";
+    out += "  {\"bench\": \"";
+    obs::append_json_escaped(out, r.bench.c_str());
+    out += "\", ";
+    out += numbers;
+    out += '}';
     if (i + 1 < records.size()) out += ',';
     out += '\n';
   }

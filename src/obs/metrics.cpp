@@ -310,4 +310,14 @@ std::string render_json(const MetricsSnapshot& snap) {
   return out;
 }
 
+bool write_prometheus_file(const std::string& path) {
+  const std::string text =
+      render_prometheus(MetricsRegistry::global().snapshot());
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && written;
+}
+
 }  // namespace rt::obs

@@ -179,7 +179,12 @@ class MetricsRegistry {
 std::string render_prometheus(const MetricsSnapshot& snap);
 
 /// One-line JSON object keyed by metric name — the `stats` verb payload of
-/// campaign_server and the --metrics JSONL record body.
+/// campaign_server.
 std::string render_json(const MetricsSnapshot& snap);
+
+/// The `--metrics PATH` exporter of every binary: writes the global
+/// registry's snapshot as Prometheus text. False when the file cannot be
+/// written in full.
+bool write_prometheus_file(const std::string& path);
 
 }  // namespace rt::obs

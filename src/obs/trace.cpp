@@ -62,6 +62,18 @@ struct Reader {
   }
 };
 
+void append_us(std::string& out, std::uint64_t ns) {
+  char buf[40];
+  // Microseconds with nanosecond precision, the native unit of the
+  // trace-event format.
+  std::snprintf(buf, sizeof buf, "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  out += buf;
+}
+
+}  // namespace
+
 void append_json_escaped(std::string& out, const char* s) {
   for (; s != nullptr && *s != '\0'; ++s) {
     const unsigned char c = static_cast<unsigned char>(*s);
@@ -82,18 +94,6 @@ void append_json_escaped(std::string& out, const char* s) {
     }
   }
 }
-
-void append_us(std::string& out, std::uint64_t ns) {
-  char buf[40];
-  // Microseconds with nanosecond precision, the native unit of the
-  // trace-event format.
-  std::snprintf(buf, sizeof buf, "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  out += buf;
-}
-
-}  // namespace
 
 Tracer& Tracer::global() {
   static Tracer tracer;

@@ -72,6 +72,11 @@ struct RemoteSpan {
   std::uint64_t worker{0};  ///< pid lane in the exported trace
 };
 
+/// Appends `s` as the body of a JSON string literal: quotes, backslashes
+/// and every control character are escaped. The one JSON escaper of the
+/// stack (trace export, bench records, server logs).
+void append_json_escaped(std::string& out, const char* s);
+
 class Tracer {
  public:
   Tracer() = default;

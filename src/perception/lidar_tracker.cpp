@@ -5,8 +5,7 @@
 
 namespace rt::perception {
 
-std::vector<LidarTrack> LidarTracker::update(
-    const std::vector<LidarMeasurement>& scan) {
+void LidarTracker::update(const std::vector<LidarMeasurement>& scan) {
   // Predict every track forward one LiDAR period.
   for (LidarTrack& t : tracks_) {
     t.rel_position += t.rel_velocity * dt_;
@@ -14,13 +13,13 @@ std::vector<LidarTrack> LidarTracker::update(
 
   // Greedy nearest-neighbour association (LiDAR centroids are precise
   // enough that global assignment buys nothing here).
-  std::vector<char> meas_used(scan.size(), 0);
-  std::vector<char> track_hit(tracks_.size(), 0);
+  meas_used_.assign(scan.size(), 0);
+  track_hit_.assign(tracks_.size(), 0);
   for (std::size_t j = 0; j < tracks_.size(); ++j) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_i = scan.size();
     for (std::size_t i = 0; i < scan.size(); ++i) {
-      if (meas_used[i]) continue;
+      if (meas_used_[i]) continue;
       const double d =
           tracks_[j].rel_position.distance_to(scan[i].rel_position);
       if (d < best) {
@@ -29,8 +28,8 @@ std::vector<LidarTrack> LidarTracker::update(
       }
     }
     if (best_i < scan.size() && best <= config_.gate) {
-      meas_used[best_i] = 1;
-      track_hit[j] = 1;
+      meas_used_[best_i] = 1;
+      track_hit_[j] = 1;
       LidarTrack& t = tracks_[j];
       const math::Vec2 residual =
           scan[best_i].rel_position - t.rel_position;
@@ -48,11 +47,11 @@ std::vector<LidarTrack> LidarTracker::update(
     }
   }
   for (std::size_t j = 0; j < tracks_.size(); ++j) {
-    if (!track_hit[j]) ++tracks_[j].consecutive_misses;
+    if (!track_hit_[j]) ++tracks_[j].consecutive_misses;
   }
   // Spawn tracks for unclaimed measurements.
   for (std::size_t i = 0; i < scan.size(); ++i) {
-    if (meas_used[i]) continue;
+    if (meas_used_[i]) continue;
     LidarTrack t;
     t.track_id = next_id_++;
     t.rel_position = scan[i].rel_position;
@@ -64,7 +63,6 @@ std::vector<LidarTrack> LidarTracker::update(
   std::erase_if(tracks_, [&](const LidarTrack& t) {
     return t.consecutive_misses > config_.max_misses;
   });
-  return tracks_;
 }
 
 }  // namespace rt::perception

@@ -34,8 +34,9 @@ class LidarTracker {
   explicit LidarTracker(double dt) : LidarTracker(dt, Config{}) {}
   LidarTracker(double dt, Config config) : dt_(dt), config_(config) {}
 
-  /// Processes one scan; returns the live track list after the update.
-  std::vector<LidarTrack> update(const std::vector<LidarMeasurement>& scan);
+  /// Processes one scan; `tracks()` is the live track list after it.
+  /// Allocation-free once the track and scan sizes have been seen.
+  void update(const std::vector<LidarMeasurement>& scan);
 
   /// Latest track list without processing a new scan (camera frames arrive
   /// between LiDAR scans; fusion reads the last state).
@@ -48,6 +49,9 @@ class LidarTracker {
   Config config_;
   std::vector<LidarTrack> tracks_;
   int next_id_{1};
+  // Per-scan association scratch, kept so an update allocates nothing.
+  std::vector<char> meas_used_;
+  std::vector<char> track_hit_;
 };
 
 }  // namespace rt::perception

@@ -34,8 +34,6 @@ class EgoVehicle {
   [[nodiscard]] double acceleration() const { return a_; }
   [[nodiscard]] const Dimensions& dims() const { return dims_; }
   [[nodiscard]] const EgoLimits& limits() const { return limits_; }
-  /// Longitudinal position of the front bumper.
-  [[nodiscard]] double front_x() const { return x_ + dims_.length / 2.0; }
 
   /// Advances the plant by `dt` under the commanded acceleration
   /// (clamped into [-max_decel, max_accel], slew-limited by max_jerk).

@@ -20,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "perception/bbox_track.hpp"
 #include "perception/detector_model.hpp"
+#include "perception/lidar_tracker.hpp"
 #include "perception/mot_tracker.hpp"
 
 namespace {
@@ -108,6 +109,33 @@ TEST(AllocationPins, TrackBirthIsAllocationFreeAfterWarmup) {
   mot.update_into(frame, out);
   EXPECT_EQ(allocations(), before) << "a track birth allocated";
   EXPECT_EQ(mot.live_track_count(), 2u);
+}
+
+TEST(AllocationPins, LidarTrackerUpdateIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // Three objects approach, then one goes silent and is retired; once the
+  // tracker has seen three tracks and three returns, no scan allocates.
+  perception::LidarTracker tracker(0.1);
+  std::vector<perception::LidarMeasurement> three(3);
+  std::vector<perception::LidarMeasurement> two(2);
+  const auto place = [](std::vector<perception::LidarMeasurement>& scan,
+                        int step) {
+    for (std::size_t i = 0; i < scan.size(); ++i) {
+      scan[i].rel_position = {30.0 - 0.5 * step,
+                              4.0 * static_cast<double>(i)};
+    }
+  };
+  for (int step = 0; step < 5; ++step) {
+    place(three, step);
+    tracker.update(three);
+  }
+  const std::uint64_t before = allocations();
+  for (int step = 5; step < 15; ++step) {
+    place(two, step);
+    tracker.update(two);
+  }
+  EXPECT_EQ(allocations(), before) << "LidarTracker::update allocated";
+  EXPECT_EQ(tracker.tracks().size(), 2u);
 }
 
 TEST(AllocationPins, MlpPredictIsAllocationFreeAfterWarmup) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,6 +129,20 @@ TEST(Metrics, PrometheusRenderShape) {
   EXPECT_NE(text.find("w_ms_bucket{le=\"5\"} 1"), std::string::npos);
   EXPECT_NE(text.find("w_ms_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("w_ms_count 1"), std::string::npos);
+}
+
+TEST(Metrics, PrometheusFileHoldsTheGlobalSnapshot) {
+  MetricsRegistry::global().counter("rt_test_exported_total").inc(3);
+  const std::string path = ::testing::TempDir() + "rt_test_metrics.prom";
+  ASSERT_TRUE(write_prometheus_file(path));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\nrt_test_exported_total 3\n"),
+            std::string::npos)
+      << text.str();
+  EXPECT_FALSE(write_prometheus_file(::testing::TempDir() +
+                                     "no_such_dir/metrics.prom"));
 }
 
 // ----------------------------------------------------------- tracing

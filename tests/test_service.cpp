@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "service/campaign_service.hpp"
 #include "service/cell_cache.hpp"
 #include "service/fault_injection.hpp"
+#include "service/server.hpp"
 #include "service/sharded_scheduler.hpp"
 #include "sim/scenario_registry.hpp"
 #include "stats/rng.hpp"
@@ -1030,6 +1033,204 @@ TEST(CampaignService, CounterDeltasArePinned) {
                            {"rt_shard_fork_failures_total", 4},
                            {"rt_shard_cells_recovered_in_process_total", 2}}))
       << "fork EAGAIN";
+}
+
+
+// ------------------------------------------------------- request path
+
+/// Canonical bytes of a spec list, for exact expansion comparisons.
+std::string spec_bytes(const std::vector<CampaignSpec>& specs) {
+  std::string blob;
+  for (const auto& s : specs) blob += experiments::serialize_spec(s) + "\n";
+  return blob;
+}
+
+TEST(RequestGrammar, MalformedLinesAreRejectedWithNoSpecs) {
+  for (const char* line : {
+           "bogus scenarios=DS-1",
+           "run scenarios=DS-1 color=red",
+           "run scenarios=DS-1 runs",
+           "run scenarios=DS-1 vectors=Sideways",
+           "run scenarios=DS-1 modes=RwoSH,Turbo",
+           "run scenarios=DS-1 runs=0",
+           "run scenarios=DS-1 runs=abc",
+           "run scenarios=DS-1 seed=18446744073709551616",
+           "run scenarios=DS-1 param=duration:nan",
+           "run scenarios=DS-1 param=duration:1,2",
+           "run scenarios=DS-1 sweep=duration:",
+           "run scenarios=DS-1 sweep=duration",
+           "run vectors=Disappear runs=2",
+           "run scenarios=DS-1 deadline_ms=0",
+           // Names only the grid builder knows are rejected the same way.
+           "run scenarios=DS-99",
+           "run scenarios=DS-1 monitors=no-such-monitor",
+           "run scenarios=DS-1 sweep=no_such_param:1,2",
+       }) {
+    const ParsedLine parsed = parse_line(line);
+    EXPECT_EQ(parsed.verb, Verb::kNone) << line;
+    EXPECT_FALSE(parsed.error.empty()) << line;
+    EXPECT_TRUE(parsed.request.specs.empty()) << line;
+  }
+  EXPECT_EQ(parse_line("run scenarios=DS-1 runs=0").error,
+            "bad runs '0' (want a positive integer)");
+}
+
+TEST(RequestGrammar, BlankLinesCommentsAndBareVerbs) {
+  for (const char* line : {"", "   ", "# a comment", "  # indented"}) {
+    const ParsedLine parsed = parse_line(line);
+    EXPECT_EQ(parsed.verb, Verb::kNone) << line;
+    EXPECT_TRUE(parsed.error.empty()) << line;
+  }
+  EXPECT_EQ(parse_line("stats").verb, Verb::kStats);
+  EXPECT_EQ(parse_line(" quit").verb, Verb::kQuit);
+  EXPECT_EQ(parse_line("shutdown # drain first").verb, Verb::kShutdown);
+}
+
+TEST(RequestGrammar, RunLineExpandsExactlyLikeTheGridBuilder) {
+  const ParsedLine parsed = parse_line(
+      "run scenarios=DS-1,DS-2 vectors=Move_Out,Disappear modes=RwoSH,Golden"
+      " runs=3 seed=77 monitors=kinematics,sensor-consistency"
+      " param=duration:20 sweep=target_gap:20,30.5 deadline_ms=250"
+      "  # trailing comment");
+  ASSERT_EQ(parsed.verb, Verb::kRun) << parsed.error;
+  EXPECT_EQ(parsed.request.deadline_ms, 250.0);
+  const auto expected =
+      experiments::CampaignGridBuilder()
+          .scenarios({"DS-1", "DS-2"})
+          .vectors({core::AttackVector::kMoveOut,
+                    core::AttackVector::kDisappear})
+          .modes({AttackMode::kNoSh, AttackMode::kGolden})
+          .runs(3)
+          .seed(77)
+          .monitors({"kinematics", "sensor-consistency"})
+          .sweep("duration", {20.0})
+          .sweep("target_gap", {20.0, 30.5})
+          .build();
+  // 2 scenarios x (2 RwoSH vectors + 1 Golden) x 2 monitors x 2 sweeps.
+  EXPECT_EQ(parsed.request.specs.size(), 24u);
+  EXPECT_EQ(spec_bytes(parsed.request.specs), spec_bytes(expected));
+
+  // Unset keys take the grammar's defaults: Disappear, R, 8 runs, the
+  // paper seed, no deadline.
+  const ParsedLine bare = parse_line("run scenarios=DS-3");
+  ASSERT_EQ(bare.verb, Verb::kRun) << bare.error;
+  EXPECT_EQ(bare.request.deadline_ms, 0.0);
+  EXPECT_EQ(spec_bytes(bare.request.specs),
+            spec_bytes(experiments::CampaignGridBuilder()
+                           .scenarios({"DS-3"})
+                           .vectors({core::AttackVector::kDisappear})
+                           .modes({AttackMode::kRobotack})
+                           .runs(8)
+                           .seed(20200613)
+                           .build()));
+}
+
+TEST(ServerResponse, RowsAreNeverCutShort) {
+  // A campaign name longer than any fixed row buffer must come out whole:
+  // all 16 columns and the newline that frames the row.
+  CampaignSpec spec = small_spec();
+  spec.name = "DS-1-Golden" + std::string(600, 'x');
+  experiments::GridOutcome outcome;
+  outcome.results.push_back({spec, {}});
+  outcome.results.push_back({small_spec("late", 9), {}});
+  outcome.errors.push_back({1, experiments::CampaignErrorCode::
+                                   kDeadlineExceeded, std::string(600, 'm')});
+  const std::string text = render_response(outcome);
+
+  const std::size_t header_end = text.find('\n') + 1;
+  const std::size_t row_end = text.find('\n', header_end) + 1;
+  const std::string row = text.substr(header_end, row_end - header_end);
+  EXPECT_EQ(row, spec.name +
+                     ",DS-1,Disappear,R w/o SH,2,4242,0,0,0,0,0,0,0.000000,"
+                     "0.000000,0.000000,0.000000\n");
+  EXPECT_EQ(std::count(row.begin(), row.end(), ','), 15);
+  EXPECT_EQ(text.substr(row_end), "error deadline-exceeded late " +
+                                      std::string(600, 'm') + "\n");
+  EXPECT_EQ(text.substr(0, header_end),
+            "name,scenario,vector,mode,runs,seed,n,triggered,eb,crash,"
+            "detected,false_alarms,eb_rate,crash_rate,detection_rate,"
+            "median_k\n");
+}
+
+TEST(ServerRequest, ExecuteRepliesThenLogsOneRecordWithItsHits) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("server_execute")};
+  cfg.threads = 1;
+  CampaignService svc(runner, cfg);
+  const ParsedLine parsed =
+      parse_line("run scenarios=DS-1 modes=RwoSH,Golden runs=2 seed=11");
+  ASSERT_EQ(parsed.verb, Verb::kRun) << parsed.error;
+
+  const auto latency_count = [] {
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    const auto* m = snap.find("rt_server_request_latency_ms");
+    return m != nullptr ? m->histogram.count : 0;
+  };
+  const std::uint64_t observed_before = latency_count();
+  std::vector<std::string> bodies;
+  std::vector<std::string> logs;
+  for (int pass = 0; pass < 2; ++pass) {
+    ::testing::internal::CaptureStderr();
+    execute_request(svc, parsed.request, std::nullopt,
+                    [&](const std::string& body) { bodies.push_back(body); });
+    logs.push_back(::testing::internal::GetCapturedStderr());
+  }
+  ASSERT_EQ(bodies.size(), 2u);
+  EXPECT_EQ(bodies[0], bodies[1]) << "a cached answer must be byte-identical";
+  EXPECT_EQ(bodies[0],
+            render_response(CampaignScheduler(runner, 1)
+                                .run_all_checked(parsed.request.specs)));
+  EXPECT_EQ(latency_count(), observed_before + 2);
+
+  // One JSONL record per request; consecutive ids; the warm pass is all
+  // hits. Only `ts` and `wall_ms` vary between runs.
+  const auto id_of = [](const std::string& log) {
+    const std::size_t at = log.find("\"id\":");
+    return at == std::string::npos ? 0ull : std::stoull(log.substr(at + 5));
+  };
+  for (const std::string& log : logs) {
+    EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+    EXPECT_EQ(log.rfind("{\"ts\":\"", 0), 0u) << log;
+    EXPECT_NE(log.find(",\"event\":\"request\",\"id\":"), std::string::npos);
+    EXPECT_NE(log.find(",\"outcome\":\"ok\"}\n"), std::string::npos) << log;
+  }
+  EXPECT_NE(logs[0].find(",\"specs\":2,\"hits\":0,\"misses\":2,\"errors\":0,"
+                         "\"wall_ms\":"),
+            std::string::npos)
+      << logs[0];
+  EXPECT_NE(logs[1].find(",\"specs\":2,\"hits\":2,\"misses\":0,\"errors\":0,"
+                         "\"wall_ms\":"),
+            std::string::npos)
+      << logs[1];
+  EXPECT_EQ(id_of(logs[1]), id_of(logs[0]) + 1);
+}
+
+TEST(ServerJobQueue, BoundedAndDrainsAfterClose) {
+  JobQueue<int> queue(2);
+  EXPECT_TRUE(queue.push(1));
+  EXPECT_TRUE(queue.push(2));
+  EXPECT_FALSE(queue.push(3)) << "a full queue sheds the request";
+  EXPECT_EQ(queue.pop(), 1);
+  EXPECT_TRUE(queue.push(4));
+  queue.close();
+  EXPECT_FALSE(queue.push(5)) << "a closed queue accepts nothing";
+  EXPECT_EQ(queue.pop(), 2);
+  EXPECT_EQ(queue.pop(), 4);
+  EXPECT_EQ(queue.pop(), std::nullopt);
+
+  // A consumer blocked in pop() wakes for each push and for close().
+  JobQueue<int> handoff(8);
+  std::vector<int> got;
+  std::thread consumer([&] {
+    while (auto job = handoff.pop()) got.push_back(*job);
+  });
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(handoff.push(i));
+  handoff.close();
+  consumer.join();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 }  // namespace

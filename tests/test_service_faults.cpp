@@ -865,7 +865,6 @@ struct ServerProcess {
       } else {
         ::unsetenv("RT_CHAOS");
       }
-      ::unsetenv("RT_CAMPAIGN_CACHE");
       std::vector<std::string> args = {RT_CAMPAIGN_SERVER_BIN, "--socket",
                                        socket_path, "--no-oracles"};
       args.insert(args.end(), extra_args.begin(), extra_args.end());

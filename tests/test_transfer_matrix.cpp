@@ -255,10 +255,12 @@ TEST(BenchJson, SerializesStableRecordSchema) {
             "\"wall_ms\": 0.010, \"threads\": 2, \"seed\": 0}\n"
             "]\n");
   EXPECT_EQ(bench_json({}), "[\n]\n");
-  // Exotic names cannot break the JSON.
+  // Exotic names cannot break the JSON: quotes and control characters
+  // come out escaped.
   const std::string escaped =
-      bench_json({{"we\"ird", 1.0, 1.0, 1, 0}});
-  EXPECT_NE(escaped.find("we\\\"ird"), std::string::npos);
+      bench_json({{"we\"ird\n\x01", 1.0, 1.0, 1, 0}});
+  EXPECT_NE(escaped.find("\"we\\\"ird\\n\\u0001\""), std::string::npos)
+      << escaped;
 }
 
 }  // namespace
