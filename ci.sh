@@ -295,6 +295,27 @@ cmp build-release/serial_b.csv build-release/conc_b.csv || {
   echo "ERROR: concurrent response B differs from serial" >&2
   exit 1
 }
+# The server answers every line but quit/shutdown, so the client must read
+# a reply after `stats` too: the stats JSON and `end`, then the run's CSV
+# header, its one row and `end`. A client that skipped the stats reply
+# would print it as the run's reply and hang up on the real one, which
+# the server logs as a client_drop.
+./build-release/examples/campaign_client --socket "$server_sock" stats \
+  'run scenarios=DS-1 modes=Golden runs=1 seed=1' \
+  >build-release/client_stats_run.out || {
+  echo "ERROR: campaign_client failed on a stats + run session" >&2
+  exit 1
+}
+awk 'NR == 1 && !/^\{.*\}$/ { bad = 1 }
+     NR == 2 && $0 != "end" { bad = 1 }
+     NR == 3 && !/^name,/ { bad = 1 }
+     NR == 4 && !/^DS-1-Golden,/ { bad = 1 }
+     NR == 5 && $0 != "end" { bad = 1 }
+     END { exit (bad || NR != 5) }' build-release/client_stats_run.out || {
+  echo "ERROR: campaign_client did not print the stats and the run replies" >&2
+  cat build-release/client_stats_run.out >&2
+  exit 1
+}
 kill -TERM "$server_pid"
 wait "$server_pid" || {
   echo "ERROR: campaign_server did not exit 0 on SIGTERM" >&2
@@ -304,6 +325,11 @@ wait "$server_pid" || {
   echo "ERROR: campaign_server left its socket behind" >&2
   exit 1
 }
+if grep -q '"event":"client_drop"' build-release/server_socket.log; then
+  echo "ERROR: campaign_server dropped a client that was still reading" >&2
+  cat build-release/server_socket.log >&2
+  exit 1
+fi
 
 if [ -x build-release/bench/bench_perception ]; then
   ./build-release/bench/bench_perception \

@@ -1,9 +1,10 @@
 // Minimal line-protocol client for examples/campaign_server --socket mode.
-// Each trailing argument is one request line sent verbatim; after a `run`
-// line the client echoes the server's response to stdout until the `end`
-// (or `busy`) terminator arrives. Used by CI to drive several simultaneous
-// clients against one server and byte-compare their outputs against a
-// serial run:
+// Each trailing argument is one request line sent verbatim; after every
+// line the server answers (all but `quit` and `shutdown`: `run`, `stats`,
+// blank, comment and malformed lines alike) the client echoes the
+// response to stdout until the `end` (or `busy`) terminator arrives. Used
+// by CI to drive several simultaneous clients against one server and
+// byte-compare their outputs against a serial run:
 //
 //   campaign_client --socket /tmp/rt.sock 'run scenarios=DS-1 runs=2 seed=5'
 //
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "service/fault_injection.hpp"
+#include "service/server.hpp"
 
 namespace {
 
@@ -122,8 +124,11 @@ int main(int argc, char** argv) {
       rc = 1;
       break;
     }
-    // Only `run` lines are answered; control verbs are fire-and-forget.
-    if (request.rfind("run", 0) == 0 && !read_response(fd, timeout_ms)) {
+    // The server answers every line but `quit` and `shutdown`.
+    const rt::service::Verb verb = rt::service::parse_line(request).verb;
+    const bool answered = verb != rt::service::Verb::kQuit &&
+                          verb != rt::service::Verb::kShutdown;
+    if (answered && !read_response(fd, timeout_ms)) {
       rc = 1;
       break;
     }

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "experiments/campaign_grid.hpp"
 #include "obs/metrics.hpp"
@@ -226,13 +227,20 @@ std::vector<CampaignResult> GridOutcome::complete_or_throw() && {
   return std::move(results);
 }
 
-GridSlots::GridSlots(const std::vector<CampaignSpec>& specs)
-    : cells_(grid_cells(specs)), filled_(cells_.size(), 0) {
+GridSlots::GridSlots(const std::vector<CampaignSpec>& specs,
+                     CampaignComplete on_complete)
+    : cells_(grid_cells(specs)),
+      filled_(cells_.size(), 0),
+      missing_(specs.size()),
+      on_complete_(std::move(on_complete)) {
   out_.results.resize(specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
+    const int runs = std::max(0, specs[s].runs);
     out_.results[s].spec = specs[s];
-    out_.results[s].runs.resize(
-        static_cast<std::size_t>(std::max(0, specs[s].runs)));
+    out_.results[s].runs.resize(static_cast<std::size_t>(runs));
+    missing_[s].store(runs);
+    // A campaign with no runs has no cell to land: it is complete already.
+    if (runs == 0 && on_complete_) on_complete_(s, out_.results[s]);
   }
 }
 
@@ -248,6 +256,11 @@ void GridSlots::fill(std::size_t cell, RunResult run) {
   const GridCell& c = cells_[cell];
   out_.results[c.spec].runs[static_cast<std::size_t>(c.run)] = std::move(run);
   filled_[cell] = 1;
+  // The decrement orders every other thread's slot writes before the fill
+  // that lands the last cell hands the campaign over.
+  if (missing_[c.spec].fetch_sub(1) == 1 && on_complete_) {
+    on_complete_(c.spec, out_.results[c.spec]);
+  }
 }
 
 void GridSlots::run(const CampaignRunner& runner,
@@ -300,9 +313,9 @@ GridOutcome GridSlots::finish(bool deadline_expired) && {
 }
 
 GridOutcome CampaignScheduler::run_all_checked(
-    const std::vector<CampaignSpec>& specs,
-    const GridDeadline& deadline) const {
-  GridSlots slots(specs);
+    const std::vector<CampaignSpec>& specs, const GridDeadline& deadline,
+    CampaignComplete on_complete) const {
+  GridSlots slots(specs, std::move(on_complete));
   slots.run(runner_, slots.unfilled(), threads_, deadline);
   return std::move(slots).finish(deadline_passed(deadline));
 }

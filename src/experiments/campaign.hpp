@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <exception>
@@ -195,14 +196,28 @@ struct GridCell {
 [[nodiscard]] std::vector<GridCell> grid_cells(
     const std::vector<CampaignSpec>& specs);
 
+/// Called once for each campaign of a grid run that completes, with its
+/// spec index and its result, while the rest of the grid may still be
+/// running. It may be called from several threads at once, and must not
+/// throw.
+using CampaignComplete =
+    std::function<void(std::size_t spec, const CampaignResult& result)>;
+
 /// The slots one grid run fills: every campaign's `runs` pre-sized and one
 /// filled flag per grid_cells() index. Each cell writes only its own slot,
 /// so any mix of executors (a thread pool, forked workers, both) that fills
 /// every cell reassembles bit-identical campaigns, and finish() is the one
 /// place where unfilled cells become typed errors.
+///
+/// `on_complete`, when set, fires exactly once per campaign that
+/// completes: from the fill() that lands its last cell (a per-campaign
+/// atomic count of missing cells decides which fill that is), or from the
+/// constructor for a campaign with no runs. A campaign left with an
+/// unfilled cell never fires it.
 class GridSlots {
  public:
-  explicit GridSlots(const std::vector<CampaignSpec>& specs);
+  explicit GridSlots(const std::vector<CampaignSpec>& specs,
+                     CampaignComplete on_complete = {});
 
   [[nodiscard]] const std::vector<GridCell>& cells() const { return cells_; }
   [[nodiscard]] bool filled(std::size_t cell) const {
@@ -210,7 +225,9 @@ class GridSlots {
   }
   /// Indices of the cells not filled yet, ascending.
   [[nodiscard]] std::vector<std::size_t> unfilled() const;
-  /// Stores one cell's result. Distinct cells may be filled concurrently.
+  /// Stores one cell's result, firing the completion hook when it is its
+  /// campaign's last. Distinct cells may be filled concurrently; each cell
+  /// is filled at most once.
   void fill(std::size_t cell, RunResult run);
 
   /// Runs the listed cells over a `threads`-thread pool (0 = one per core),
@@ -230,6 +247,9 @@ class GridSlots {
  private:
   std::vector<GridCell> cells_;
   std::vector<char> filled_;
+  /// Unfilled cells per campaign; fill() decrements it from any thread.
+  std::vector<std::atomic<int>> missing_;
+  CampaignComplete on_complete_;
   GridOutcome out_;
 };
 
@@ -260,10 +280,13 @@ class CampaignScheduler {
 
   /// Like run_all, but stops at `deadline` and degrades instead of
   /// throwing: campaigns that could not be completed come back as typed
-  /// errors next to the completed results.
+  /// errors next to the completed results. `on_complete` is handed to the
+  /// run's GridSlots, so it fires from the pool threads as each campaign
+  /// completes.
   [[nodiscard]] GridOutcome run_all_checked(
       const std::vector<CampaignSpec>& specs,
-      const GridDeadline& deadline = {}) const;
+      const GridDeadline& deadline = {},
+      CampaignComplete on_complete = {}) const;
 
   [[nodiscard]] unsigned threads() const { return threads_; }
 

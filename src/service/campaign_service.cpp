@@ -107,7 +107,7 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   std::vector<std::size_t> miss_indices;
   std::vector<CampaignSpec> miss_specs;
   for (std::size_t i = 0; i < request.specs.size(); ++i) {
-    if (cache_ && !cache_degraded_) {
+    if (cache_ && !cache_degraded()) {
       if (auto cached = cache_->lookup(request.specs[i])) {
         response.results[i] = std::move(*cached);
         counters.spec_cache_hits.inc();
@@ -119,6 +119,16 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   }
 
   if (!miss_specs.empty()) {
+    // Each campaign is committed the moment its last cell lands, while the
+    // rest of the grid is still running. Only complete campaigns fire the
+    // hook: an errored one has no runs and must be re-executed next time,
+    // not recalled empty.
+    experiments::CampaignComplete commit;
+    if (cache_ && !cache_degraded()) {
+      commit = [this](std::size_t, const CampaignResult& result) {
+        store(result);
+      };
+    }
     GridOutcome outcome;
     if (config_.workers >= 1) {
       ShardOptions shard = config_.shard;
@@ -126,11 +136,11 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
       const char* retry_waves = "rt_shard_retry_waves_total";
       const std::uint64_t retries_before = counter_value(retry_waves);
       outcome = ShardedCampaignScheduler(runner_, shard)
-                    .run_all_checked(miss_specs, deadline);
+                    .run_all_checked(miss_specs, deadline, std::move(commit));
       last_.shard_retries = counter_value(retry_waves) - retries_before;
     } else {
       outcome = experiments::CampaignScheduler(runner_, config_.threads)
-                    .run_all_checked(miss_specs, deadline);
+                    .run_all_checked(miss_specs, deadline, std::move(commit));
     }
     response.first_failure = outcome.first_failure;
     for (CampaignError& err : outcome.errors) {
@@ -138,19 +148,6 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
       response.errors.push_back(std::move(err));
     }
     for (std::size_t m = 0; m < miss_indices.size(); ++m) {
-      // Only complete campaigns are cached (an errored one has no runs and
-      // must be re-executed next time, not recalled empty).
-      const bool complete = !outcome.results[m].runs.empty() ||
-                            miss_specs[m].runs <= 0;
-      if (cache_ && !cache_degraded_ && complete) {
-        if (cache_->store(miss_specs[m], outcome.results[m])) {
-          cache_fail_streak_ = 0;
-        } else if (++cache_fail_streak_ >= kCacheFailThreshold) {
-          // Disk is persistently unhealthy: stop adding a failing write +
-          // fsync to every future spec. Execution continues uncached.
-          cache_degraded_ = true;
-        }
-      }
       response.results[miss_indices[m]] = std::move(outcome.results[m]);
     }
   }
@@ -159,6 +156,18 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   last_.wall_ms =
       obs::MonotonicClock::ms_between(t0, obs::MonotonicClock::now());
   return response;
+}
+
+void CampaignService::store(const CampaignResult& result) {
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  if (cache_degraded_) return;
+  if (cache_->store(result.spec, result)) {
+    cache_fail_streak_ = 0;
+  } else if (++cache_fail_streak_ >= kCacheFailThreshold) {
+    // Disk is persistently unhealthy: stop adding a failing write + fsync
+    // to every future spec. Execution continues uncached.
+    cache_degraded_ = true;
+  }
 }
 
 experiments::GridExecutor CampaignService::executor() {

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -37,11 +39,12 @@ struct GridRequest {
 
 /// The campaign-as-a-service facade: one long-lived object that answers
 /// grid requests, consulting the content-hash cache first and executing
-/// only the misses (in-process or via forked shards), then storing fresh
-/// results back. Because cache entries round-trip bit-exactly and both
-/// executors honour the counter-based seeding contract, any mix of cached
-/// and freshly-computed cells is indistinguishable from a cold in-process
-/// run of the whole grid.
+/// only the misses (in-process or via forked shards), storing each fresh
+/// campaign back the moment its last cell lands (the grid's completion
+/// hook — one commit path for both executors). Because cache entries
+/// round-trip bit-exactly and both executors honour the counter-based
+/// seeding contract, any mix of cached and freshly-computed cells is
+/// indistinguishable from a cold in-process run of the whole grid.
 ///
 /// The service hands its cache an oracle key folded from each deployed
 /// oracle's content hash (CacheConfig::oracle_key), so services with
@@ -102,12 +105,18 @@ class CampaignService {
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
  private:
+  /// Commits one complete campaign to the cache and keeps the fail streak
+  /// and the cache-off latch. Called from the grid's completion hook, so
+  /// possibly from several pool threads at once.
+  void store(const experiments::CampaignResult& result);
+
   const experiments::CampaignRunner& runner_;
   ServiceConfig config_;
   std::unique_ptr<CampaignCellCache> cache_;
   LastRequest last_;
-  int cache_fail_streak_{0};
-  bool cache_degraded_{false};
+  std::mutex store_mutex_;
+  int cache_fail_streak_{0};  ///< guarded by store_mutex_
+  std::atomic<bool> cache_degraded_{false};
 };
 
 }  // namespace rt::service

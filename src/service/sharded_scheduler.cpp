@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstddef>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -81,13 +83,14 @@ const ShardCounters& shard_counters() {
   return c;
 }
 
-std::uint64_t payload_checksum(const std::string& payload) {
+std::uint64_t payload_checksum(std::string_view payload) {
   return stats::fnv1a_str(stats::kFnv1aOffset, payload);
 }
 
-/// Milliseconds until `t`, clamped to [0, ~2^30].
+/// Milliseconds until `t`, rounded up (a poll never wakes just short of
+/// `t` and spins) and clamped to [0, ~2^30].
 int ms_until(Clock::time_point t) {
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(
                       t - Clock::now())
                       .count();
   if (ms <= 0) return 0;
@@ -102,65 +105,33 @@ void sleep_ms(int ms) {
   }
 }
 
-/// Reads exactly `len` bytes, polling before every read. The whole call
-/// shares ONE `timeout_ms` budget (an EINTR storm retries but cannot extend
-/// it), further clamped by the request deadline when one is set. Returns 1
-/// on a full read, 0 on clean EOF at the first byte (nothing read), -1 on
-/// error, timeout, deadline, or EOF mid-buffer (a truncated frame).
-int read_exact(int fd, void* data, std::size_t len, int timeout_ms,
-               const GridDeadline& deadline) {
-  char* p = static_cast<char*>(data);
-  std::size_t got = 0;
-  const Clock::time_point budget_end =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (got < len) {
-    Clock::time_point wait_end = budget_end;
-    if (deadline && *deadline < wait_end) wait_end = *deadline;
-    const int remaining = ms_until(wait_end);
-    if (remaining <= 0) return -1;
-    struct pollfd pfd {};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int pr = sys_poll(FaultSite::kPipePoll, &pfd, 1, remaining);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (pr == 0) return -1;  // worker silent past the timeout / deadline
-    const ssize_t n = sys_read(FaultSite::kPipeRead, fd, p + got, len - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (n == 0) return got == 0 ? 0 : -1;
-    got += static_cast<std::size_t>(n);
-  }
-  return 1;
-}
+/// Header of every frame: {magic, cell index, payload length, payload
+/// FNV-1a}. The checksum is what turns a corrupted pipe byte from silent
+/// result corruption into a detected worker death (and thus a re-run of the
+/// affected cells).
+constexpr std::size_t kFrameHeaderBytes = 4 * sizeof(std::uint64_t);
+/// Bytes one read takes from a ready pipe (the pipe buffer's default size).
+constexpr std::size_t kReadChunk = 64 * 1024;
 
 struct Frame {
   std::uint64_t cell{0};
-  std::string payload;
+  std::string_view payload;
 };
 
-/// Same return convention as read_exact. Header: {magic, cell index,
-/// payload length, payload FNV-1a}. The checksum is what turns a corrupted
-/// pipe byte from silent result corruption into a detected worker death
-/// (and thus a re-run of the affected cells).
-int read_frame(int fd, int timeout_ms, const GridDeadline& deadline,
-               Frame& out) {
-  std::uint64_t header[4] = {0, 0, 0, 0};
-  const int hr = read_exact(fd, header, sizeof header, timeout_ms, deadline);
-  if (hr <= 0) return hr;
+/// Parses the frame at the front of `buf`: 1 and `consumed` set when a
+/// whole, valid frame is there, 0 when more bytes are needed, -1 on a bad
+/// magic, an oversized length or a checksum mismatch (a corrupt stream).
+int parse_frame(std::string_view buf, Frame& out, std::size_t& consumed) {
+  if (buf.size() < kFrameHeaderBytes) return 0;
+  std::uint64_t header[4];
+  std::memcpy(header, buf.data(), kFrameHeaderBytes);
   if (header[0] != kFrameMagic || header[2] > kMaxFramePayload) return -1;
+  const auto len = static_cast<std::size_t>(header[2]);
+  if (buf.size() - kFrameHeaderBytes < len) return 0;
   out.cell = header[1];
-  out.payload.resize(static_cast<std::size_t>(header[2]));
-  if (!out.payload.empty() &&
-      read_exact(fd, out.payload.data(), out.payload.size(), timeout_ms,
-                 deadline) != 1) {
-    return -1;
-  }
+  out.payload = buf.substr(kFrameHeaderBytes, len);
   if (payload_checksum(out.payload) != header[3]) return -1;
+  consumed = kFrameHeaderBytes + len;
   return 1;
 }
 
@@ -181,9 +152,9 @@ ShardedCampaignScheduler::ShardedCampaignScheduler(
     : runner_(runner), opts_(opts) {}
 
 GridOutcome ShardedCampaignScheduler::run_all_checked(
-    const std::vector<CampaignSpec>& specs,
-    const GridDeadline& deadline) const {
-  experiments::GridSlots slots(specs);
+    const std::vector<CampaignSpec>& specs, const GridDeadline& deadline,
+    experiments::CampaignComplete on_complete) const {
+  experiments::GridSlots slots(specs, std::move(on_complete));
   const std::vector<experiments::GridCell>& cells = slots.cells();
   if (cells.empty()) return std::move(slots).finish(false);
   const ShardCounters& counters = shard_counters();
@@ -238,36 +209,45 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     ::_exit(ok ? 0 : 4);
   };
 
-  // Forks one worker per shard and drains the pipes sequentially. All
-  // pipes are created before the first fork, and each child closes every
+  // Forks one worker per shard and drains every pipe at once. All pipes
+  // are created before the first fork, and each child closes every
   // descriptor except its own write end — otherwise a sibling's surviving
   // write-end copy would keep a dead worker's pipe from ever reaching EOF.
-  // The sequential drain cannot deadlock: an undrained worker blocked on
-  // pipe backpressure is merely paused, and its turn always comes. A
-  // deadline expiry mid-drain kills every remaining worker instead of
-  // waiting out its stream.
+  // One poll covers every live pipe, so a frame is merged (and may
+  // complete a campaign, firing the commit hook) as soon as it arrives,
+  // whichever worker sent it. Each worker has its own silence budget,
+  // renewed by every byte it sends; a poll error cannot be pinned on one
+  // pipe, so it ends every live stream (their received cells are kept).
+  // A deadline expiry kills every worker still running.
   const auto run_wave = [&](const std::vector<std::vector<std::size_t>>&
                                 shards,
                             bool allow_crash_hook) {
     RT_TRACE_SPAN("shard_wave", "shard",
                   static_cast<std::uint64_t>(shards.size()), "shards");
     counters.waves.inc();
+    struct Stream {
+      int rfd{-1};
+      int wfd{-1};
+      pid_t pid{-1};
+      std::uint64_t wid{0};
+      bool live{false};  ///< pipe still open, stream not ended
+      bool dead{true};   ///< cleared only by a clean EOF
+      Clock::time_point silent_until{};
+      std::string buf;  ///< bytes read, not yet parsed into frames
+    };
     const std::size_t n = shards.size();
-    std::vector<int> rfds(n, -1);
-    std::vector<int> wfds(n, -1);
-    std::vector<pid_t> pids(n, -1);
-    std::vector<std::uint64_t> wids(n, 0);
-    for (std::size_t s = 0; s < n; ++s) {
+    std::vector<Stream> streams(n);
+    for (Stream& st : streams) {
       int fds[2];
       if (::pipe(fds) == 0) {
-        rfds[s] = fds[0];
-        wfds[s] = fds[1];
+        st.rfd = fds[0];
+        st.wfd = fds[1];
       }
     }
     for (std::size_t s = 0; s < n; ++s) {
-      if (wfds[s] < 0) continue;  // pipe() failed: shard handled as dead
+      if (streams[s].wfd < 0) continue;  // pipe() failed: shard is dead
       const std::uint64_t worker_id = ++worker_seq;
-      wids[s] = worker_id;
+      streams[s].wid = worker_id;
       const pid_t pid = sys_fork();
       if (pid < 0) {
         // fork() failed (EAGAIN under pressure): shard handled as dead;
@@ -278,70 +258,129 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
       }
       if (pid == 0) {
         for (std::size_t t = 0; t < n; ++t) {
-          if (rfds[t] >= 0) ::close(rfds[t]);
-          if (t != s && wfds[t] >= 0) ::close(wfds[t]);
+          if (streams[t].rfd >= 0) ::close(streams[t].rfd);
+          if (t != s && streams[t].wfd >= 0) ::close(streams[t].wfd);
         }
         const int crash_after =
             (allow_crash_hook && static_cast<int>(s) == opts_.crash_shard)
                 ? opts_.crash_after_cells
                 : -1;
-        child_main(shards[s], wfds[s], crash_after, worker_id);
+        child_main(shards[s], streams[s].wfd, crash_after, worker_id);
       }
       counters.forks.inc();
-      pids[s] = pid;
+      streams[s].pid = pid;
     }
-    for (std::size_t s = 0; s < n; ++s) {
-      if (wfds[s] >= 0) ::close(wfds[s]);
+    const Clock::time_point started = Clock::now();
+    for (Stream& st : streams) {
+      if (st.wfd >= 0) ::close(st.wfd);
+      st.live = st.pid >= 0;
+      st.silent_until =
+          started + std::chrono::milliseconds(opts_.read_timeout_ms);
     }
-    for (std::size_t s = 0; s < n; ++s) {
-      bool dead = pids[s] < 0;
-      if (!dead) {
-        RT_TRACE_SPAN("shard_drain", "shard", wids[s], "worker");
-        while (true) {
-          if (deadline_passed(deadline)) {
-            deadline_expired = true;
-            dead = true;
-            break;
-          }
-          Frame f;
-          const int fr =
-              read_frame(rfds[s], opts_.read_timeout_ms, deadline, f);
-          if (fr == 0) break;  // clean EOF: worker finished its stream
-          if (fr < 0) {
-            dead = true;
-            break;
-          }
-          if (f.cell == kTraceFrameCell) {
-            // The worker's span buffers. Absorption is strict but failure
-            // is absorbed observability-side (counted on the tracer) —
-            // a bad trace frame must never invalidate good results.
-            obs::Tracer::global().absorb(f.payload, wids[s]);
-            continue;
-          }
-          if (f.cell >= cells.size() || slots.filled(f.cell)) {
-            dead = true;  // out-of-range or duplicate cell: corrupt stream
-            break;
-          }
-          try {
-            slots.fill(f.cell,
-                       experiments::deserialize_run_result(f.payload));
-          } catch (const experiments::SerdeError&) {
-            dead = true;
-            break;
-          }
+
+    // Ends a stream: closes its pipe, and SIGKILLs a worker that did not
+    // finish cleanly so it stops computing cells nobody will read.
+    const auto end_stream = [](Stream& st, bool clean) {
+      st.live = false;
+      st.dead = !clean;
+      ::close(st.rfd);
+      st.rfd = -1;
+      if (!clean) ::kill(st.pid, SIGKILL);
+    };
+    // Merges every whole frame at the front of the stream's buffer.
+    // Returns false on a corrupt stream.
+    const auto merge_frames = [&](Stream& st) {
+      std::size_t used = 0;
+      while (true) {
+        Frame f;
+        std::size_t consumed = 0;
+        const int pr = parse_frame(
+            std::string_view(st.buf).substr(used), f, consumed);
+        if (pr < 0) return false;
+        if (pr == 0) break;
+        used += consumed;
+        if (f.cell == kTraceFrameCell) {
+          // The worker's span buffers. Absorption is strict but failure
+          // is absorbed observability-side (counted on the tracer) — a
+          // bad trace frame must never invalidate good results.
+          obs::Tracer::global().absorb(std::string(f.payload), st.wid);
+          continue;
+        }
+        if (f.cell >= cells.size() || slots.filled(f.cell)) {
+          return false;  // out-of-range or duplicate cell: corrupt stream
+        }
+        try {
+          slots.fill(f.cell, experiments::deserialize_run_result(f.payload));
+        } catch (const experiments::SerdeError&) {
+          return false;
         }
       }
-      if (rfds[s] >= 0) ::close(rfds[s]);
-      if (pids[s] >= 0) {
-        if (dead) ::kill(pids[s], SIGKILL);
+      st.buf.erase(0, used);
+      return true;
+    };
+
+    std::vector<char> chunk(kReadChunk);
+    std::vector<struct pollfd> pfds;
+    std::vector<Stream*> polled;
+    while (true) {
+      pfds.clear();
+      polled.clear();
+      Clock::time_point wait_end = Clock::time_point::max();
+      for (Stream& st : streams) {
+        if (!st.live) continue;
+        pfds.push_back({st.rfd, POLLIN, 0});
+        polled.push_back(&st);
+        wait_end = std::min(wait_end, st.silent_until);
+      }
+      if (polled.empty()) break;
+      if (deadline_passed(deadline)) {
+        deadline_expired = true;
+        for (Stream* st : polled) end_stream(*st, false);
+        break;
+      }
+      if (deadline && *deadline < wait_end) wait_end = *deadline;
+      const int pr = sys_poll(FaultSite::kPipePoll, pfds.data(),
+                              static_cast<nfds_t>(pfds.size()),
+                              ms_until(wait_end));
+      if (pr < 0) {
+        if (errno == EINTR) continue;
+        for (Stream* st : polled) end_stream(*st, false);
+        break;
+      }
+      const Clock::time_point now = Clock::now();
+      for (std::size_t i = 0; i < polled.size(); ++i) {
+        Stream& st = *polled[i];
+        if (pfds[i].revents == 0) {
+          // Silent past its budget: declared dead. A stream with bytes
+          // waiting is always read first, however late the parent polls.
+          if (now >= st.silent_until) end_stream(st, false);
+          continue;
+        }
+        const ssize_t got =
+            sys_read(FaultSite::kPipeRead, st.rfd, chunk.data(), chunk.size());
+        if (got < 0) {
+          if (errno != EINTR) end_stream(st, false);
+        } else if (got == 0) {
+          // EOF: clean only on a frame boundary (else a truncated frame).
+          end_stream(st, st.buf.empty());
+        } else {
+          st.buf.append(chunk.data(), static_cast<std::size_t>(got));
+          st.silent_until =
+              now + std::chrono::milliseconds(opts_.read_timeout_ms);
+          if (!merge_frames(st)) end_stream(st, false);
+        }
+      }
+    }
+
+    for (Stream& st : streams) {
+      if (st.rfd >= 0) ::close(st.rfd);
+      if (st.pid >= 0) {
         int status = 0;
-        while (::waitpid(pids[s], &status, 0) < 0 && errno == EINTR) {
+        while (::waitpid(st.pid, &status, 0) < 0 && errno == EINTR) {
         }
-        if (!dead && !(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-          dead = true;
-        }
+        if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) st.dead = true;
       }
-      if (dead) counters.worker_deaths.inc();
+      if (st.dead) counters.worker_deaths.inc();
     }
   };
 

@@ -16,9 +16,10 @@ struct ShardOptions {
   /// crashing worker degrades to a re-run, never a lost result or a hung
   /// parent).
   int max_retries{2};
-  /// Per-read poll timeout on a worker pipe. A worker that goes silent for
-  /// longer is declared dead (killed + reaped) and its shard retried. The
-  /// budget covers the whole read — EINTR storms cannot extend it.
+  /// Silence budget of each worker: a worker that sends no byte for
+  /// longer is declared dead (killed + reaped) and its missing cells
+  /// retried. Only bytes received renew it — EINTR storms cannot extend
+  /// it.
   int read_timeout_ms{600000};
   /// Exponential backoff before each retry wave: attempt k sleeps
   /// min(retry_backoff_ms << k, 2000) ms. A worker killed by resource
@@ -33,27 +34,35 @@ struct ShardOptions {
   int crash_after_cells{0};
 };
 
-/// Multi-process campaign grid execution: forks N workers over disjoint,
-/// contiguous ranges of the grid's cell list (experiments::grid_cells),
-/// each worker streaming one serialized RunResult frame per cell back over
-/// a pipe, the parent merging frames into pre-assigned slots.
+/// Multi-process campaign grid execution: forks N workers over striped
+/// shards of the grid's cell list (experiments::grid_cells; cell i goes to
+/// worker i % N), each worker streaming one serialized RunResult frame per
+/// cell back over its pipe in ascending cell order. The parent drains every
+/// worker pipe at once with a single poll and merges each frame into its
+/// pre-assigned experiments::GridSlots slot the moment it arrives, so the
+/// completion hook commits a campaign (CampaignService stores it to the
+/// cache) while the workers are still computing the rest of the grid. A
+/// campaign's cells are contiguous, so campaigns with at least N runs
+/// complete in spec order.
 ///
 /// Because every run's randomness is a pure function of (spec.seed,
-/// run_index) — the PR 1 counter-based contract — and doubles cross the
+/// run_index) — the counter-based seeding contract — and doubles cross the
 /// pipe as raw bit patterns, a sharded run is bit-identical to the
 /// in-process CampaignScheduler at ANY worker count. Every frame carries an
 /// FNV-1a payload checksum, so a corrupted pipe (bit flips, interposed
 /// garbage) is detected and re-run, never merged. Worker death (crash,
-/// kill, truncated frame, silence past the timeout) is detected per shard;
-/// the missing cells are re-forked up to `max_retries` times (with capped
-/// exponential backoff) and finally run in-process over a thread pool of
-/// one thread per worker, so results are complete and identical even under
-/// worker loss or total fork failure. All syscalls go through the
-/// rt::service fault-injection shims (service/fault_injection.hpp); the
-/// chaos suite drives every failure path above deterministically. Forks,
-/// deaths, retry waves, fork failures, in-process recoveries and deadline
-/// expiries are counted in the metrics registry (`rt_shard_*_total`) as
-/// they happen, in the parent process.
+/// kill, truncated frame, silence past its own `read_timeout_ms`, or a
+/// failed poll, which ends every stream it covered) is detected per
+/// worker and the cells already received are kept; the missing cells are
+/// re-forked up to `max_retries` times (with capped exponential backoff)
+/// and finally run in-process over a thread pool of one thread per worker,
+/// so results are complete and identical even under worker loss or total
+/// fork failure. All syscalls go through the rt::service fault-injection
+/// shims (service/fault_injection.hpp); the chaos suite drives every
+/// failure path above deterministically. Forks, deaths, retry waves, fork
+/// failures, in-process recoveries and deadline expiries are counted in the
+/// metrics registry (`rt_shard_*_total`) as they happen, in the parent
+/// process.
 class ShardedCampaignScheduler {
  public:
   explicit ShardedCampaignScheduler(const experiments::CampaignRunner& runner,
@@ -62,10 +71,13 @@ class ShardedCampaignScheduler {
   /// Runs every spec, stopping at `deadline`; failures become typed
   /// per-campaign error records instead of exceptions or hangs. Cells no
   /// worker delivered go through the same experiments::GridSlots fan-out
-  /// and error pass as CampaignScheduler::run_all_checked.
+  /// and error pass as CampaignScheduler::run_all_checked. `on_complete`
+  /// fires once per completed campaign: on this thread for campaigns the
+  /// workers finish, from pool threads for ones the fallback finishes.
   [[nodiscard]] experiments::GridOutcome run_all_checked(
       const std::vector<experiments::CampaignSpec>& specs,
-      const experiments::GridDeadline& deadline) const;
+      const experiments::GridDeadline& deadline,
+      experiments::CampaignComplete on_complete = {}) const;
 
  private:
   const experiments::CampaignRunner& runner_;

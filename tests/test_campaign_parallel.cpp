@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "experiments/campaign.hpp"
 #include "experiments/campaign_grid.hpp"
+#include "experiments/campaign_serde.hpp"
 #include "experiments/sh_training.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -256,6 +261,175 @@ TEST(CampaignRunner, RunOneIsPureFunctionOfSpecAndIndex) {
   EXPECT_EQ(direct.eb, full.runs[5].eb);
   EXPECT_DOUBLE_EQ(direct.min_delta, full.runs[5].min_delta);
   EXPECT_DOUBLE_EQ(direct.end_time, full.runs[5].end_time);
+}
+
+// ------------------------------------------------ GridSlots completion hook
+
+/// Every completion-hook call of one grid run: spec index -> the bytes of
+/// each result the hook was handed (one entry per call). Thread-safe.
+class HookLog {
+ public:
+  CampaignComplete hook() {
+    return [this](std::size_t spec, const CampaignResult& result) {
+      const std::string bytes = serialize_campaign_result(result);
+      std::lock_guard<std::mutex> lock(mu_);
+      calls_[spec].push_back(bytes);
+    };
+  }
+  [[nodiscard]] const std::map<std::size_t, std::vector<std::string>>&
+  calls() const {
+    return calls_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::size_t, std::vector<std::string>> calls_;
+};
+
+/// Hermetic NoSh specs of unequal length, with a zero-run spec among them.
+std::vector<CampaignSpec> hook_grid() {
+  std::vector<CampaignSpec> specs;
+  for (const int runs : {2, 3, 0, 1, 4}) {
+    specs.push_back({"hook-" + std::to_string(specs.size()), "DS-1",
+                     core::AttackVector::kDisappear, AttackMode::kNoSh,
+                     runs, 600 + specs.size()});
+  }
+  return specs;
+}
+
+/// Expects exactly one hook call per spec in `complete`, none for any
+/// other spec, each handed the bytes finish() returned for that spec.
+void expect_one_call_each(const HookLog& log, const GridOutcome& out,
+                          const std::set<std::size_t>& complete) {
+  std::set<std::size_t> called;
+  for (const auto& [spec, bytes] : log.calls()) {
+    called.insert(spec);
+    ASSERT_EQ(bytes.size(), 1u) << "spec " << spec << " fired twice";
+    EXPECT_EQ(bytes.front(), serialize_campaign_result(out.results[spec]))
+        << "spec " << spec;
+  }
+  EXPECT_EQ(called, complete);
+}
+
+TEST(GridSlotsHook, FiresOncePerCompleteSpecWithTheFinishedBytes) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = hook_grid();
+  HookLog log;
+  GridSlots slots(specs, log.hook());
+  slots.run(runner, slots.unfilled(), 3, {});
+  const GridOutcome out = std::move(slots).finish(false);
+  ASSERT_TRUE(out.errors.empty());
+  // The zero-run spec (index 2) is complete with no runs and fires too.
+  expect_one_call_each(log, out, {0, 1, 2, 3, 4});
+  EXPECT_TRUE(out.results[2].runs.empty());
+}
+
+TEST(GridSlotsHook, ZeroRunSpecsFireEvenWhenNothingRuns) {
+  std::vector<CampaignSpec> specs{
+      {"none-a", "DS-1", core::AttackVector::kDisappear, AttackMode::kNoSh,
+       0, 1},
+      {"none-b", "DS-2", core::AttackVector::kMoveOut, AttackMode::kNoSh, 0,
+       2}};
+  HookLog log;
+  GridSlots slots(specs, log.hook());
+  EXPECT_TRUE(slots.cells().empty());
+  const GridOutcome out = std::move(slots).finish(true);
+  EXPECT_TRUE(out.errors.empty());
+  expect_one_call_each(log, out, {0, 1});
+}
+
+TEST(GridSlotsHook, NeverFiresForASpecWithAnUnfilledCell) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = hook_grid();
+
+  // Cut short by a deadline: spec 0's cells land, spec 1 gets one of its
+  // three and specs 3 and 4 none.
+  {
+    HookLog log;
+    GridSlots slots(specs, log.hook());
+    for (const std::size_t cell : {0u, 1u, 2u}) {
+      const GridCell& c = slots.cells()[cell];
+      slots.fill(cell, runner.run_one(specs[c.spec], c.run));
+    }
+    const GridOutcome out = std::move(slots).finish(true);
+    ASSERT_EQ(out.errors.size(), 3u);
+    for (const CampaignError& err : out.errors) {
+      EXPECT_EQ(err.code, CampaignErrorCode::kDeadlineExceeded);
+    }
+    expect_one_call_each(log, out, {0, 2});
+  }
+  // A deadline that has passed before the first cell starts.
+  {
+    HookLog log;
+    GridSlots slots(specs, log.hook());
+    slots.run(runner, slots.unfilled(), 2,
+              std::chrono::steady_clock::now() - std::chrono::seconds(1));
+    const GridOutcome out = std::move(slots).finish(true);
+    EXPECT_EQ(out.errors.size(), 4u);
+    expect_one_call_each(log, out, {2});
+  }
+  // A spec whose runs throw (an unknown scenario) stays unfilled.
+  {
+    auto broken = specs;
+    broken[1].scenario = "DS-99";
+    HookLog log;
+    GridSlots slots(broken, log.hook());
+    slots.run(runner, slots.unfilled(), 2, {});
+    const GridOutcome out = std::move(slots).finish(false);
+    ASSERT_EQ(out.errors.size(), 1u);
+    EXPECT_EQ(out.errors.front().spec_index, 1u);
+    EXPECT_EQ(out.errors.front().code, CampaignErrorCode::kExecutionFailed);
+    expect_one_call_each(log, out, {0, 2, 3, 4});
+  }
+}
+
+TEST(GridSlotsHook, EightConcurrentFillersGiveTheSameCalls) {
+  // Every cell's result is computed up front, so the eight threads below
+  // do nothing but race on fill(); each round deals the cells to them in
+  // a different interleaving.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  std::vector<CampaignSpec> specs = hook_grid();
+  for (int s = 0; s < 6; ++s) {
+    specs.push_back({"race-" + std::to_string(s), "DS-1",
+                     core::AttackVector::kDisappear, AttackMode::kNoSh,
+                     1 + s % 4, 700u + static_cast<unsigned>(s)});
+  }
+  const std::vector<GridCell> cells = grid_cells(specs);
+  std::vector<RunResult> computed;
+  for (const GridCell& c : cells) {
+    computed.push_back(runner.run_one(specs[c.spec], c.run));
+  }
+  std::set<std::size_t> all;
+  for (std::size_t s = 0; s < specs.size(); ++s) all.insert(s);
+
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 25; ++round) {
+    HookLog log;
+    GridSlots slots(specs, log.hook());
+    std::atomic<int> ready{0};
+    std::vector<std::thread> fillers;
+    for (int t = 0; t < kThreads; ++t) {
+      fillers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          const std::size_t cell = (i * 7 + static_cast<std::size_t>(round)) %
+                                   cells.size();
+          if (cell % kThreads == static_cast<std::size_t>(t)) {
+            slots.fill(cell, computed[cell]);
+          }
+        }
+      });
+    }
+    for (std::thread& f : fillers) f.join();
+    const GridOutcome out = std::move(slots).finish(false);
+    ASSERT_TRUE(out.errors.empty());
+    expect_one_call_each(log, out, all);
+  }
 }
 
 }  // namespace

@@ -251,6 +251,48 @@ TEST(ShardedScheduler, ExhaustedRetriesFallBackInProcess) {
   EXPECT_GT(moved("rt_shard_cells_recovered_in_process_total"), 0u);
 }
 
+TEST(ShardedScheduler, PollErrorMidWaveReRunsOnlyTheCellsNotReceived) {
+  // One poll covers every worker pipe, so a failed poll cannot be pinned
+  // on one worker: it ends every live stream. The cells merged before it
+  // are kept; only the rest are re-run, here by the in-process fallback
+  // (max_retries == 0), which counts each cell it runs in this process.
+  // Which poll lands mid-wave depends on when frames arrive, so the test
+  // moves the failing poll along until one does.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = family_grid(/*runs=*/2, /*seed=*/9911);
+  const std::string reference =
+      grid_bytes(CampaignScheduler(runner, 2).run_all(specs));
+  std::uint64_t cells = 0;
+  for (const auto& s : specs) cells += static_cast<std::uint64_t>(s.runs);
+
+  ShardOptions opts;
+  opts.workers = 2;
+  opts.max_retries = 0;
+  const ShardedCampaignScheduler sharded(runner, opts);
+  bool mid_wave = false;
+  for (int skip = 0; skip < 12 && !mid_wave; ++skip) {
+    FaultPlan plan;
+    plan.seed = 3;
+    plan.rules.push_back(
+        {FaultSite::kPipePoll, FaultType::kIoError, 1.0, 1, skip});
+    const CounterDelta moved;
+    experiments::GridOutcome out;
+    {
+      ArmedFaults armed(plan);
+      out = sharded.run_all_checked(specs, {});
+    }
+    EXPECT_TRUE(out.errors.empty()) << "skip " << skip;
+    EXPECT_FALSE(out.first_failure) << "skip " << skip;
+    EXPECT_EQ(grid_bytes(out.results), reference) << "skip " << skip;
+    const std::uint64_t rerun = moved("rt_campaign_cells_total");
+    EXPECT_EQ(rerun, moved("rt_shard_cells_recovered_in_process_total"))
+        << "skip " << skip;
+    mid_wave = rerun > 0 && rerun < cells;
+  }
+  EXPECT_TRUE(mid_wave) << "no failed poll landed mid-wave";
+}
+
 #if RT_OBS_TRACING
 TEST(ShardedScheduler, TwoWorkerTraceMergesParentAndBothWorkers) {
   // Spans recorded inside forked workers ship back over the result pipe
@@ -817,6 +859,51 @@ TEST(CampaignService, ShardedCacheEntriesMatchInProcessEntries) {
     EXPECT_EQ(ba, bb) << spec.name;
   }
 }
+
+#if RT_OBS_TRACING
+TEST(CampaignService, ShardedStoresOverlapTheWave) {
+  // Each campaign is committed as its last cell lands, not after the
+  // grid: with cells striped over two workers, spec 0's two cells are the
+  // first frame of each worker, so its store always starts while the wave
+  // still waits for the last frames.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::vector<CampaignSpec> specs{
+      small_spec("overlap-a", 1), small_spec("overlap-b", 2),
+      small_spec("overlap-c", 3), small_spec("overlap-d", 4)};
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_overlap")};
+  cfg.workers = 2;
+  CampaignService svc(runner, cfg);
+
+  obs::Tracer::global().clear();
+  obs::Tracer::global().arm(obs::TraceConfig{1 << 12});
+  const auto results = svc.run_grid(specs);
+  obs::Tracer::global().disarm();
+  EXPECT_EQ(grid_bytes(results),
+            grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
+
+  const obs::ParsedTrace parsed =
+      obs::parse_chrome_trace(obs::Tracer::global().render_chrome_trace());
+  obs::Tracer::global().clear();
+  std::vector<const obs::TraceEvent*> waves;
+  std::vector<const obs::TraceEvent*> stores;
+  for (const obs::TraceEvent& e : parsed.events) {
+    if (e.ph != "X" || e.pid != 0) continue;
+    if (e.name == "shard_wave") waves.push_back(&e);
+    if (e.name == "cache_store") stores.push_back(&e);
+  }
+  ASSERT_EQ(waves.size(), 1u);
+  EXPECT_EQ(stores.size(), specs.size());
+  const obs::TraceEvent& wave = *waves.front();
+  const auto inside = std::count_if(
+      stores.begin(), stores.end(), [&](const obs::TraceEvent* st) {
+        return st->ts_us >= wave.ts_us &&
+               st->ts_us < wave.ts_us + wave.dur_us;
+      });
+  EXPECT_GE(inside, 1) << "no store started inside the shard wave";
+}
+#endif  // RT_OBS_TRACING
 
 TEST(CampaignService, ExecutorPlugsIntoDefenseGrid) {
   // The GridExecutor hook: a defense grid routed through a cached service
