@@ -50,8 +50,14 @@ int main(int argc, char** argv) {
   const double elapsed = watch.elapsed_s();
   int total_runs = 0;
   for (const auto& c : grid.cells) total_runs += c.n;
-  std::printf("grid: %zu cells, %d runs in %.2f s (%.1f runs/sec)\n",
-              grid.cells.size(), total_runs, elapsed, total_runs / elapsed);
+  // Monitor variants share a drive: each drive is simulated once and
+  // delivers one cell (run) per variant.
+  const std::size_t drives =
+      experiments::grid_drives(experiments::defense_grid_specs(cfg)).size();
+  std::printf("grid: %zu campaigns, %d cells from %zu drives in %.2f s "
+              "(%.1f runs/sec)\n",
+              grid.cells.size(), total_runs, drives, elapsed,
+              total_runs / elapsed);
   bench::report_service_stats(*svc, service_before);
   bench::maybe_write_bench_json(
       opts, {{"defense_grid", total_runs / elapsed, elapsed * 1000.0, threads,

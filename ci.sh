@@ -110,6 +110,35 @@ echo "==> table_defense smoke (BENCH_defense.json)"
   --json BENCH_defense.json >/dev/null
 cat BENCH_defense.json
 
+# A cell's three monitor variants share one drive: the grid simulates each
+# run once and hands its frames to every variant's monitor stack. The CSV
+# must not depend on the thread or forked-worker count, and the in-process
+# run must simulate exactly one drive per three delivered cells.
+echo "==> table_defense drives (1 and 4 threads, 2 workers)"
+drives_dir="build-release/defense_drives"
+rm -rf "$drives_dir"
+mkdir -p "$drives_dir"
+./build-release/bench/table_defense --runs 2 --threads 1 \
+  --csv "$drives_dir/t1.csv" >/dev/null
+./build-release/bench/table_defense --runs 2 --threads 4 \
+  --csv "$drives_dir/t4.csv" --metrics "$drives_dir/t4.prom" >/dev/null
+./build-release/bench/table_defense --runs 2 --workers 2 \
+  --csv "$drives_dir/w2.csv" >/dev/null
+for run in t4 w2; do
+  cmp "$drives_dir/t1.csv" "$drives_dir/$run.csv" || {
+    echo "ERROR: table_defense CSV at $run differs from 1 thread" >&2
+    exit 1
+  }
+done
+cells="$(sed -n 's/^rt_campaign_cells_total \([0-9]*\)$/\1/p' "$drives_dir/t4.prom")"
+drives="$(sed -n 's/^rt_campaign_drives_total \([0-9]*\)$/\1/p' "$drives_dir/t4.prom")"
+if [ -z "$cells" ] || [ -z "$drives" ] || [ "$drives" -eq 0 ] ||
+   [ "$((drives * 3))" -ne "$cells" ]; then
+  echo "ERROR: table_defense simulated ${drives:-?} drives for ${cells:-?} cells, want one per three" >&2
+  exit 1
+fi
+echo "table_defense: $cells cells from $drives drives"
+
 # Bounded fuzz smoke: the coverage-guided scenario search plus the clean-run
 # invariant sweep over its frontier. The driver exits nonzero if any frontier
 # sample violates an invariant, so CI catches generator regressions that the

@@ -21,6 +21,21 @@ void MonitorStack::on_perception(const perception::CameraFrame& frame,
   for (const auto& m : monitors_) m->observe(frame, out);
 }
 
+MonitorFanOut::MonitorFanOut(
+    const std::vector<std::vector<std::string>>& stacks,
+    const MonitorContext& ctx) {
+  stacks_.reserve(stacks.size());
+  for (const auto& keys : stacks) {
+    stacks_.emplace_back(keys, ctx);
+    monitors_ += keys.size();
+  }
+}
+
+void MonitorFanOut::on_perception(const perception::CameraFrame& frame,
+                                  const perception::PerceptionOutput& out) {
+  for (auto& stack : stacks_) stack.on_perception(frame, out);
+}
+
 DefenseReport MonitorStack::report() const {
   DefenseReport report;
   report.monitors.reserve(monitors_.size());

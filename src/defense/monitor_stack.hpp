@@ -68,4 +68,30 @@ class MonitorStack final : public perception::PerceptionObserver {
   std::vector<std::unique_ptr<AttackMonitor>> monitors_;
 };
 
+/// One MonitorStack per member of a shared closed-loop drive, behind one
+/// perception observer: every perception cycle is forwarded to each stack
+/// in member order. The members' runs are one and the same simulation, so
+/// each stack sees exactly what it would have seen alone (monitors are
+/// passive and share no state), and the drive reports once per member.
+class MonitorFanOut final : public perception::PerceptionObserver {
+ public:
+  /// One stack per entry of `stacks` (registry keys; an empty entry is an
+  /// undefended member). Throws like MonitorStack on an unknown key.
+  MonitorFanOut(const std::vector<std::vector<std::string>>& stacks,
+                const MonitorContext& ctx);
+
+  void on_perception(const perception::CameraFrame& frame,
+                     const perception::PerceptionOutput& out) override;
+
+  /// True when no member deploys a monitor (nothing to observe).
+  [[nodiscard]] bool empty() const { return monitors_ == 0; }
+  [[nodiscard]] const MonitorStack& stack(std::size_t member) const {
+    return stacks_[member];
+  }
+
+ private:
+  std::vector<MonitorStack> stacks_;
+  std::size_t monitors_{0};
+};
+
 }  // namespace rt::defense

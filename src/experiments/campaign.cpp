@@ -1,12 +1,15 @@
 #include "experiments/campaign.hpp"
 
 #include <algorithm>
+#include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "experiments/campaign_grid.hpp"
+#include "experiments/campaign_serde.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -16,13 +19,64 @@ namespace rt::experiments {
 
 namespace {
 
-/// Registered once per process; the handle itself is a trivially copyable
-/// pointer wrapper, so the per-cell cost is one relaxed fetch_add.
-const obs::Counter& campaign_cells_counter() {
-  static const obs::Counter c = obs::MetricsRegistry::global().counter(
-      "rt_campaign_cells_total",
-      "Campaign cells (individual closed-loop runs) executed in-process");
+/// Registered once per process; the handles themselves are trivially
+/// copyable pointer wrappers, so the per-drive cost is two relaxed
+/// fetch_adds.
+struct DriveCounters {
+  obs::Counter cells;
+  obs::Counter drives;
+};
+
+const DriveCounters& drive_counters() {
+  static const DriveCounters c = [] {
+    auto& reg = obs::MetricsRegistry::global();
+    return DriveCounters{
+        reg.counter("rt_campaign_cells_total",
+                    "Campaign cells delivered in-process (one per member "
+                    "of each drive)"),
+        reg.counter("rt_campaign_drives_total",
+                    "Closed-loop drives simulated in-process")};
+  }();
   return c;
+}
+
+/// What the members of one drive share: every field of the spec but its
+/// name, its run count and its monitors, as canonical bytes.
+std::string drive_key(const CampaignSpec& spec) {
+  CampaignSpec key = spec;
+  key.name.clear();
+  key.runs = 0;
+  key.monitors.clear();
+  return serialize_spec(key);
+}
+
+/// Per spec, the lowest index of a spec with the same drive key.
+std::vector<std::size_t> drive_classes(const std::vector<CampaignSpec>& specs) {
+  std::map<std::string, std::size_t> first;
+  std::vector<std::size_t> classes;
+  classes.reserve(specs.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    classes.push_back(first.try_emplace(drive_key(specs[s]), s).first->second);
+  }
+  return classes;
+}
+
+/// Groups cells into drives: one per (drive class, run index), ordered by
+/// its first cell, members ascending.
+std::vector<GridDrive> group_drives(const std::vector<std::size_t>& classes,
+                                    const std::vector<GridCell>& cells,
+                                    std::vector<std::size_t> cell_indices) {
+  std::sort(cell_indices.begin(), cell_indices.end());
+  std::map<std::pair<std::size_t, int>, std::size_t> drive_of;
+  std::vector<GridDrive> drives;
+  for (const std::size_t ci : cell_indices) {
+    const GridCell& c = cells[ci];
+    const auto [it, fresh] =
+        drive_of.try_emplace({classes[c.spec], c.run}, drives.size());
+    if (fresh) drives.emplace_back();
+    drives[it->second].push_back(ci);
+  }
+  return drives;
 }
 
 }  // namespace
@@ -168,9 +222,30 @@ std::unique_ptr<core::Robotack> CampaignRunner::make_attacker(
 
 RunResult CampaignRunner::run_one(const CampaignSpec& spec,
                                   int run_index) const {
+  return std::move(run_drive({&spec}, run_index).front());
+}
+
+std::vector<RunResult> CampaignRunner::run_drive(
+    const std::vector<const CampaignSpec*>& members, int run_index) const {
+  if (members.empty()) {
+    throw std::invalid_argument("run_drive: a drive needs a member");
+  }
+  const CampaignSpec& spec = *members.front();
+  if (members.size() > 1) {
+    const std::string key = drive_key(spec);
+    for (const CampaignSpec* member : members) {
+      if (drive_key(*member) != key) {
+        throw std::invalid_argument("run_drive: '" + member->name +
+                                    "' does not share the drive of '" +
+                                    spec.name + "'");
+      }
+    }
+  }
   RT_TRACE_SPAN("campaign_cell", "campaign",
                 static_cast<std::uint64_t>(run_index), "run");
-  campaign_cells_counter().inc();
+  const DriveCounters& counters = drive_counters();
+  counters.drives.inc();
+  counters.cells.inc(members.size());
   // Counter-based: stream k is a pure function of (spec.seed, k), with no
   // parent generator shared between runs. This is what makes the parallel
   // scheduler's results independent of thread count and execution order.
@@ -188,10 +263,12 @@ RunResult CampaignRunner::run_one(const CampaignSpec& spec,
 
   LoopConfig cfg = base_;
   cfg.keep_timeline = false;
-  cfg.monitors = spec.monitors;
+  std::vector<std::vector<std::string>> stacks;
+  stacks.reserve(members.size());
+  for (const CampaignSpec* member : members) stacks.push_back(member->monitors);
   ClosedLoop loop(scenario, cfg, loop_seed);
   loop.set_attacker(make_attacker(spec, attacker_seed));
-  return loop.run();
+  return loop.run_members(stacks);
 }
 
 CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
@@ -218,6 +295,13 @@ std::vector<GridCell> grid_cells(const std::vector<CampaignSpec>& specs) {
   return cells;
 }
 
+std::vector<GridDrive> grid_drives(const std::vector<CampaignSpec>& specs) {
+  const std::vector<GridCell> cells = grid_cells(specs);
+  std::vector<std::size_t> all(cells.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return group_drives(drive_classes(specs), cells, std::move(all));
+}
+
 std::vector<CampaignResult> GridOutcome::complete_or_throw() && {
   if (first_failure) std::rethrow_exception(first_failure);
   if (!errors.empty()) {
@@ -230,6 +314,7 @@ std::vector<CampaignResult> GridOutcome::complete_or_throw() && {
 GridSlots::GridSlots(const std::vector<CampaignSpec>& specs,
                      CampaignComplete on_complete)
     : cells_(grid_cells(specs)),
+      drive_class_(drive_classes(specs)),
       filled_(cells_.size(), 0),
       missing_(specs.size()),
       on_complete_(std::move(on_complete)) {
@@ -252,6 +337,21 @@ std::vector<std::size_t> GridSlots::unfilled() const {
   return out;
 }
 
+std::vector<GridDrive> GridSlots::drives(
+    std::vector<std::size_t> cell_indices) const {
+  return group_drives(drive_class_, cells_, std::move(cell_indices));
+}
+
+std::vector<RunResult> GridSlots::simulate(const CampaignRunner& runner,
+                                           const GridDrive& drive) const {
+  std::vector<const CampaignSpec*> members;
+  members.reserve(drive.size());
+  for (const std::size_t ci : drive) {
+    members.push_back(&out_.results[cells_[ci].spec].spec);
+  }
+  return runner.run_drive(members, cells_[drive.front()].run);
+}
+
 void GridSlots::fill(std::size_t cell, RunResult run) {
   const GridCell& c = cells_[cell];
   out_.results[c.spec].runs[static_cast<std::size_t>(c.run)] = std::move(run);
@@ -266,15 +366,18 @@ void GridSlots::fill(std::size_t cell, RunResult run) {
 void GridSlots::run(const CampaignRunner& runner,
                     const std::vector<std::size_t>& cell_indices,
                     unsigned threads, const GridDeadline& deadline) {
-  if (cell_indices.empty()) return;
+  const std::vector<GridDrive> drives = this->drives(cell_indices);
+  if (drives.empty()) return;
   std::mutex failure_mutex;
   runtime::ThreadPool pool(threads);
-  pool.parallel_for(static_cast<int>(cell_indices.size()), [&](int i) {
-    if (deadline_passed(deadline)) return;  // stop at the cell boundary
-    const std::size_t ci = cell_indices[static_cast<std::size_t>(i)];
-    const GridCell& c = cells_[ci];
+  pool.parallel_for(static_cast<int>(drives.size()), [&](int i) {
+    if (deadline_passed(deadline)) return;  // stop at the drive boundary
+    const GridDrive& drive = drives[static_cast<std::size_t>(i)];
     try {
-      fill(ci, runner.run_one(out_.results[c.spec].spec, c.run));
+      std::vector<RunResult> runs = simulate(runner, drive);
+      for (std::size_t m = 0; m < drive.size(); ++m) {
+        fill(drive[m], std::move(runs[m]));
+      }
     } catch (...) {
       std::lock_guard<std::mutex> lock(failure_mutex);
       if (!out_.first_failure) out_.first_failure = std::current_exception();

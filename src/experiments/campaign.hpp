@@ -97,7 +97,7 @@ struct CampaignResult {
 /// clients can branch on the cause without parsing prose; the message is
 /// diagnostic detail only.
 enum class CampaignErrorCode : std::uint8_t {
-  kDeadlineExceeded,  ///< the request deadline expired at a cell boundary
+  kDeadlineExceeded,  ///< the request deadline expired at a drive boundary
   kExecutionFailed,   ///< a run raised; retries/fallback could not finish
 };
 
@@ -137,7 +137,7 @@ struct GridOutcome {
   [[nodiscard]] std::vector<CampaignResult> complete_or_throw() &&;
 };
 
-/// Optional hard deadline of a grid run: execution stops at the next cell
+/// Optional hard deadline of a grid run: execution stops at the next drive
 /// boundary once it has passed. nullopt = unbounded.
 using GridDeadline = std::optional<std::chrono::steady_clock::time_point>;
 
@@ -166,8 +166,19 @@ class CampaignRunner {
 
   /// One run of the campaign: run_index in [0, spec.runs). Const and
   /// re-entrant; callable concurrently for distinct (spec, index) pairs.
+  /// The one-member case of run_drive.
   [[nodiscard]] RunResult run_one(const CampaignSpec& spec,
                                   int run_index) const;
+
+  /// One drive: run `run_index` of every spec in `members`, simulated
+  /// once. The members must share a drive key (equal in every field but
+  /// name, runs and monitors; std::invalid_argument otherwise), so their
+  /// solo runs would be one and the same simulation. One closed loop
+  /// reports its frames to one monitor stack per member, and the call
+  /// returns one RunResult per member, in order, each bit-identical to
+  /// run_one(*member, run_index). Re-entrant like run_one.
+  [[nodiscard]] std::vector<RunResult> run_drive(
+      const std::vector<const CampaignSpec*>& members, int run_index) const;
 
   /// Builds the attacker for one run of a campaign (exposed for tests).
   [[nodiscard]] std::unique_ptr<core::Robotack> make_attacker(
@@ -196,6 +207,18 @@ struct GridCell {
 [[nodiscard]] std::vector<GridCell> grid_cells(
     const std::vector<CampaignSpec>& specs);
 
+/// One drive of a grid: the grid_cells() indices, ascending, of cells that
+/// one closed-loop run serves. Cells share a drive when their run indices
+/// are equal and their specs differ only in name, runs and monitors — the
+/// monitor variants of one CampaignGridBuilder cell, or duplicate specs.
+using GridDrive = std::vector<std::size_t>;
+
+/// Groups every cell of a grid into its drives, ordered by their first
+/// cell. A grid without monitor variants or duplicate specs has one drive
+/// per cell, in cell order.
+[[nodiscard]] std::vector<GridDrive> grid_drives(
+    const std::vector<CampaignSpec>& specs);
+
 /// Called once for each campaign of a grid run that completes, with its
 /// spec index and its result, while the rest of the grid may still be
 /// running. It may be called from several threads at once, and must not
@@ -204,10 +227,13 @@ using CampaignComplete =
     std::function<void(std::size_t spec, const CampaignResult& result)>;
 
 /// The slots one grid run fills: every campaign's `runs` pre-sized and one
-/// filled flag per grid_cells() index. Each cell writes only its own slot,
-/// so any mix of executors (a thread pool, forked workers, both) that fills
-/// every cell reassembles bit-identical campaigns, and finish() is the one
-/// place where unfilled cells become typed errors.
+/// filled flag per grid_cells() index. Executors run drives, not cells:
+/// drives() groups the cells still to run, simulate() runs one drive, and
+/// each member cell is filled into its own slot, so any mix of executors
+/// (a thread pool, forked workers, both) that fills every cell reassembles
+/// bit-identical campaigns, and finish() is the one place where unfilled
+/// cells become typed errors. The completion hook and the cache stores
+/// therefore stay per spec, however the cells were grouped.
 ///
 /// `on_complete`, when set, fires exactly once per campaign that
 /// completes: from the fill() that lands its last cell (a per-campaign
@@ -225,15 +251,22 @@ class GridSlots {
   }
   /// Indices of the cells not filled yet, ascending.
   [[nodiscard]] std::vector<std::size_t> unfilled() const;
+  /// Groups `cell_indices` into drives (see GridDrive), ordered by their
+  /// first cell, members ascending.
+  [[nodiscard]] std::vector<GridDrive> drives(
+      std::vector<std::size_t> cell_indices) const;
+  /// Runs one drive: one result per member cell, in the drive's order.
+  [[nodiscard]] std::vector<RunResult> simulate(
+      const CampaignRunner& runner, const GridDrive& drive) const;
   /// Stores one cell's result, firing the completion hook when it is its
   /// campaign's last. Distinct cells may be filled concurrently; each cell
   /// is filled at most once.
   void fill(std::size_t cell, RunResult run);
 
   /// Runs the listed cells over a `threads`-thread pool (0 = one per core),
-  /// each into its slot. Cells not yet started when `deadline` passes are
-  /// skipped; a cell that throws stays unfilled, and the first exception is
-  /// kept for finish().
+  /// one task per drive, each member into its slot. Drives not yet started
+  /// when `deadline` passes are skipped; a drive that throws leaves all its
+  /// members unfilled, and the first exception is kept for finish().
   void run(const CampaignRunner& runner,
            const std::vector<std::size_t>& cell_indices, unsigned threads,
            const GridDeadline& deadline);
@@ -246,6 +279,8 @@ class GridSlots {
 
  private:
   std::vector<GridCell> cells_;
+  /// Per spec, the lowest index of a spec with the same drive key.
+  std::vector<std::size_t> drive_class_;
   std::vector<char> filled_;
   /// Unfilled cells per campaign; fill() decrements it from any thread.
   std::vector<std::atomic<int>> missing_;
@@ -263,10 +298,11 @@ using GridExecutor = std::function<std::vector<CampaignResult>(
     const std::vector<CampaignSpec>&)>;
 
 /// Batches whole campaign grids (e.g. all of Table II) over a fixed thread
-/// pool. Every <spec, run_index> cell becomes one task; each task writes
-/// its RunResult into a pre-assigned slot, so aggregates are bit-identical
-/// at any thread count and specs of very different sizes still pack the
-/// pool densely (no per-campaign barrier).
+/// pool. Every drive (one <spec, run_index> cell, or the cells of monitor
+/// variants that share it) becomes one task; each task writes its
+/// RunResults into pre-assigned slots, so aggregates are bit-identical at
+/// any thread count and specs of very different sizes still pack the pool
+/// densely (no per-campaign barrier).
 class CampaignScheduler {
  public:
   /// `threads == 0` means runtime::ThreadPool::default_threads().

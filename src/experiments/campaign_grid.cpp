@@ -124,11 +124,12 @@ void CampaignGridBuilder::flush() {
         std::vector<std::size_t> idx(sweeps_.size(), 0);
         while (true) {
           // Every monitor variant of one campaign cell shares the cell's
-          // seed: their runs are bit-identical driving-wise and differ only
-          // in what the monitor stack observed, so detection rates across
-          // monitors (and the undefended control) compare the exact same
-          // attacks. With the default single undefended variant this
-          // reduces to the historical seed-per-spec convention.
+          // seed, so the variants differ only in name and monitors: run i
+          // of each is one drive, simulated once with every variant's
+          // monitor stack observing it (GridDrive). Detection rates across
+          // monitors (and the undefended control) therefore compare the
+          // exact same attacks. With the default single undefended variant
+          // this reduces to the historical seed-per-spec convention.
           const std::uint64_t cell_seed = seed_ + seeded_cells_ * 1000;
           ++seeded_cells_;
           for (const std::string& monitor : monitors_) {

@@ -39,9 +39,10 @@ class CampaignGridBuilder {
   /// undefended cell (no suffix — the historical naming). Non-empty keys
   /// are validated eagerly against defense::MonitorRegistry::global().
   /// All monitor variants of one campaign cell share the cell's seed —
-  /// monitors are passive, so their runs are driving-wise bit-identical
-  /// and detection rates compare the exact same attacks. Default: one
-  /// undefended cell, so existing grids are unchanged.
+  /// monitors are passive, so their runs share one drive (simulated once
+  /// by the grid executors, see GridDrive) and detection rates compare the
+  /// exact same attacks. Default: one undefended cell, so existing grids
+  /// are unchanged.
   CampaignGridBuilder& monitors(std::vector<std::string> keys);
   CampaignGridBuilder& runs(int n);
   CampaignGridBuilder& seed(std::uint64_t s);

@@ -6,6 +6,46 @@
 
 namespace rt::experiments {
 
+namespace {
+
+/// Fills `result.defense` from one member's monitor stack (an empty stack
+/// leaves the all-clear default) and counts its alarm frames.
+void judge_defense(const defense::MonitorStack& monitors, double dt,
+                   RunResult& result) {
+  if (monitors.empty()) return;
+  result.defense = monitors.report();
+  static const obs::Counter monitor_alarms =
+      obs::MetricsRegistry::global().counter(
+          "rt_monitor_alarms_total",
+          "Alarm frames raised by runtime attack monitors");
+  std::uint64_t alarms = 0;
+  for (const auto& m : result.defense.monitors) {
+    if (m.alarms > 0) alarms += static_cast<std::uint64_t>(m.alarms);
+  }
+  if (alarms > 0) monitor_alarms.inc(alarms);
+  // Ground-truth detection labels, judged PER MONITOR: an alert at/after
+  // the launch of a triggered attack counts as a detection even when a
+  // different monitor false-alarmed earlier (a stack-wide earliest-alert
+  // test would let one noisy monitor mask another's genuine detection).
+  // A run that only alerted pre-launch stays a false alarm.
+  if (!result.attack.triggered) return;
+  const double launch = result.attack.start_time;
+  double best_time = 0.0;
+  for (const auto& m : result.defense.monitors) {
+    if (!m.fired || m.first_alert_time < launch - 1e-9) continue;
+    if (result.defense.detected && m.first_alert_time >= best_time) {
+      continue;
+    }
+    best_time = m.first_alert_time;
+    result.defense.detected = true;
+    result.defense.frames_to_detection =
+        static_cast<int>(std::lround((best_time - launch) / dt));
+    result.defense.detected_by = m.monitor;
+  }
+}
+
+}  // namespace
+
 ClosedLoop::ClosedLoop(sim::Scenario scenario, LoopConfig config,
                        std::uint64_t seed)
     : scenario_(std::move(scenario)), config_(config), seed_(seed) {}
@@ -32,6 +72,12 @@ core::RobotackConfig make_attacker_config(const LoopConfig& loop,
 }
 
 RunResult ClosedLoop::run(std::optional<int> horizon) {
+  return std::move(run_members({config_.monitors}, horizon).front());
+}
+
+std::vector<RunResult> ClosedLoop::run_members(
+    const std::vector<std::vector<std::string>>& stacks,
+    std::optional<int> horizon) {
   const double dt = config_.camera_dt();
   stats::Rng root(seed_);
 
@@ -50,15 +96,11 @@ RunResult ClosedLoop::run(std::optional<int> horizon) {
                                 config_.keep_timeline);
   safety::AttackIds ids(config_.ids, config_.noise, config_.camera);
 
-  // Runtime attack monitors: a fresh per-run stack observing the perception
-  // pipeline from inside the ADS. Passive by contract — wiring it up never
-  // changes the driving outcome.
-  defense::MonitorStack monitors;
-  if (!config_.monitors.empty()) {
-    monitors =
-        defense::MonitorStack(config_.monitors, config_.monitor_context());
-    ads.set_perception_observer(&monitors);
-  }
+  // Runtime attack monitors: a fresh stack per member observing the
+  // perception pipeline from inside the ADS. Passive by contract — wiring
+  // them up never changes the driving outcome.
+  defense::MonitorFanOut monitors(stacks, config_.monitor_context());
+  if (!monitors.empty()) ads.set_perception_observer(&monitors);
 
   RunResult result;
   double next_lidar = 0.0;
@@ -128,40 +170,20 @@ RunResult ClosedLoop::run(std::optional<int> horizon) {
   if (attacker_) result.attack = attacker_->log();
   result.ids_flagged = ids.report().flagged;
   result.ids_reason = ids.report().reason;
-  if (!monitors.empty()) {
-    result.defense = monitors.report();
-    static const obs::Counter monitor_alarms =
-        obs::MetricsRegistry::global().counter(
-            "rt_monitor_alarms_total",
-            "Alarm frames raised by runtime attack monitors");
-    std::uint64_t alarms = 0;
-    for (const auto& m : result.defense.monitors) {
-      if (m.alarms > 0) alarms += static_cast<std::uint64_t>(m.alarms);
-    }
-    if (alarms > 0) monitor_alarms.inc(alarms);
-    // Ground-truth detection labels, judged PER MONITOR: an alert at/after
-    // the launch of a triggered attack counts as a detection even when a
-    // different monitor false-alarmed earlier (a stack-wide earliest-alert
-    // test would let one noisy monitor mask another's genuine detection).
-    // A run that only alerted pre-launch stays a false alarm.
-    if (result.attack.triggered) {
-      const double launch = result.attack.start_time;
-      double best_time = 0.0;
-      for (const auto& m : result.defense.monitors) {
-        if (!m.fired || m.first_alert_time < launch - 1e-9) continue;
-        if (result.defense.detected && m.first_alert_time >= best_time) {
-          continue;
-        }
-        best_time = m.first_alert_time;
-        result.defense.detected = true;
-        result.defense.frames_to_detection =
-            static_cast<int>(std::lround((best_time - launch) / dt));
-        result.defense.detected_by = m.monitor;
-      }
-    }
-  }
   result.timeline = monitor.timeline();
-  return result;
+
+  // Every member shares the driving outcome; the last one takes it over.
+  std::vector<RunResult> results;
+  results.reserve(stacks.size());
+  for (std::size_t m = 0; m < stacks.size(); ++m) {
+    if (m + 1 < stacks.size()) {
+      results.push_back(result);
+    } else {
+      results.push_back(std::move(result));
+    }
+    judge_defense(monitors.stack(m), dt, results.back());
+  }
+  return results;
 }
 
 }  // namespace rt::experiments

@@ -97,6 +97,18 @@ class ClosedLoop {
   /// frame (`generate_sh_dataset`).
   [[nodiscard]] RunResult run(std::optional<int> horizon = std::nullopt);
 
+  /// Runs the scenario once, as run() does, and reports it to one monitor
+  /// stack per entry of `stacks` (defense::MonitorRegistry keys; an empty
+  /// entry is an undefended member) instead of `config().monitors`.
+  /// Returns one RunResult per entry, in order: the same driving fields and
+  /// attack log in each, and each entry's own DefenseReport and detection
+  /// labels. Monitors are passive, so each result is bit-identical to what
+  /// run() returns with `config().monitors` set to that entry. run() is
+  /// this call with the one entry `config().monitors`.
+  [[nodiscard]] std::vector<RunResult> run_members(
+      const std::vector<std::vector<std::string>>& stacks,
+      std::optional<int> horizon = std::nullopt);
+
   [[nodiscard]] const LoopConfig& config() const { return config_; }
   [[nodiscard]] const sim::Scenario& scenario() const { return scenario_; }
 

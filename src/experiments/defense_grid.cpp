@@ -32,8 +32,7 @@ std::vector<std::vector<std::string>> DefenseGrid::csv_rows() const {
   return rows;
 }
 
-DefenseGrid run_defense_grid(const DefenseGridConfig& cfg,
-                             const GridExecutor& executor) {
+std::vector<CampaignSpec> defense_grid_specs(const DefenseGridConfig& cfg) {
   const std::vector<std::string> scenarios =
       cfg.scenarios.empty() ? sim::ScenarioRegistry::global().keys()
                             : cfg.scenarios;
@@ -51,7 +50,12 @@ DefenseGrid run_defense_grid(const DefenseGridConfig& cfg,
         .vectors({transfer_vector_for(family)})
         .add_grid();
   }
-  const auto results = executor(builder.build());
+  return builder.build();
+}
+
+DefenseGrid run_defense_grid(const DefenseGridConfig& cfg,
+                             const GridExecutor& executor) {
+  const auto results = executor(defense_grid_specs(cfg));
 
   DefenseGrid grid;
   grid.cells.reserve(results.size());

@@ -54,6 +54,13 @@ struct DefenseGrid {
   [[nodiscard]] std::vector<std::vector<std::string>> csv_rows() const;
 };
 
+/// The attack-vs-defense matrix's campaign specs, in the order
+/// run_defense_grid runs and reports them. Every monitor variant of one
+/// <family, mode> cell shares the cell's seed, so the variants' runs share
+/// one drive (see GridDrive).
+[[nodiscard]] std::vector<CampaignSpec> defense_grid_specs(
+    const DefenseGridConfig& cfg);
+
 /// Builds the attack-vs-defense matrix and runs it as one batch on the
 /// caller's executor (e.g. rt::service::CampaignService::executor(), whose
 /// runner supplies the loop config and the oracles R rows need): for every

@@ -32,7 +32,7 @@ struct ServiceConfig {
 struct GridRequest {
   std::vector<experiments::CampaignSpec> specs;
   /// Wall-clock budget for the whole request; 0 = unbounded. On expiry,
-  /// execution stops at the next cell boundary and every unfinished
+  /// execution stops at the next drive boundary and every unfinished
   /// campaign becomes a kDeadlineExceeded error record.
   double deadline_ms{0.0};
 };

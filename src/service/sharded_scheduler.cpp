@@ -158,12 +158,14 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
   const std::vector<experiments::GridCell>& cells = slots.cells();
   if (cells.empty()) return std::move(slots).finish(false);
   const ShardCounters& counters = shard_counters();
+  using Shard = std::vector<experiments::GridDrive>;
+  const Shard drives = slots.drives(slots.unfilled());
 
   unsigned workers = opts_.workers == 0
                          ? runtime::ThreadPool::default_threads()
                          : opts_.workers;
   workers = std::max(
-      1u, std::min(workers, static_cast<unsigned>(cells.size())));
+      1u, std::min(workers, static_cast<unsigned>(drives.size())));
   bool deadline_expired = false;
 
   // Deterministic worker ids (fork order), folded into the fault-injection
@@ -171,11 +173,10 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
   // fault sequences.
   std::uint64_t worker_seq = 0;
 
-  // Worker body: run the assigned cells, stream one frame per finished
-  // cell, then _exit (no atexit/flush: nothing in the parent's state may be
-  // touched). Never returns.
-  const auto child_main = [&](const std::vector<std::size_t>& indices,
-                              int wfd, int crash_after,
+  // Worker body: run the assigned drives, after each one stream one frame
+  // per member cell, then _exit (no atexit/flush: nothing in the parent's
+  // state may be touched). Never returns.
+  const auto child_main = [&](const Shard& shard, int wfd, int crash_after,
                               std::uint64_t worker_id) {
     FaultInjector::instance().set_worker(worker_id);
     // fork() duplicated the parent's span buffers; drop them or this
@@ -185,13 +186,15 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     bool ok = true;
     int sent = 0;
     try {
-      for (const std::size_t ci : indices) {
-        const experiments::GridCell& c = cells[ci];
-        const experiments::RunResult run =
-            runner_.run_one(specs[c.spec], c.run);
-        if (crash_after >= 0 && sent == crash_after) ::_exit(42);
-        write_frame(wfd, ci, experiments::serialize_run_result(run), ok);
-        ++sent;
+      for (const experiments::GridDrive& drive : shard) {
+        const std::vector<experiments::RunResult> runs =
+            slots.simulate(runner_, drive);
+        for (std::size_t m = 0; m < drive.size(); ++m) {
+          if (crash_after >= 0 && sent == crash_after) ::_exit(42);
+          write_frame(wfd, drive[m],
+                      experiments::serialize_run_result(runs[m]), ok);
+          ++sent;
+        }
       }
     } catch (...) {
       ::_exit(3);
@@ -219,8 +222,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
   // renewed by every byte it sends; a poll error cannot be pinned on one
   // pipe, so it ends every live stream (their received cells are kept).
   // A deadline expiry kills every worker still running.
-  const auto run_wave = [&](const std::vector<std::vector<std::size_t>>&
-                                shards,
+  const auto run_wave = [&](const std::vector<Shard>& shards,
                             bool allow_crash_hook) {
     RT_TRACE_SPAN("shard_wave", "shard",
                   static_cast<std::uint64_t>(shards.size()), "shards");
@@ -384,21 +386,23 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     }
   };
 
-  // First wave: striped shards, cell i to shard i % W. Any partition
-  // yields identical results; striping deals every spec's runs across all
-  // workers, so specs of unequal length (scenario families run for
-  // different times) cannot leave one worker finishing a long spec alone
-  // while the others sit idle.
-  std::vector<std::vector<std::size_t>> shards(workers);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    shards[i % workers].push_back(i);
+  // First wave: striped shards, drive i to shard i % W, so a drive's
+  // member cells stay on one worker. Any partition yields identical
+  // results; striping deals every spec's runs across all workers, so specs
+  // of unequal length (scenario families run for different times) cannot
+  // leave one worker finishing a long spec alone while the others sit
+  // idle. A grid without monitor variants has one drive per cell.
+  std::vector<Shard> shards(workers);
+  for (std::size_t i = 0; i < drives.size(); ++i) {
+    shards[i % workers].push_back(drives[i]);
   }
   run_wave(shards, /*allow_crash_hook=*/true);
 
-  // Shard retries: everything still missing goes to one recovery worker
-  // per attempt (the crash hook never fires on retries), after a capped
-  // exponential backoff — a worker killed by resource pressure gets
-  // breathing room instead of an immediate re-fork into the same pressure.
+  // Shard retries: everything still missing, regrouped into drives, goes
+  // to one recovery worker per attempt (the crash hook never fires on
+  // retries), after a capped exponential backoff — a worker killed by
+  // resource pressure gets breathing room instead of an immediate re-fork
+  // into the same pressure.
   for (int attempt = 0; attempt < opts_.max_retries; ++attempt) {
     std::vector<std::size_t> missing = slots.unfilled();
     if (missing.empty()) break;
@@ -413,13 +417,14 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     counters.retry_waves.inc();
     RT_TRACE_SPAN("shard_retry_wave", "shard",
                   static_cast<std::uint64_t>(attempt) + 1, "attempt");
-    run_wave({std::move(missing)}, /*allow_crash_hook=*/false);
+    run_wave({slots.drives(std::move(missing))}, /*allow_crash_hook=*/false);
   }
 
-  // Last resort: the parent runs whatever is still missing itself, fanned
-  // over one thread per worker (so total fork failure degrades to threaded,
-  // not serial, execution). A cell that throws or misses the deadline stays
-  // unfilled and becomes a typed error in finish().
+  // Last resort: the parent runs whatever is still missing itself, again
+  // grouped into drives, fanned over one thread per worker (so total fork
+  // failure degrades to threaded, not serial, execution). A drive that
+  // throws or misses the deadline leaves its cells unfilled, and they
+  // become typed errors in finish().
   const std::vector<std::size_t> missing = slots.unfilled();
   if (!missing.empty() && !deadline_passed(deadline)) {
     RT_TRACE_SPAN("shard_fallback", "shard",

@@ -8,7 +8,7 @@ namespace rt::service {
 
 /// Knobs of the multi-process sharder.
 struct ShardOptions {
-  /// Forked worker processes. Clamped to [1, cell count]; 0 = one worker
+  /// Forked worker processes. Clamped to [1, drive count]; 0 = one worker
   /// per hardware core (runtime::ThreadPool::default_threads()).
   unsigned workers{2};
   /// Re-fork attempts per shard after a worker death before the parent
@@ -35,15 +35,18 @@ struct ShardOptions {
 };
 
 /// Multi-process campaign grid execution: forks N workers over striped
-/// shards of the grid's cell list (experiments::grid_cells; cell i goes to
-/// worker i % N), each worker streaming one serialized RunResult frame per
-/// cell back over its pipe in ascending cell order. The parent drains every
-/// worker pipe at once with a single poll and merges each frame into its
-/// pre-assigned experiments::GridSlots slot the moment it arrives, so the
-/// completion hook commits a campaign (CampaignService stores it to the
-/// cache) while the workers are still computing the rest of the grid. A
-/// campaign's cells are contiguous, so campaigns with at least N runs
-/// complete in spec order.
+/// shards of the grid's drive list (experiments::GridSlots::drives; drive
+/// i goes to worker i % N, so the member cells of a drive stay on one
+/// worker), each worker simulating its drives in order and, after each,
+/// streaming one serialized RunResult frame per member cell back over its
+/// pipe. A grid without monitor variants has one drive per cell, so its
+/// cells are striped one by one. The parent drains every worker pipe at
+/// once with a single poll and merges each frame into its pre-assigned
+/// experiments::GridSlots slot the moment it arrives, so the completion
+/// hook commits a campaign (CampaignService stores it to the cache) while
+/// the workers are still computing the rest of the grid. A campaign's
+/// drives are contiguous, so campaigns with at least N runs complete in
+/// spec order (monitor variants sharing drives complete together).
 ///
 /// Because every run's randomness is a pure function of (spec.seed,
 /// run_index) — the counter-based seeding contract — and doubles cross the
@@ -54,15 +57,15 @@ struct ShardOptions {
 /// kill, truncated frame, silence past its own `read_timeout_ms`, or a
 /// failed poll, which ends every stream it covered) is detected per
 /// worker and the cells already received are kept; the missing cells are
-/// re-forked up to `max_retries` times (with capped exponential backoff)
-/// and finally run in-process over a thread pool of one thread per worker,
-/// so results are complete and identical even under worker loss or total
-/// fork failure. All syscalls go through the rt::service fault-injection
-/// shims (service/fault_injection.hpp); the chaos suite drives every
-/// failure path above deterministically. Forks, deaths, retry waves, fork
-/// failures, in-process recoveries and deadline expiries are counted in the
-/// metrics registry (`rt_shard_*_total`) as they happen, in the parent
-/// process.
+/// regrouped into drives and re-forked up to `max_retries` times (with
+/// capped exponential backoff) and finally run in-process over a thread
+/// pool of one thread per worker, so results are complete and identical
+/// even under worker loss or total fork failure. All syscalls go through
+/// the rt::service fault-injection shims (service/fault_injection.hpp); the
+/// chaos suite drives every failure path above deterministically. Forks,
+/// deaths, retry waves, fork failures, in-process recoveries and deadline
+/// expiries are counted in the metrics registry (`rt_shard_*_total`) as
+/// they happen, in the parent process.
 class ShardedCampaignScheduler {
  public:
   explicit ShardedCampaignScheduler(const experiments::CampaignRunner& runner,

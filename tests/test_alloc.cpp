@@ -260,14 +260,9 @@ TEST(AllocationPins, DormantRobotackIsAllocationFreeAfterWarmup) {
   EXPECT_FALSE(bot.log().triggered);
 }
 
-TEST(AllocationPins, MonitorStackObserveIsAllocationFreeAfterWarmup) {
-  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
-  // The defense hook sits on the same per-frame hot path: once the track
-  // set is stable, a full three-monitor observe allocates nothing.
-  defense::MonitorContext ctx;
-  defense::MonitorStack stack(
-      {"innovation-gate", "sensor-consistency", "kinematics"}, ctx);
-  perception::CameraFrame frame;
+/// One matched, mature vehicle track seen by camera and LiDAR alike: the
+/// stable track set the monitor pins observe.
+perception::PerceptionOutput steady_perception() {
   perception::PerceptionOutput out;
   perception::TrackView t;
   t.track_id = 1;
@@ -291,6 +286,18 @@ TEST(AllocationPins, MonitorStackObserveIsAllocationFreeAfterWarmup) {
   l.rel_position = {30.0, 0.0};
   l.hits = 6;
   out.lidar_tracks = {l};
+  return out;
+}
+
+TEST(AllocationPins, MonitorStackObserveIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // The defense hook sits on the same per-frame hot path: once the track
+  // set is stable, a full three-monitor observe allocates nothing.
+  defense::MonitorContext ctx;
+  defense::MonitorStack stack(
+      {"innovation-gate", "sensor-consistency", "kinematics"}, ctx);
+  perception::CameraFrame frame;
+  perception::PerceptionOutput out = steady_perception();
   for (int i = 0; i < 10; ++i) {
     out.time = 0.1 * i;
     stack.on_perception(frame, out);
@@ -302,6 +309,32 @@ TEST(AllocationPins, MonitorStackObserveIsAllocationFreeAfterWarmup) {
   }
   EXPECT_EQ(allocations(), before)
       << "MonitorStack::on_perception allocated at steady state";
+}
+
+TEST(AllocationPins, GroupedThreeStackObserveIsAllocationFreeAfterWarmup) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts not meaningful";
+  // A drive shared by a grid cell's three monitor variants (and an
+  // undefended member) observes through one fan-out: still no allocation
+  // per frame once the track set is stable.
+  defense::MonitorContext ctx;
+  defense::MonitorFanOut fan_out({{"innovation-gate"},
+                                  {"sensor-consistency"},
+                                  {"kinematics"},
+                                  {}},
+                                 ctx);
+  perception::CameraFrame frame;
+  perception::PerceptionOutput out = steady_perception();
+  for (int i = 0; i < 10; ++i) {
+    out.time = 0.1 * i;
+    fan_out.on_perception(frame, out);
+  }
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 200; ++i) {
+    out.time = 1.0 + 0.1 * i;
+    fan_out.on_perception(frame, out);
+  }
+  EXPECT_EQ(allocations(), before)
+      << "MonitorFanOut::on_perception allocated at steady state";
 }
 
 /// A small trained oracle: 64 synthetic launches, two epochs.

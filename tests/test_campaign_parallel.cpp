@@ -263,6 +263,58 @@ TEST(CampaignRunner, RunOneIsPureFunctionOfSpecAndIndex) {
   EXPECT_DOUBLE_EQ(direct.end_time, full.runs[5].end_time);
 }
 
+// ------------------------------------------------------------ grid drives
+
+TEST(GridDrives, MonitorVariantsAndDuplicatesShareADrive) {
+  // Specs 0-2 are one cell's monitor variants (one with no monitor, one
+  // with two), spec 3 shares their drive key with a third run, spec 4 is
+  // an exact duplicate of spec 0, and spec 5 differs in its seed.
+  std::vector<CampaignSpec> specs;
+  const auto add = [&](int runs, std::uint64_t seed,
+                       std::vector<std::string> monitors) {
+    specs.push_back({"drive-" + std::to_string(specs.size()), "DS-1",
+                     core::AttackVector::kDisappear, AttackMode::kNoSh, runs,
+                     seed, std::nullopt, std::move(monitors)});
+  };
+  add(2, 50, {});
+  add(2, 50, {"innovation-gate", "kinematics"});
+  add(2, 50, {"sensor-consistency"});
+  add(3, 50, {"kinematics"});
+  specs.push_back(specs[0]);
+  add(2, 51, {"kinematics"});
+  // Cells, spec-major: 0-1 | 2-3 | 4-5 | 6-8 | 9-10 | 11-12.
+  const std::vector<GridDrive> want{
+      {0, 2, 4, 6, 9}, {1, 3, 5, 7, 10}, {8}, {11}, {12}};
+  EXPECT_EQ(grid_drives(specs), want);
+  GridSlots slots(specs);
+  EXPECT_EQ(slots.drives(slots.unfilled()), want);
+  // Any subset, in any order, groups the same way.
+  EXPECT_EQ(slots.drives({12, 5, 3, 8, 7}),
+            (std::vector<GridDrive>{{3, 5, 7}, {8}, {12}}));
+  // A spec whose params differ has a drive of its own.
+  specs[2].params = sim::ScenarioRegistry::global().defaults("DS-1");
+  EXPECT_EQ(grid_drives(specs).size(), 7u);
+}
+
+TEST(GridDrives, GridWithoutVariantsHasOneDrivePerCellInCellOrder) {
+  const auto specs = table2_campaigns(3, 99);
+  const auto drives = grid_drives(specs);
+  ASSERT_EQ(drives.size(), grid_cells(specs).size());
+  for (std::size_t i = 0; i < drives.size(); ++i) {
+    EXPECT_EQ(drives[i], GridDrive{i});
+  }
+}
+
+TEST(GridDrives, RunDriveRejectsMembersOfAnotherDrive) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  CampaignSpec a = small_spec();
+  CampaignSpec b = a;
+  b.seed += 1;
+  EXPECT_THROW((void)runner.run_drive({&a, &b}, 0), std::invalid_argument);
+  EXPECT_THROW((void)runner.run_drive({}, 0), std::invalid_argument);
+}
+
 // ------------------------------------------------ GridSlots completion hook
 
 /// Every completion-hook call of one grid run: spec index -> the bytes of

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/safety_oracle.hpp"
+#include "defense/monitor_registry.hpp"
 #include "experiments/campaign.hpp"
 #include "experiments/campaign_grid.hpp"
 #include "experiments/campaign_serde.hpp"
@@ -292,6 +293,140 @@ TEST(ShardedScheduler, PollErrorMidWaveReRunsOnlyTheCellsNotReceived) {
   }
   EXPECT_TRUE(mid_wave) << "no failed poll landed mid-wave";
 }
+
+// ----------------------------------------------------------------- drives
+
+/// A grid whose cells share drives: every family x {NoSh, Golden} x every
+/// registered monitor, plus a seed shared by four specs that differ only
+/// in name, runs and monitors (2 and 3 runs; a two-monitor stack and none)
+/// and an exact duplicate of one of them, and a spec that differs from
+/// them in its seed alone (a drive of its own).
+std::vector<CampaignSpec> drive_grid(int runs, std::uint64_t seed) {
+  experiments::CampaignGridBuilder builder;
+  builder.runs(runs)
+      .seed(seed)
+      .modes({AttackMode::kNoSh, AttackMode::kGolden})
+      .monitors(defense::MonitorRegistry::global().keys());
+  for (const auto& family : sim::ScenarioRegistry::global().keys()) {
+    builder.scenarios({family})
+        .vectors({experiments::transfer_vector_for(family)})
+        .add_grid();
+  }
+  std::vector<CampaignSpec> specs = builder.build();
+  CampaignSpec shared = small_spec("shared-two-runs", seed + 7);
+  shared.monitors = {"innovation-gate"};
+  specs.push_back(shared);
+  CampaignSpec longer = shared;
+  longer.name = "shared-three-runs";
+  longer.runs = 3;
+  longer.monitors = {"sensor-consistency", "kinematics"};
+  specs.push_back(longer);
+  CampaignSpec bare = longer;
+  bare.name = "shared-undefended";
+  bare.monitors.clear();
+  specs.push_back(bare);
+  specs.push_back(shared);  // an exact duplicate
+  CampaignSpec reseeded = shared;
+  reseeded.name = "other-seed";
+  reseeded.seed += 1;
+  specs.push_back(reseeded);
+  return specs;
+}
+
+/// serialize_run_result of run_one(spec, i) for every cell, spec-major.
+std::vector<std::vector<std::string>> solo_bytes(
+    const CampaignRunner& runner, const std::vector<CampaignSpec>& specs) {
+  std::vector<std::vector<std::string>> out;
+  for (const auto& spec : specs) {
+    out.emplace_back();
+    for (int i = 0; i < spec.runs; ++i) {
+      out.back().push_back(
+          experiments::serialize_run_result(runner.run_one(spec, i)));
+    }
+  }
+  return out;
+}
+
+void expect_cells_equal_solo(
+    const experiments::GridOutcome& out,
+    const std::vector<std::vector<std::string>>& solo, const char* how) {
+  EXPECT_TRUE(out.errors.empty()) << how;
+  EXPECT_FALSE(out.first_failure) << how;
+  ASSERT_EQ(out.results.size(), solo.size()) << how;
+  for (std::size_t s = 0; s < solo.size(); ++s) {
+    const auto& runs = out.results[s].runs;
+    ASSERT_EQ(runs.size(), solo[s].size()) << how << " spec " << s;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(experiments::serialize_run_result(runs[i]), solo[s][i])
+          << how << ": " << out.results[s].spec.name << " run " << i;
+    }
+  }
+}
+
+TEST(Drives, EveryGridCellSerializesLikeItsSoloRun) {
+  // Monitor variants of a cell share one drive, so the grid simulates each
+  // drive once; each member's result must still be byte-for-byte the solo
+  // run_one of its own spec, on every executor.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = drive_grid(/*runs=*/2, /*seed=*/6060);
+  const auto solo = solo_bytes(runner, specs);
+  for (const unsigned threads : {1u, 4u}) {
+    expect_cells_equal_solo(
+        CampaignScheduler(runner, threads).run_all_checked(specs), solo,
+        threads == 1 ? "1 thread" : "4 threads");
+  }
+  ShardOptions opts;
+  opts.workers = 2;
+  expect_cells_equal_solo(
+      ShardedCampaignScheduler(runner, opts).run_all_checked(specs, {}), solo,
+      "2 workers");
+  opts.crash_shard = 1;
+  opts.crash_after_cells = 5;
+  opts.retry_backoff_ms = 1;
+  const CounterDelta moved;
+  expect_cells_equal_solo(
+      ShardedCampaignScheduler(runner, opts).run_all_checked(specs, {}), solo,
+      "2 workers, one crashing");
+  EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 1u);
+}
+
+TEST(Drives, MonitorAlarmCountIsTheSoloRunsCount) {
+  // A drive counts each member's alarm frames, as each member's solo run
+  // does: the grid's rt_monitor_alarms_total delta is the solo runs' sum
+  // and the figure pinned before monitor variants shared a drive.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = drive_grid(/*runs=*/2, /*seed=*/6060);
+  const CounterDelta solo;
+  (void)solo_bytes(runner, specs);
+  const std::uint64_t solo_alarms = solo("rt_monitor_alarms_total");
+  const CounterDelta moved;
+  (void)CampaignScheduler(runner, 2).run_all(specs);
+  EXPECT_EQ(moved("rt_monitor_alarms_total"), solo_alarms);
+  EXPECT_EQ(solo_alarms, 409u);
+}
+
+#if RT_OBS_TRACING
+TEST(Drives, OneCampaignCellSpanPerDrive) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = drive_grid(/*runs=*/1, /*seed=*/6161);
+  const std::size_t drives = experiments::grid_drives(specs).size();
+  obs::Tracer::global().clear();
+  obs::Tracer::global().arm(obs::TraceConfig{1 << 12});
+  const CounterDelta moved;
+  (void)CampaignScheduler(runner, 2).run_all(specs);
+  obs::Tracer::global().disarm();
+  const obs::ParsedTrace parsed =
+      obs::parse_chrome_trace(obs::Tracer::global().render_chrome_trace());
+  obs::Tracer::global().clear();
+  EXPECT_EQ(parsed.count_spans("campaign_cell"), drives);
+  EXPECT_EQ(moved("rt_campaign_drives_total"), drives);
+  EXPECT_EQ(moved("rt_campaign_cells_total"),
+            experiments::grid_cells(specs).size());
+}
+#endif  // RT_OBS_TRACING
 
 #if RT_OBS_TRACING
 TEST(ShardedScheduler, TwoWorkerTraceMergesParentAndBothWorkers) {
@@ -827,6 +962,41 @@ TEST(CampaignService, PartialOverlapRunsOnlyTheMisses) {
   EXPECT_EQ(experiments::serialize_campaign_result(results[1]),
             experiments::serialize_campaign_result(
                 runner.run(small_spec("c", 3))));
+}
+
+TEST(CampaignService, PartlyCachedDriveReRunsOnlyItsMissingMembers) {
+  // The three monitor variants of one cell share a drive. With one of them
+  // cached, the next request still simulates each drive once, for the two
+  // members the cache could not answer.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  constexpr int kRuns = 3;
+  const auto specs = experiments::CampaignGridBuilder()
+                         .runs(kRuns)
+                         .seed(4545)
+                         .scenarios({"DS-1"})
+                         .vectors({core::AttackVector::kDisappear})
+                         .modes({AttackMode::kNoSh})
+                         .monitors(defense::MonitorRegistry::global().keys())
+                         .build();
+  ASSERT_EQ(specs.size(), 3u);
+  std::string uncached;
+  {
+    const CounterDelta moved;
+    uncached = grid_bytes(CampaignScheduler(runner, 1).run_all(specs));
+    EXPECT_EQ(moved("rt_campaign_drives_total"), 1u * kRuns);
+    EXPECT_EQ(moved("rt_campaign_cells_total"), 3u * kRuns);
+  }
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_partial_drive")};
+  cfg.threads = 2;
+  CampaignService svc(runner, cfg);
+  (void)svc.run_grid({specs[1]});
+  const CounterDelta moved;
+  EXPECT_EQ(grid_bytes(svc.run_grid(specs)), uncached);
+  EXPECT_EQ(moved("rt_service_spec_cache_hits_total"), 1u);
+  EXPECT_EQ(moved("rt_campaign_drives_total"), 1u * kRuns);
+  EXPECT_EQ(moved("rt_campaign_cells_total"), 2u * kRuns);
 }
 
 TEST(CampaignService, ShardedCacheEntriesMatchInProcessEntries) {
