@@ -230,9 +230,31 @@ grep -q '"event":"cache_summary","hits":4,"misses":0' \
   exit 1
 }
 
-# Third warm pass with the `stats` verb: the metrics registry must agree
-# with the JSONL cache summary — 4 cache hits, 0 misses, visible through
-# the exporter and not just the log line. `--metrics` must write the same
+# Second request: the spec parts whose key handling the first request never
+# exercises, a monitor stack and a parameter sweep (16 specs). Its warm pass
+# must be all hits and its CSV byte-equal to the cold pass.
+axes_req='run scenarios=DS-1,DS-2 vectors=Disappear modes=RwoSH,Golden runs=3 seed=17 monitors=innovation-gate,sensor-consistency sweep=target_speed_kph:24,30'
+axes_cache="build-release/server_cache_axes"
+rm -rf "$axes_cache"
+for pass in 1 2; do
+  printf '%s\nquit\n' "$axes_req" | ./build-release/examples/campaign_server \
+    --no-oracles --cache-dir "$axes_cache" \
+    >build-release/server_axes$pass.csv 2>build-release/server_axes$pass.log
+done
+cmp build-release/server_axes1.csv build-release/server_axes2.csv || {
+  echo "ERROR: monitored sweep CSV not byte-identical across cache passes" >&2
+  exit 1
+}
+grep -q '"event":"cache_summary","hits":16,"misses":0' \
+  build-release/server_axes2.log || {
+  echo "ERROR: monitored sweep warm pass was not 16 hits and 0 misses" >&2
+  cat build-release/server_axes2.log >&2
+  exit 1
+}
+
+# A third warm pass of the first request, with the `stats` verb: the
+# metrics registry must agree with the JSONL cache summary — 4 cache hits,
+# 0 misses, visible through the exporter and not just the log line. `--metrics` must write the same
 # registry as Prometheus text, like every bench driver's.
 printf '%s\nstats\nquit\n' "$server_req" | ./build-release/examples/campaign_server \
   --no-oracles --cache-dir "$server_cache" \

@@ -1,18 +1,25 @@
 #include "experiments/campaign_serde.hpp"
 
+#include <bit>
 #include <cctype>
-#include <cerrno>
-#include <cinttypes>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
+#include <type_traits>
+#include <vector>
 
 #include "sim/scenario_registry.hpp"
 
 namespace rt::experiments {
 
 namespace {
+
+// One field list per record: each `fields(io, record)` below names a
+// record's fields once, in wire order, and the Writer (emit) and the
+// Reader (parse and check) each implement the same small vocabulary of
+// field operations over it. Both are plain classes driven through a
+// template, so a decode costs no indirect call per field.
 
 // ----------------------------------------------------------------- Writer
 
@@ -22,37 +29,60 @@ class Writer {
     out_.append(t);
     out_ += '\n';
   }
-  void u64(std::uint64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    out_ += buf;
-    out_ += '\n';
-  }
-  void i64(std::int64_t v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRId64, v);
-    out_ += buf;
-    out_ += '\n';
-  }
+  void u64(std::uint64_t v) { integer(v); }
+  void i32(int v) { integer(v); }
   void b(bool v) { out_ += v ? "1\n" : "0\n"; }
+  /// `d` and the raw IEEE-754 bits as 16 lower-case hex digits.
   void d(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "d%016" PRIx64, bits);
-    out_ += buf;
-    out_ += '\n';
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    char buf[18];
+    buf[0] = 'd';
+    for (int i = 0; i < 16; ++i) {
+      buf[16 - i] = "0123456789abcdef"[(bits >> (4 * i)) & 0xf];
+    }
+    buf[17] = '\n';
+    out_.append(buf, sizeof buf);
   }
   void str(std::string_view s) {
     char buf[24];
-    std::snprintf(buf, sizeof buf, "%zu:", s.size());
-    out_ += buf;
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, s.size()).ptr);
+    out_ += ':';
     out_.append(s);
     out_ += '\n';
+  }
+  template <class E>
+  void enumeration(E v, std::uint64_t /*max*/, const char* /*what*/) {
+    u64(static_cast<std::uint64_t>(v));
+  }
+  /// Count, then each element through `each`.
+  template <class T, class Each>
+  void seq(const std::vector<T>& v, std::uint64_t /*cap*/,
+           const char* /*what*/, Each each) {
+    u64(v.size());
+    for (const T& x : v) each(x);
+  }
+  /// Presence flag, then (when present) the count and every name/value
+  /// pair of the registry's named-parameter table, in table order.
+  void params(const std::optional<sim::ScenarioParams>& p) {
+    b(p.has_value());
+    if (!p) return;
+    const auto names = sim::scenario_param_names();
+    u64(names.size());
+    for (const auto& name : names) {
+      str(name);
+      d(sim::get_scenario_param(*p, name));
+    }
   }
   [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
+  template <class T>
+  void integer(T v) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    out_ += '\n';
+  }
+
   std::string out_;
 };
 
@@ -62,7 +92,7 @@ class Reader {
  public:
   explicit Reader(std::string_view text) : text_(text) {}
 
-  void expect(std::string_view tag) {
+  void tag(std::string_view tag) {
     const std::string_view got = token();
     if (got != tag) {
       fail("expected '" + std::string(tag) + "', got '" + std::string(got) +
@@ -70,42 +100,28 @@ class Reader {
     }
   }
 
-  std::uint64_t u64() {
-    const std::string t(token());
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
-    if (t.empty() || *end != '\0' || errno != 0 || t.front() == '-') {
-      fail("expected unsigned integer, got '" + t + "'");
-    }
-    return v;
+  void u64(std::uint64_t& out) {
+    out = integer<std::uint64_t>("unsigned integer");
   }
 
-  std::int64_t i64() {
-    const std::string t(token());
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(t.c_str(), &end, 10);
-    if (t.empty() || *end != '\0' || errno != 0) {
-      fail("expected integer, got '" + t + "'");
-    }
-    return v;
-  }
-
-  int i32() {
-    const std::int64_t v = i64();
+  void i32(int& out) {
+    const auto v = integer<std::int64_t>("integer");
     if (v < INT32_MIN || v > INT32_MAX) fail("integer out of 32-bit range");
-    return static_cast<int>(v);
+    out = static_cast<int>(v);
   }
 
-  bool b() {
+  void b(bool& out) {
     const std::string_view t = token();
-    if (t == "1") return true;
-    if (t == "0") return false;
-    fail("expected bool 0/1, got '" + std::string(t) + "'");
+    if (t == "1") {
+      out = true;
+    } else if (t == "0") {
+      out = false;
+    } else {
+      fail("expected bool 0/1, got '" + std::string(t) + "'");
+    }
   }
 
-  double d() {
+  void d(double& out) {
     const std::string_view t = token();
     if (t.size() != 17 || t.front() != 'd') {
       fail("expected double d<16 hex>, got '" + std::string(t) + "'");
@@ -123,12 +139,10 @@ class Reader {
       }
       bits = (bits << 4) | static_cast<std::uint64_t>(nibble);
     }
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
+    out = std::bit_cast<double>(bits);
   }
 
-  std::string str() {
+  void str(std::string& out) {
     skip_ws();
     std::size_t len = 0;
     bool any_digit = false;
@@ -145,9 +159,59 @@ class Reader {
     }
     ++pos_;
     if (text_.size() - pos_ < len) fail("truncated netstring payload");
-    std::string out(text_.substr(pos_, len));
+    out.assign(text_.substr(pos_, len));
     pos_ += len;
-    return out;
+  }
+
+  /// An enum stored as its numeric value; anything above `max` (e.g. from
+  /// a future schema) throws instead of casting blindly.
+  template <class E>
+  void enumeration(E& out, std::uint64_t max, const char* what) {
+    std::uint64_t v = 0;
+    u64(v);
+    if (v > max) fail(std::string(what) + " out of range");
+    out = static_cast<E>(v);
+  }
+
+  /// Count (at most `cap`), then each element through `each`. Every
+  /// element takes at least two bytes (a token and its separator), so a
+  /// count the remaining input cannot hold fails before the reserve: a
+  /// corrupt count never allocates more than the input could describe.
+  template <class T, class Each>
+  void seq(std::vector<T>& v, std::uint64_t cap, const char* what,
+           Each each) {
+    std::uint64_t n = 0;
+    u64(n);
+    if (n > cap || n > (text_.size() - pos_) / 2) {
+      fail(std::string("implausible ") + what);
+    }
+    v.clear();
+    v.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) each(v.emplace_back());
+  }
+
+  /// Name/value pairs in any order; an unknown name (a ScenarioParams
+  /// field this build lacks) fails instead of shifting later fields.
+  void params(std::optional<sim::ScenarioParams>& out) {
+    bool present = false;
+    b(present);
+    out.reset();
+    if (!present) return;
+    sim::ScenarioParams p;
+    std::uint64_t n = 0;
+    u64(n);
+    std::string name;
+    double value = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      str(name);
+      d(value);
+      try {
+        sim::set_scenario_param(p, name, value);
+      } catch (const std::invalid_argument& e) {
+        fail(std::string("unknown scenario param: ") + e.what());
+      }
+    }
+    out = p;
   }
 
   /// Succeeds only when nothing follows the 'end' sentinel and the payload
@@ -168,6 +232,20 @@ class Reader {
   }
 
  private:
+  /// A whole token of decimal digits (with a '-' only for signed T) that
+  /// fits in T.
+  template <class T>
+  T integer(const char* what) {
+    const std::string_view t = token();
+    T v{};
+    const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+    if (ec != std::errc{} || end != t.data() + t.size()) {
+      fail(std::string("expected ") + what + ", got '" + std::string(t) +
+           "'");
+    }
+    return v;
+  }
+
   void skip_ws() {
     while (pos_ < text_.size() &&
            std::isspace(static_cast<unsigned char>(text_[pos_]))) {
@@ -190,286 +268,157 @@ class Reader {
   std::size_t pos_{0};
 };
 
-// ------------------------------------------------------------ spec body
+// ------------------------------------------------------------ field lists
 
-void write_spec_body(Writer& w, const CampaignSpec& s) {
-  w.tag("spec");
-  w.str(s.name);
-  w.str(s.scenario);
-  w.u64(static_cast<std::uint64_t>(s.vector));
-  w.u64(static_cast<std::uint64_t>(s.mode));
-  w.i64(s.runs);
-  w.u64(s.seed);
-  w.b(s.params.has_value());
-  if (s.params) {
-    // Self-describing name/value pairs via the registry's named-parameter
-    // table: a reader from a build whose ScenarioParams lost a field fails
-    // loudly on the unknown name instead of shifting every later field.
-    const auto names = sim::scenario_param_names();
-    w.u64(names.size());
-    for (const auto& name : names) {
-      w.str(name);
-      w.d(sim::get_scenario_param(*s.params, name));
-    }
-  }
-  w.u64(s.monitors.size());
-  for (const auto& m : s.monitors) w.str(m);
+/// `R` is `T` for the Reader and `const T` for the Writer.
+template <class R, class T>
+concept Record = std::same_as<std::remove_const_t<R>, T>;
+
+constexpr std::uint64_t kMaxMonitors = 1024;
+constexpr std::uint64_t kMaxSeq = 1ull << 24;  ///< timeline samples, runs
+
+template <class Io, Record<CampaignSpec> S>
+void fields(Io& io, S& s) {
+  io.tag("spec");
+  io.str(s.name);
+  io.str(s.scenario);
+  io.enumeration(s.vector, 2, "attack vector");
+  io.enumeration(s.mode, 3, "attack mode");
+  io.i32(s.runs);
+  io.u64(s.seed);
+  io.params(s.params);
+  io.seq(s.monitors, kMaxMonitors, "monitor count",
+         [&](auto& m) { io.str(m); });
 }
 
-CampaignSpec read_spec_body(Reader& r) {
-  r.expect("spec");
-  CampaignSpec s;
-  s.name = r.str();
-  s.scenario = r.str();
-  const std::uint64_t vec = r.u64();
-  if (vec > 2) r.fail("attack vector out of range");
-  s.vector = static_cast<core::AttackVector>(vec);
-  const std::uint64_t mode = r.u64();
-  if (mode > 3) r.fail("attack mode out of range");
-  s.mode = static_cast<AttackMode>(mode);
-  s.runs = r.i32();
-  s.seed = r.u64();
-  if (r.b()) {
-    sim::ScenarioParams p;
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::string name = r.str();
-      const double value = r.d();
-      try {
-        sim::set_scenario_param(p, name, value);
-      } catch (const std::invalid_argument& e) {
-        r.fail(std::string("unknown scenario param: ") + e.what());
-      }
-    }
-    s.params = p;
-  }
-  const std::uint64_t nm = r.u64();
-  if (nm > 1024) r.fail("implausible monitor count");
-  s.monitors.clear();
-  for (std::uint64_t i = 0; i < nm; ++i) s.monitors.push_back(r.str());
-  return s;
+template <class Io, Record<core::AttackLog> A>
+void fields(Io& io, A& a) {
+  io.tag("attack");
+  io.b(a.triggered);
+  io.i32(a.triggers);
+  io.enumeration(a.vector, 2, "attack vector");
+  io.d(a.start_time);
+  io.d(a.delta_at_launch);
+  io.d(a.v_rel_at_launch.x);
+  io.d(a.v_rel_at_launch.y);
+  io.d(a.a_rel_at_launch.x);
+  io.d(a.a_rel_at_launch.y);
+  io.d(a.predicted_delta);
+  io.i32(a.planned_k);
+  io.i32(a.frames_perturbed);
+  io.i32(a.k_prime);
+  io.d(a.omega_target);
+  io.enumeration(a.victim_cls, 1, "victim class");
+  io.i32(a.victim_truth_id);
 }
 
-// ------------------------------------------------------------- run body
-
-void write_run_body(Writer& w, const RunResult& run) {
-  w.tag("run");
-  w.b(run.eb);
-  w.i64(run.eb_episodes);
-  w.b(run.crash);
-  w.b(run.collision);
-  w.d(run.min_delta);
-  w.d(run.min_delta_since_attack);
-  w.d(run.end_time);
-  w.b(run.halted_early);
-
-  w.tag("attack");
-  const core::AttackLog& a = run.attack;
-  w.b(a.triggered);
-  w.i64(a.triggers);
-  w.u64(static_cast<std::uint64_t>(a.vector));
-  w.d(a.start_time);
-  w.d(a.delta_at_launch);
-  w.d(a.v_rel_at_launch.x);
-  w.d(a.v_rel_at_launch.y);
-  w.d(a.a_rel_at_launch.x);
-  w.d(a.a_rel_at_launch.y);
-  w.d(a.predicted_delta);
-  w.i64(a.planned_k);
-  w.i64(a.frames_perturbed);
-  w.i64(a.k_prime);
-  w.d(a.omega_target);
-  w.u64(static_cast<std::uint64_t>(a.victim_cls));
-  w.i64(a.victim_truth_id);
-
-  w.tag("ids");
-  w.b(run.ids_flagged);
-  w.str(run.ids_reason);
-
-  w.tag("defense");
-  const defense::DefenseReport& def = run.defense;
-  w.b(def.flagged);
-  w.d(def.first_alert_time);
-  w.str(def.first_monitor);
-  w.u64(def.monitors.size());
-  for (const defense::MonitorOutcome& m : def.monitors) {
-    w.str(m.monitor);
-    w.b(m.fired);
-    w.d(m.first_alert_time);
-    w.i64(m.alarms);
-    w.str(m.reason);
-  }
-  w.b(def.detected);
-  w.i64(def.frames_to_detection);
-  w.str(def.detected_by);
-
-  w.tag("timeline");
-  w.u64(run.timeline.size());
-  for (const safety::SafetySample& t : run.timeline) {
-    w.d(t.time);
-    w.d(t.delta);
-    w.d(t.d_safe);
-    w.d(t.target_delta);
-    w.d(t.ego_speed);
-    w.b(t.eb_active);
-    w.b(t.attack_active);
-  }
+template <class Io, Record<defense::DefenseReport> D>
+void fields(Io& io, D& def) {
+  io.tag("defense");
+  io.b(def.flagged);
+  io.d(def.first_alert_time);
+  io.str(def.first_monitor);
+  io.seq(def.monitors, kMaxMonitors, "monitor count", [&](auto& m) {
+    io.str(m.monitor);
+    io.b(m.fired);
+    io.d(m.first_alert_time);
+    io.i32(m.alarms);
+    io.str(m.reason);
+  });
+  io.b(def.detected);
+  io.i32(def.frames_to_detection);
+  io.str(def.detected_by);
 }
 
-RunResult read_run_body(Reader& r) {
-  r.expect("run");
-  RunResult run;
-  run.eb = r.b();
-  run.eb_episodes = r.i32();
-  run.crash = r.b();
-  run.collision = r.b();
-  run.min_delta = r.d();
-  run.min_delta_since_attack = r.d();
-  run.end_time = r.d();
-  run.halted_early = r.b();
-
-  r.expect("attack");
-  core::AttackLog& a = run.attack;
-  a.triggered = r.b();
-  a.triggers = r.i32();
-  const std::uint64_t vec = r.u64();
-  if (vec > 2) r.fail("attack vector out of range");
-  a.vector = static_cast<core::AttackVector>(vec);
-  a.start_time = r.d();
-  a.delta_at_launch = r.d();
-  a.v_rel_at_launch.x = r.d();
-  a.v_rel_at_launch.y = r.d();
-  a.a_rel_at_launch.x = r.d();
-  a.a_rel_at_launch.y = r.d();
-  a.predicted_delta = r.d();
-  a.planned_k = r.i32();
-  a.frames_perturbed = r.i32();
-  a.k_prime = r.i32();
-  a.omega_target = r.d();
-  const std::uint64_t cls = r.u64();
-  if (cls > 1) r.fail("victim class out of range");
-  a.victim_cls = static_cast<sim::ActorType>(cls);
-  a.victim_truth_id = r.i32();
-
-  r.expect("ids");
-  run.ids_flagged = r.b();
-  run.ids_reason = r.str();
-
-  r.expect("defense");
-  defense::DefenseReport& def = run.defense;
-  def.flagged = r.b();
-  def.first_alert_time = r.d();
-  def.first_monitor = r.str();
-  const std::uint64_t nm = r.u64();
-  if (nm > 1024) r.fail("implausible monitor count");
-  for (std::uint64_t i = 0; i < nm; ++i) {
-    defense::MonitorOutcome m;
-    m.monitor = r.str();
-    m.fired = r.b();
-    m.first_alert_time = r.d();
-    m.alarms = r.i32();
-    m.reason = r.str();
-    def.monitors.push_back(std::move(m));
-  }
-  def.detected = r.b();
-  def.frames_to_detection = r.i32();
-  def.detected_by = r.str();
-
-  r.expect("timeline");
-  const std::uint64_t nt = r.u64();
-  if (nt > (1ull << 24)) r.fail("implausible timeline length");
-  run.timeline.reserve(nt);
-  for (std::uint64_t i = 0; i < nt; ++i) {
-    safety::SafetySample t;
-    t.time = r.d();
-    t.delta = r.d();
-    t.d_safe = r.d();
-    t.target_delta = r.d();
-    t.ego_speed = r.d();
-    t.eb_active = r.b();
-    t.attack_active = r.b();
-    run.timeline.push_back(t);
-  }
-  return run;
+template <class Io, Record<RunResult> R>
+void fields(Io& io, R& run) {
+  io.tag("run");
+  io.b(run.eb);
+  io.i32(run.eb_episodes);
+  io.b(run.crash);
+  io.b(run.collision);
+  io.d(run.min_delta);
+  io.d(run.min_delta_since_attack);
+  io.d(run.end_time);
+  io.b(run.halted_early);
+  fields(io, run.attack);
+  io.tag("ids");
+  io.b(run.ids_flagged);
+  io.str(run.ids_reason);
+  fields(io, run.defense);
+  io.tag("timeline");
+  io.seq(run.timeline, kMaxSeq, "timeline length", [&](auto& t) {
+    io.d(t.time);
+    io.d(t.delta);
+    io.d(t.d_safe);
+    io.d(t.target_delta);
+    io.d(t.ego_speed);
+    io.b(t.eb_active);
+    io.b(t.attack_active);
+  });
 }
 
-void write_header(Writer& w, std::string_view magic) {
+template <class Io, Record<CampaignResult> C>
+void fields(Io& io, C& result) {
+  fields(io, result.spec);
+  io.tag("nruns");
+  io.seq(result.runs, kMaxSeq, "run count",
+         [&](auto& run) { fields(io, run); });
+}
+
+/// `<magic>\n<version>\n`, the record's fields, then the `end` sentinel.
+template <class T>
+std::string serialize(std::string_view magic, const T& record) {
+  Writer w;
   w.tag(magic);
   w.u64(kCampaignSerdeVersion);
+  fields(w, record);
+  w.tag("end");
+  return w.take();
 }
 
-void read_header(Reader& r, std::string_view magic) {
-  r.expect(magic);
-  const std::uint64_t version = r.u64();
+template <class T>
+T deserialize(std::string_view magic, std::string_view text) {
+  Reader r(text);
+  r.tag(magic);
+  std::uint64_t version = 0;
+  r.u64(version);
   if (version != kCampaignSerdeVersion) {
     r.fail("unsupported " + std::string(magic) + " version " +
            std::to_string(version) + " (this build reads " +
            std::to_string(kCampaignSerdeVersion) + ")");
   }
+  T record;
+  fields(r, record);
+  r.tag("end");
+  r.done();
+  return record;
 }
 
 }  // namespace
 
 std::string serialize_spec(const CampaignSpec& spec) {
-  Writer w;
-  write_header(w, "RTSPEC");
-  write_spec_body(w, spec);
-  w.tag("end");
-  return w.take();
+  return serialize("RTSPEC", spec);
 }
 
 CampaignSpec deserialize_spec(std::string_view text) {
-  Reader r(text);
-  read_header(r, "RTSPEC");
-  CampaignSpec spec = read_spec_body(r);
-  r.expect("end");
-  r.done();
-  return spec;
+  return deserialize<CampaignSpec>("RTSPEC", text);
 }
 
 std::string serialize_run_result(const RunResult& run) {
-  Writer w;
-  write_header(w, "RTRUN");
-  write_run_body(w, run);
-  w.tag("end");
-  return w.take();
+  return serialize("RTRUN", run);
 }
 
 RunResult deserialize_run_result(std::string_view text) {
-  Reader r(text);
-  read_header(r, "RTRUN");
-  RunResult run = read_run_body(r);
-  r.expect("end");
-  r.done();
-  return run;
+  return deserialize<RunResult>("RTRUN", text);
 }
 
 std::string serialize_campaign_result(const CampaignResult& result) {
-  Writer w;
-  write_header(w, "RTCAMPAIGN");
-  write_spec_body(w, result.spec);
-  w.tag("nruns");
-  w.u64(result.runs.size());
-  for (const RunResult& run : result.runs) write_run_body(w, run);
-  w.tag("end");
-  return w.take();
+  return serialize("RTCAMPAIGN", result);
 }
 
 CampaignResult deserialize_campaign_result(std::string_view text) {
-  Reader r(text);
-  read_header(r, "RTCAMPAIGN");
-  CampaignResult result;
-  result.spec = read_spec_body(r);
-  r.expect("nruns");
-  const std::uint64_t n = r.u64();
-  if (n > (1ull << 24)) r.fail("implausible run count");
-  result.runs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    result.runs.push_back(read_run_body(r));
-  }
-  r.expect("end");
-  r.done();
-  return result;
+  return deserialize<CampaignResult>("RTCAMPAIGN", text);
 }
 
 }  // namespace rt::experiments

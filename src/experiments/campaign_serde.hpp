@@ -33,6 +33,13 @@ class SerdeError : public std::runtime_error {
 /// netstrings (`<len>:<raw bytes>`), so embedded newlines/commas/quotes in
 /// monitor reasons survive unmangled. Each top-level payload carries a
 /// magic + version header and a closing `end` sentinel.
+///
+/// Each record's fields are listed once, in wire order, in one
+/// `fields(io, record)` function that both the writer and the checking
+/// reader run; tests/test_campaign_serde.cpp pins the bytes of a record
+/// that sets every field, so moving those pins needs a version bump. The
+/// cache key and the drive key are built from these same bytes
+/// (serialize_spec) instead of listing spec fields again.
 [[nodiscard]] std::string serialize_spec(const CampaignSpec& spec);
 [[nodiscard]] CampaignSpec deserialize_spec(std::string_view text);
 

@@ -18,7 +18,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/fault_injection.hpp"
-#include "sim/scenario_registry.hpp"
 #include "stats/hash.hpp"
 
 namespace rt::service {
@@ -71,6 +70,15 @@ constexpr std::size_t kLowWaterDivisor = 8;
 /// v2 added the content checksum column; v1 entries are counted `stale`
 /// (ignored and re-stored), exactly like a code-version bump.
 constexpr std::uint64_t kCacheHeaderVersion = 2;
+
+/// The cell key: the code version plus the spec's canonical bytes.
+std::uint64_t fingerprint_of(std::string_view spec_bytes,
+                             std::uint64_t code_version) {
+  std::uint64_t h = stats::kFnv1aOffset;
+  h = stats::fnv1a_str(h, "rt.campaign.cell.v1");
+  h = stats::fnv1a_u64(h, code_version);
+  return stats::fnv1a_str(h, spec_bytes);
+}
 
 std::string fingerprint_hex(std::uint64_t fp) {
   char buf[17];
@@ -130,25 +138,7 @@ std::uint64_t read_touch(const fs::path& entry) {
 
 std::uint64_t campaign_cell_fingerprint(
     const experiments::CampaignSpec& spec, std::uint64_t code_version) {
-  std::uint64_t h = stats::kFnv1aOffset;
-  h = stats::fnv1a_str(h, "rt.campaign.cell.v1");
-  h = stats::fnv1a_u64(h, code_version);
-  h = stats::fnv1a_str(h, spec.name);
-  h = stats::fnv1a_str(h, spec.scenario);
-  h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(spec.vector));
-  h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(spec.mode));
-  h = stats::fnv1a_u64(h, static_cast<std::uint64_t>(spec.runs));
-  h = stats::fnv1a_u64(h, spec.seed);
-  h = stats::fnv1a_u64(h, spec.params.has_value() ? 1 : 0);
-  if (spec.params) {
-    for (const auto& name : sim::scenario_param_names()) {
-      h = stats::fnv1a_str(h, name);
-      h = stats::fnv1a_double(h, sim::get_scenario_param(*spec.params, name));
-    }
-  }
-  h = stats::fnv1a_u64(h, spec.monitors.size());
-  for (const auto& m : spec.monitors) h = stats::fnv1a_str(h, m);
-  return h;
+  return fingerprint_of(experiments::serialize_spec(spec), code_version);
 }
 
 CampaignCellCache::CampaignCellCache(CacheConfig config)
@@ -189,22 +179,24 @@ void CampaignCellCache::touch_locked(const std::string& entry_path) {
   ::close(fd);
 }
 
+std::string CampaignCellCache::path_of(std::uint64_t fingerprint) const {
+  return (fs::path(config_.dir) /
+          ("cell_" + fingerprint_hex(fingerprint) + ".rtcr"))
+      .string();
+}
+
 std::string CampaignCellCache::entry_path(
     const experiments::CampaignSpec& spec) const {
-  const std::uint64_t fp =
-      campaign_cell_fingerprint(spec, config_.code_version);
-  return (fs::path(config_.dir) / ("cell_" + fingerprint_hex(fp) + ".rtcr"))
-      .string();
+  return path_of(campaign_cell_fingerprint(spec, config_.code_version));
 }
 
 std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
     const experiments::CampaignSpec& spec) {
   RT_TRACE_SPAN("cache_lookup", "cache");
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t fp =
-      campaign_cell_fingerprint(spec, config_.code_version);
-  const fs::path path =
-      fs::path(config_.dir) / ("cell_" + fingerprint_hex(fp) + ".rtcr");
+  const std::string spec_bytes = experiments::serialize_spec(spec);
+  const std::uint64_t fp = fingerprint_of(spec_bytes, config_.code_version);
+  const std::string path = path_of(fp);
 
   std::string blob;
   switch (read_file(path, blob)) {
@@ -287,11 +279,9 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
     cache_counters().corrupt.inc();
     return std::nullopt;
   }
-  // Belt and braces against a fingerprint collision or a renamed file: the
-  // stored spec must be the requested one.
-  if (result.spec.name != spec.name || result.spec.seed != spec.seed ||
-      result.spec.runs != spec.runs ||
-      result.spec.scenario != spec.scenario) {
+  // Against a fingerprint collision or a renamed file: the stored spec
+  // must be the requested one, every field of it.
+  if (experiments::serialize_spec(result.spec) != spec_bytes) {
     cache_counters().corrupt.inc();
     return std::nullopt;
   }
@@ -301,7 +291,7 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
   // has 1 s granularity on some filesystems, which let a hit tie with a
   // cold store and lose to the path tie-break); the mtime refresh stays as
   // the fallback signal for entries handled by older builds.
-  touch_locked(path.string());
+  touch_locked(path);
   std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   return result;
@@ -313,9 +303,8 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t fp =
       campaign_cell_fingerprint(spec, config_.code_version);
-  const fs::path path =
-      fs::path(config_.dir) / ("cell_" + fingerprint_hex(fp) + ".rtcr");
-  const fs::path tmp = path.string() + ".tmp";
+  const std::string path = path_of(fp);
+  const std::string tmp = path + ".tmp";
 
   const std::string payload = experiments::serialize_campaign_result(result);
   std::string blob = std::string(kCacheMagic) + ' ' +
@@ -366,7 +355,7 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
     ::close(dirfd);
   }
   cache_counters().stores.inc();
-  touch_locked(path.string());
+  touch_locked(path);
 
   if (config_.max_bytes > 0 && bytes_ > config_.max_bytes) {
     cache_counters().evictions.inc(evict_locked(

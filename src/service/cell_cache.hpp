@@ -19,13 +19,16 @@ namespace rt::service {
 /// current.
 inline constexpr std::uint64_t kCampaignCodeVersion = 2;
 
-/// Content hash of one campaign cell — the generalization of the PR 3
-/// oracle-cache fingerprint to whole campaigns. Folds the code version plus
-/// every result-determining field of the spec: scenario key, attack vector,
-/// mode, runs, seed, explicit scenario params (so every sweep value gets
-/// its own key) and the monitor stack; `name` is folded too (it is derived
-/// from the axes, and keeping it in means a cached result's spec is exactly
-/// the requested spec).
+/// Content hash of one campaign cell: FNV-1a over the code version and the
+/// spec's canonical bytes (experiments::serialize_spec), so the key covers
+/// exactly the fields the serde layer writes, from the one field list the
+/// serializer keeps per record (pinned by test_campaign_serde). Every
+/// result-determining field is in it: scenario key, attack vector, mode,
+/// runs, seed, explicit scenario params (so every sweep value gets its own
+/// key) and the monitor stack, plus `name` (derived from the axes; keeping
+/// it means a cached result's spec is exactly the requested spec). A
+/// lookup also compares the stored spec's canonical bytes with the
+/// requested spec's, so a collision or a renamed file is never served.
 ///
 /// The key covers the spec and the code version only. Which oracles
 /// computed an entry is checked through its header instead (see
@@ -121,6 +124,10 @@ class CampaignCellCache {
   /// Sweep body; caller holds mutex_. Walks the directory, resets bytes_ to
   /// what it measured and evicted. Returns files removed.
   std::size_t evict_locked(std::size_t limit_bytes);
+
+  /// `<dir>/cell_<fingerprint hex16>.rtcr`: the one place an entry's path
+  /// is built.
+  [[nodiscard]] std::string path_of(std::uint64_t fingerprint) const;
 
   /// Writes the next access counter into `cell_<hash>.rtcr.touch` in place
   /// (20 zero-padded digits + '\n' at offset 0); caller holds mutex_.

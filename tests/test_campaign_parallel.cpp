@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -79,34 +80,37 @@ TEST(ThreadPool, DefaultThreadsAtLeastOne) {
 
 // --------------------------------------------------- CampaignScheduler
 
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.n(), b.n());
-  EXPECT_EQ(a.eb_count(), b.eb_count());
-  EXPECT_EQ(a.crash_count(), b.crash_count());
-  EXPECT_EQ(a.triggered_count(), b.triggered_count());
-  EXPECT_EQ(a.ids_flagged_count(), b.ids_flagged_count());
-  EXPECT_DOUBLE_EQ(a.median_k(), b.median_k());
-  EXPECT_EQ(a.detected_count(), b.detected_count());
-  EXPECT_EQ(a.false_alarm_count(), b.false_alarm_count());
-  EXPECT_DOUBLE_EQ(a.median_frames_to_detection(),
-                   b.median_frames_to_detection());
-  for (int i = 0; i < a.n(); ++i) {
-    const auto& ra = a.runs[static_cast<std::size_t>(i)];
-    const auto& rb = b.runs[static_cast<std::size_t>(i)];
-    EXPECT_EQ(ra.eb, rb.eb) << "run " << i;
-    EXPECT_EQ(ra.crash, rb.crash) << "run " << i;
-    EXPECT_EQ(ra.attack.triggered, rb.attack.triggered) << "run " << i;
-    EXPECT_DOUBLE_EQ(ra.min_delta, rb.min_delta) << "run " << i;
-    EXPECT_DOUBLE_EQ(ra.end_time, rb.end_time) << "run " << i;
-    EXPECT_EQ(ra.defense.flagged, rb.defense.flagged) << "run " << i;
-    EXPECT_EQ(ra.defense.detected, rb.defense.detected) << "run " << i;
-    EXPECT_EQ(ra.defense.frames_to_detection,
-              rb.defense.frames_to_detection)
-        << "run " << i;
-    EXPECT_DOUBLE_EQ(ra.defense.first_alert_time,
-                     rb.defense.first_alert_time)
-        << "run " << i;
+/// Names the first field that differs between two campaign results: the
+/// spec, the run count, or the first differing line of the first differing
+/// run's canonical bytes (one line per serialized field).
+std::string first_difference(const CampaignResult& a,
+                             const CampaignResult& b) {
+  if (serialize_spec(a.spec) != serialize_spec(b.spec)) return "spec";
+  if (a.n() != b.n()) {
+    return "run count " + std::to_string(a.n()) + " vs " +
+           std::to_string(b.n());
   }
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    const std::string ra = serialize_run_result(a.runs[i]);
+    const std::string rb = serialize_run_result(b.runs[i]);
+    if (ra == rb) continue;
+    std::size_t at = 0;
+    while (ra[at] == rb[at]) ++at;
+    const std::size_t line = ra.rfind('\n', at) + 1;
+    const auto field = std::count(ra.data(), ra.data() + line, '\n');
+    return "run " + std::to_string(i) + ", serialized line " +
+           std::to_string(field) + ": '" +
+           ra.substr(line, ra.find('\n', line) - line) + "' vs '" +
+           rb.substr(line, rb.find('\n', line) - line) + "'";
+  }
+  return "none";
+}
+
+/// The determinism contract: every per-run field bit-identical, so the
+/// canonical bytes of the two results must be equal.
+void expect_identical(const CampaignResult& a, const CampaignResult& b) {
+  EXPECT_TRUE(serialize_campaign_result(a) == serialize_campaign_result(b))
+      << a.spec.name << " differs at " << first_difference(a, b);
 }
 
 CampaignSpec small_spec() {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -7,6 +8,9 @@
 #include <string>
 
 #include "experiments/campaign_serde.hpp"
+#include "sim/scenario_registry.hpp"
+#include "stats/hash.hpp"
+#include "stats/rng.hpp"
 
 namespace rt::experiments {
 namespace {
@@ -193,6 +197,130 @@ TEST(CampaignSerde, CampaignResultRoundTripsBitExactly) {
   EXPECT_EQ(back.detected_count(), result.detected_count());
 }
 
+// ------------------------------------------------------------ byte pins
+
+/// A NaN with a payload, so a reader or writer that canonicalises NaNs
+/// moves the pins below.
+const double kPayloadNan = std::bit_cast<double>(0x7ff8000000000123ull);
+
+/// A spec that sets every field: params present with a non-default value
+/// in each slot (negative zero, NaN, both infinities, a denormal), two
+/// monitors, and strings carrying newline, colon and comma.
+CampaignSpec pinned_spec() {
+  CampaignSpec spec;
+  spec.name = "pin:cut-in,\nMove_In";
+  spec.scenario = "cut-in";
+  spec.vector = core::AttackVector::kMoveIn;
+  spec.mode = AttackMode::kRandomBaseline;
+  spec.runs = -7;
+  spec.seed = 0xfedcba9876543210ull;
+  sim::ScenarioParams p;
+  p.duration = -0.0;
+  p.ego_speed_kph = kPayloadNan;
+  p.target_speed_kph = std::numeric_limits<double>::infinity();
+  p.target_gap = -std::numeric_limits<double>::infinity();
+  p.pedestrian_gait = 5e-324;
+  p.trigger_distance = 70.125;
+  p.walk_distance = 1e300;
+  p.npc_vehicles = 7;
+  p.npc_pedestrians = -2;
+  spec.params = p;
+  spec.monitors = {"innovation-gate", "sensor,consistency:\n"};
+  return spec;
+}
+
+/// A run that sets every field, a full attack log and defense outcomes
+/// among them, with three timeline samples.
+RunResult pinned_run() {
+  RunResult run = gnarly_run();
+  run.eb_episodes = -2147483647 - 1;
+  run.collision = true;
+  run.attack.victim_truth_id = 2147483647;
+  run.ids_reason = "jump,\n3.2m: id 7";
+  run.defense.first_monitor = "kinematics,\n:";
+  run.defense.monitors[1] = {"kinematics", true, 5e-324, 2,
+                             "accel: 9.9,\nlimit 8"};
+  run.defense.detected_by = "kinematics";
+  run.defense.frames_to_detection = -1;
+  run.timeline.push_back({std::numeric_limits<double>::infinity(), 1e-310,
+                          -std::numeric_limits<double>::infinity(),
+                          kPayloadNan, -0.0, true, false});
+  return run;
+}
+
+CampaignResult pinned_campaign() {
+  CampaignResult result;
+  result.spec = pinned_spec();
+  result.runs = {pinned_run(), RunResult{}};
+  return result;
+}
+
+std::uint64_t fnv(std::string_view bytes) {
+  return stats::fnv1a_str(stats::kFnv1aOffset, bytes);
+}
+
+// These pins fix the serialized bytes of every record: the cache's entry
+// payloads, its keys and the shard pipe all carry them. Moving a pin
+// changes the wire format and requires a kCampaignSerdeVersion bump.
+TEST(CampaignSerde, PinnedBytesOfEveryRecord) {
+  EXPECT_EQ(fnv(serialize_spec(pinned_spec())), 0xd24a5c4b91ad8697ull);
+  EXPECT_EQ(fnv(serialize_run_result(pinned_run())), 0x57375acbebc3ee4dull);
+  EXPECT_EQ(fnv(serialize_campaign_result(pinned_campaign())), 0x2dc7e43bf904d938ull);
+  EXPECT_EQ(kCampaignSerdeVersion, 1u);
+}
+
+TEST(CampaignSerde, PinnedRecordsRoundTripByteForByte) {
+  const std::string spec = serialize_spec(pinned_spec());
+  EXPECT_EQ(serialize_spec(deserialize_spec(spec)), spec);
+  const std::string run = serialize_run_result(pinned_run());
+  EXPECT_EQ(serialize_run_result(deserialize_run_result(run)), run);
+  expect_run_equal(deserialize_run_result(run), pinned_run());
+  const std::string campaign = serialize_campaign_result(pinned_campaign());
+  EXPECT_EQ(serialize_campaign_result(deserialize_campaign_result(campaign)),
+            campaign);
+}
+
+// Every single-byte mutant of the pinned payload either throws SerdeError
+// or decodes to a record whose canonical bytes survive another round trip:
+// a damaged frame is rejected or read as some well-formed record, never
+// half-read. Each position gets three seeded replacement bytes, biased
+// toward the format's own metacharacters.
+TEST(CampaignSerde, SingleByteMutantsThrowOrRoundTrip) {
+  const std::string text = serialize_campaign_result(pinned_campaign());
+  const std::string_view alphabet = "0123456789abcdefd:\n -+";
+  stats::Rng rng(20241019);
+  std::size_t thrown = 0;
+  std::size_t decoded = 0;
+  for (std::size_t pos = 0; pos < text.size(); ++pos) {
+    for (int k = 0; k < 3; ++k) {
+      std::string mutant = text;
+      const char c =
+          rng.bernoulli(0.5)
+              ? alphabet[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(alphabet.size()) - 1))]
+              : static_cast<char>(rng.uniform_int(0, 255));
+      if (c == mutant[pos]) continue;
+      mutant[pos] = c;
+      CampaignResult back;
+      try {
+        back = deserialize_campaign_result(mutant);
+      } catch (const SerdeError&) {
+        ++thrown;
+        continue;
+      }
+      ++decoded;
+      const std::string again = serialize_campaign_result(back);
+      std::string twice;
+      EXPECT_NO_THROW(
+          twice = serialize_campaign_result(deserialize_campaign_result(again)))
+          << "byte " << pos;
+      EXPECT_EQ(twice, again) << "byte " << pos;
+    }
+  }
+  EXPECT_GT(thrown, 0u);
+  EXPECT_GT(decoded, 0u);
+}
+
 // ------------------------------------------------------------ fail loudly
 
 TEST(CampaignSerde, EveryStrictPrefixThrows) {
@@ -242,6 +370,25 @@ TEST(CampaignSerde, WrongMagicAndCorruptFieldsThrow) {
   bad[dpos + 1] = 'q';
   EXPECT_THROW(deserialize_run_result(bad), SerdeError);
   EXPECT_THROW(deserialize_run_result(""), SerdeError);
+}
+
+TEST(CampaignSerde, CountsTheInputCannotHoldThrowBeforeAllocating) {
+  // A count under the cap but beyond what the remaining bytes could hold
+  // (every element takes at least a token and its separator) is rejected
+  // before any reserve, so a damaged frame cannot ask for gigabytes.
+  CampaignResult result;
+  result.spec = gnarly_spec();
+  std::string text = serialize_campaign_result(result);
+  const std::size_t pos = text.find("\nnruns\n0\n");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 9, "\nnruns\n16777216\n");
+  EXPECT_THROW(deserialize_campaign_result(text), SerdeError);
+
+  std::string run = serialize_run_result(RunResult{});
+  const std::size_t tpos = run.find("\ntimeline\n0\n");
+  ASSERT_NE(tpos, std::string::npos);
+  run.replace(tpos, 12, "\ntimeline\n16777216\n");
+  EXPECT_THROW(deserialize_run_result(run), SerdeError);
 }
 
 TEST(CampaignSerde, OutOfRangeEnumsThrow) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -515,6 +516,19 @@ TEST(CellCache, FingerprintChangesOnEveryResultDeterminingField) {
       << "code version";
 }
 
+TEST(CellCache, FingerprintSurvivesASerdeRoundTrip) {
+  CampaignSpec spec = small_spec("pin:DS-1,\nDisappear");
+  sim::ScenarioParams p;
+  p.duration = -0.0;
+  p.target_gap = std::numeric_limits<double>::quiet_NaN();
+  p.pedestrian_gait = 5e-324;
+  spec.params = p;
+  spec.monitors = {"innovation-gate", "kinematics"};
+  EXPECT_EQ(campaign_cell_fingerprint(spec),
+            campaign_cell_fingerprint(experiments::deserialize_spec(
+                experiments::serialize_spec(spec))));
+}
+
 // ------------------------------------------------------------- cell cache
 
 TEST(CellCache, MissThenStoreThenBitExactHit) {
@@ -594,6 +608,31 @@ TEST(CellCache, CorruptAndTruncatedEntriesAreCountedNotServed) {
   }
   EXPECT_FALSE(cache.lookup(spec).has_value());
   EXPECT_EQ(moved.cache("corrupt"), 2u);
+}
+
+// A well-formed, checksummed entry at spec A's path whose payload is spec
+// B's result (what a fingerprint collision or a renamed file would leave)
+// is counted corrupt and missed: a lookup serves only the exact spec, down
+// to its mode and monitor stack.
+TEST(CellCache, ServesOnlyTheExactSpec) {
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const CampaignSpec a = small_spec();
+  CampaignSpec other_monitors = a;
+  other_monitors.monitors = {"innovation-gate"};
+  CampaignSpec other_mode = a;
+  other_mode.mode = AttackMode::kGolden;
+  for (const CampaignSpec& b : {other_monitors, other_mode}) {
+    const CounterDelta moved;
+    CampaignCellCache cache({scratch_dir("cache_exact_spec")});
+    // store() writes B's result under A's fingerprint, with a valid
+    // checksum: only the spec inside the payload differs from A.
+    ASSERT_TRUE(cache.store(a, runner.run(b)));
+    EXPECT_FALSE(cache.lookup(a).has_value())
+        << "served a result for another spec";
+    EXPECT_EQ(moved.cache("corrupt"), 1u);
+    EXPECT_EQ(moved.cache("hits"), 0u);
+  }
 }
 
 TEST(CellCache, LruEvictionRemovesOldestFirst) {
