@@ -112,8 +112,9 @@ cat BENCH_defense.json
 
 # A cell's three monitor variants share one drive: the grid simulates each
 # run once and hands its frames to every variant's monitor stack. The CSV
-# must not depend on the thread or forked-worker count, and the in-process
-# run must simulate exactly one drive per three delivered cells.
+# must not depend on the thread or forked-worker count, and both the
+# in-process and the forked-worker run must simulate exactly one drive per
+# three delivered cells (the parent counts what its workers deliver).
 echo "==> table_defense drives (1 and 4 threads, 2 workers)"
 drives_dir="build-release/defense_drives"
 rm -rf "$drives_dir"
@@ -123,21 +124,23 @@ mkdir -p "$drives_dir"
 ./build-release/bench/table_defense --runs 2 --threads 4 \
   --csv "$drives_dir/t4.csv" --metrics "$drives_dir/t4.prom" >/dev/null
 ./build-release/bench/table_defense --runs 2 --workers 2 \
-  --csv "$drives_dir/w2.csv" >/dev/null
+  --csv "$drives_dir/w2.csv" --metrics "$drives_dir/w2.prom" >/dev/null
 for run in t4 w2; do
   cmp "$drives_dir/t1.csv" "$drives_dir/$run.csv" || {
     echo "ERROR: table_defense CSV at $run differs from 1 thread" >&2
     exit 1
   }
 done
-cells="$(sed -n 's/^rt_campaign_cells_total \([0-9]*\)$/\1/p' "$drives_dir/t4.prom")"
-drives="$(sed -n 's/^rt_campaign_drives_total \([0-9]*\)$/\1/p' "$drives_dir/t4.prom")"
-if [ -z "$cells" ] || [ -z "$drives" ] || [ "$drives" -eq 0 ] ||
-   [ "$((drives * 3))" -ne "$cells" ]; then
-  echo "ERROR: table_defense simulated ${drives:-?} drives for ${cells:-?} cells, want one per three" >&2
-  exit 1
-fi
-echo "table_defense: $cells cells from $drives drives"
+for run in t4 w2; do
+  cells="$(sed -n 's/^rt_campaign_cells_total \([0-9]*\)$/\1/p' "$drives_dir/$run.prom")"
+  drives="$(sed -n 's/^rt_campaign_drives_total \([0-9]*\)$/\1/p' "$drives_dir/$run.prom")"
+  if [ -z "$cells" ] || [ -z "$drives" ] || [ "$drives" -eq 0 ] ||
+     [ "$((drives * 3))" -ne "$cells" ]; then
+    echo "ERROR: table_defense at $run simulated ${drives:-?} drives for ${cells:-?} cells, want one per three" >&2
+    exit 1
+  fi
+  echo "table_defense at $run: $cells cells from $drives drives"
+done
 
 # Bounded fuzz smoke: the coverage-guided scenario search plus the clean-run
 # invariant sweep over its frontier. The driver exits nonzero if any frontier
@@ -205,6 +208,34 @@ cat BENCH_service.json
 # No --json: BENCH_service.json stays the 1-thread record.
 echo "==> table_service forked workers"
 ./build-release/bench/table_service --runs 4 --workers 2
+
+# A cold oracle set-up is reproducible: two campaign_server start-ups, each
+# on a fresh oracle directory, must train and save the same three oracle
+# files, byte for byte, and leave nothing else there.
+echo "==> campaign_server cold oracle set-up"
+setup_dir="build-release/cold_setup"
+rm -rf "$setup_dir"
+for pass in 1 2; do
+  mkdir -p "$setup_dir/$pass"
+  printf 'quit\n' | ROBOTACK_DATA_DIR="$setup_dir/$pass" \
+    ./build-release/examples/campaign_server \
+    >/dev/null 2>"$setup_dir/server$pass.log"
+done
+oracles1="$(ls "$setup_dir/1")"
+oracles2="$(ls "$setup_dir/2")"
+if [ "$oracles1" != "$oracles2" ] ||
+   [ "$(printf '%s\n' "$oracles1" | grep -c '^sh_oracle_.*\.txt$')" -ne 3 ] ||
+   [ "$(printf '%s\n' "$oracles1" | wc -l)" -ne 3 ]; then
+  echo "ERROR: cold set-ups wrote different oracle files, or not three" >&2
+  printf 'first:\n%s\nsecond:\n%s\n' "$oracles1" "$oracles2" >&2
+  exit 1
+fi
+for oracle in $oracles1; do
+  cmp "$setup_dir/1/$oracle" "$setup_dir/2/$oracle" || {
+    echo "ERROR: cold set-ups trained different $oracle" >&2
+    exit 1
+  }
+done
 
 # Batch server determinism gate: run the same grid request twice against one
 # cache directory. The second pass must report 100% cache hits and produce a

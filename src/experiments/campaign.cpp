@@ -32,10 +32,10 @@ const DriveCounters& drive_counters() {
     auto& reg = obs::MetricsRegistry::global();
     return DriveCounters{
         reg.counter("rt_campaign_cells_total",
-                    "Campaign cells delivered in-process (one per member "
-                    "of each drive)"),
+                    "Campaign cells delivered (one per member of each "
+                    "drive)"),
         reg.counter("rt_campaign_drives_total",
-                    "Closed-loop drives simulated in-process")};
+                    "Closed-loop drives simulated")};
   }();
   return c;
 }
@@ -286,6 +286,12 @@ CampaignScheduler::CampaignScheduler(const CampaignRunner& runner,
     : runner_(runner),
       threads_(threads == 0 ? runtime::ThreadPool::default_threads()
                             : threads) {}
+
+void count_merged_cells(std::uint64_t cells, std::uint64_t drives) {
+  const DriveCounters& counters = drive_counters();
+  counters.cells.inc(cells);
+  counters.drives.inc(drives);
+}
 
 std::vector<GridCell> grid_cells(const std::vector<CampaignSpec>& specs) {
   std::vector<GridCell> cells;

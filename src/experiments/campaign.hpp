@@ -219,6 +219,13 @@ using GridDrive = std::vector<std::size_t>;
 [[nodiscard]] std::vector<GridDrive> grid_drives(
     const std::vector<CampaignSpec>& specs);
 
+/// Counts cells and drives that another process simulated and this one
+/// merged into its grid, in rt_campaign_cells_total and
+/// rt_campaign_drives_total: a forked worker's own increments die with it.
+/// run_drive counts what it simulates in this process, so an executor
+/// calls this only for results it did not simulate itself.
+void count_merged_cells(std::uint64_t cells, std::uint64_t drives);
+
 /// Called once for each campaign of a grid run that completes, with its
 /// spec index and its result, while the rest of the grid may still be
 /// running. It may be called from several threads at once, and must not

@@ -1,7 +1,6 @@
 #include "experiments/campaign_serde.hpp"
 
 #include <bit>
-#include <cctype>
 #include <charconv>
 #include <concepts>
 #include <cstdint>
@@ -142,18 +141,20 @@ class Reader {
     out = std::bit_cast<double>(bits);
   }
 
+  /// `<len>:<bytes>\n`, the length in canonical decimal (no leading zero
+  /// but in `0` itself).
   void str(std::string& out) {
-    skip_ws();
+    const std::size_t start = pos_;
     std::size_t len = 0;
-    bool any_digit = false;
-    while (pos_ < text_.size() && std::isdigit(
-               static_cast<unsigned char>(text_[pos_]))) {
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       len = len * 10 + static_cast<std::size_t>(text_[pos_] - '0');
       if (len > text_.size()) fail("netstring length overflows input");
       ++pos_;
-      any_digit = true;
     }
-    if (!any_digit) fail("expected netstring <len>:<bytes>");
+    if (pos_ == start) fail("expected netstring <len>:<bytes>");
+    if (text_[start] == '0' && pos_ - start > 1) {
+      fail("netstring length has a leading zero");
+    }
     if (pos_ >= text_.size() || text_[pos_] != ':') {
       fail("netstring missing ':' after length");
     }
@@ -161,6 +162,7 @@ class Reader {
     if (text_.size() - pos_ < len) fail("truncated netstring payload");
     out.assign(text_.substr(pos_, len));
     pos_ += len;
+    end_of_value();
   }
 
   /// An enum stored as its numeric value; anything above `max` (e.g. from
@@ -190,39 +192,47 @@ class Reader {
     for (std::uint64_t i = 0; i < n; ++i) each(v.emplace_back());
   }
 
-  /// Name/value pairs in any order; an unknown name (a ScenarioParams
-  /// field this build lacks) fails instead of shifting later fields.
+  /// Every name/value pair of the named-parameter table, in table order,
+  /// as the Writer emits them: a missing, extra or reordered name (e.g. a
+  /// ScenarioParams field this build lacks) fails instead of shifting later
+  /// fields.
   void params(std::optional<sim::ScenarioParams>& out) {
     bool present = false;
     b(present);
     out.reset();
     if (!present) return;
-    sim::ScenarioParams p;
+    const auto names = sim::scenario_param_names();
     std::uint64_t n = 0;
     u64(n);
+    if (n != names.size()) fail("scenario param count mismatch");
+    sim::ScenarioParams p;
     std::string name;
     double value = 0.0;
-    for (std::uint64_t i = 0; i < n; ++i) {
+    for (const auto& expected : names) {
       str(name);
+      if (name != expected) {
+        fail("expected scenario param '" + expected + "', got '" + name +
+             "'");
+      }
       d(value);
-      try {
-        sim::set_scenario_param(p, name, value);
-      } catch (const std::invalid_argument& e) {
-        fail(std::string("unknown scenario param: ") + e.what());
+      sim::set_scenario_param(p, name, value);
+      // An integer field keeps only the rounded value.
+      if (std::bit_cast<std::uint64_t>(sim::get_scenario_param(p, name)) !=
+          std::bit_cast<std::uint64_t>(value)) {
+        fail("scenario param '" + name + "' does not hold its value");
       }
     }
     out = p;
   }
 
-  /// Succeeds only when nothing follows the 'end' sentinel and the payload
-  /// keeps its final newline — so EVERY strict prefix of a serialization
-  /// is invalid, including the one that only drops the terminator (and so
-  /// is any whitespace-padded copy: payloads are canonical bytes).
+  /// Succeeds only when nothing follows the 'end' sentinel. Every value
+  /// ends in exactly one newline, so EVERY strict prefix of a
+  /// serialization is invalid, including the one that only drops the
+  /// terminator, and so is any padded copy: payloads are canonical bytes.
   void done() {
-    if (pos_ != text_.size() - 1 || text_.empty() || text_.back() != '\n') {
-      fail("payload truncated or trailing garbage after 'end'");
+    if (pos_ != text_.size()) {
+      fail("trailing garbage after 'end'");
     }
-    ++pos_;
   }
 
   [[noreturn]] void fail(const std::string& what) {
@@ -232,36 +242,43 @@ class Reader {
   }
 
  private:
-  /// A whole token of decimal digits (with a '-' only for signed T) that
-  /// fits in T.
+  /// A whole token that fits in T and is the Writer's decimal for it:
+  /// digits with a '-' only for signed T, no leading zero, no '+', no
+  /// "-0".
   template <class T>
   T integer(const char* what) {
     const std::string_view t = token();
     T v{};
     const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
-    if (ec != std::errc{} || end != t.data() + t.size()) {
+    char canonical[24];
+    const auto [cend, cec] =
+        std::to_chars(canonical, canonical + sizeof canonical, v);
+    if (ec != std::errc{} || end != t.data() + t.size() ||
+        cec != std::errc{} ||
+        t != std::string_view(canonical,
+                               static_cast<std::size_t>(cend - canonical))) {
       fail(std::string("expected ") + what + ", got '" + std::string(t) +
            "'");
     }
     return v;
   }
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+  /// Consumes the one '\n' that ends every value.
+  void end_of_value() {
+    if (pos_ >= text_.size()) fail("truncated input");
+    if (text_[pos_] != '\n') fail("expected a newline after the value");
+    ++pos_;
   }
 
+  /// The bytes up to the next newline, which is consumed. The field
+  /// parsers reject a token holding any other byte the Writer would not
+  /// have put there, whitespace included.
   std::string_view token() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("truncated input");
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           !std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
+    const std::size_t nl = text_.find('\n', pos_);
+    if (nl == std::string_view::npos) fail("truncated input");
+    const std::string_view t = text_.substr(pos_, nl - pos_);
+    pos_ = nl + 1;
+    return t;
   }
 
   std::string_view text_;

@@ -16,7 +16,10 @@ inline constexpr std::uint64_t kCampaignSerdeVersion = 1;
 /// Thrown on any malformed, truncated or version-mismatched input. The
 /// contract is fail-loudly: a damaged cache file or pipe frame must never
 /// deserialize as zeros — every strict prefix of a valid serialization and
-/// every trailing-garbage suffix raises this.
+/// every trailing-garbage suffix raises this. The readers accept only
+/// canonical bytes: whatever decodes serializes back to exactly the input
+/// (one newline after each value, no padding, no other spelling of a
+/// number).
 class SerdeError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -8,6 +8,10 @@
 #include "experiments/campaign.hpp"
 #include "nn/dataset.hpp"
 
+namespace rt::runtime {
+class ThreadPool;
+}  // namespace rt::runtime
+
 namespace rt::experiments {
 
 /// Configuration of the safety-hijacker training-data sweep (§IV-B: "each
@@ -28,11 +32,11 @@ struct ShTrainingConfig {
   /// the dataset is generated.
   std::map<core::AttackVector, std::vector<std::string>> curricula{};
 
-  /// Threads for the launch grid of `generate_sh_dataset` and for the
-  /// pooled per-vector pipelines of `load_or_train_oracles` (0 = one per
-  /// hardware core). Results are bit-identical at any thread count: every
-  /// launch's randomness is a pure function of (seed, grid coordinates),
-  /// and every training self-seeds from the config.
+  /// Threads of the one pool that runs the launches of
+  /// `generate_sh_dataset` and both phases of `load_or_train_oracles`
+  /// (0 = one per hardware core). Results are bit-identical at any thread
+  /// count: every launch's randomness is a pure function of (seed, grid
+  /// coordinates), and every training self-seeds from the config.
   unsigned threads{0};
 };
 
@@ -63,12 +67,26 @@ struct ShTrainingConfig {
                                             core::AttackVector v,
                                             const ShTrainingConfig& cfg);
 
-/// Generates the oracle's dataset for one vector by running scripted
-/// attacks over the (scenario × delta_inject × k × repeat) grid — fanned
-/// over `cfg.threads` — and labeling each launch with the *ground-truth*
-/// safety potential k frames later. Each launch stops at its label frame
-/// (`ClosedLoop::run`'s horizon). Sample order and content are independent
-/// of the thread count.
+/// One vector's launch grid: the (scenario × delta_inject × k × repeat)
+/// sweep that `cfg`'s curriculum for `vector`, sweeps, repeats and seed
+/// define.
+struct ShLaunchGrid {
+  core::AttackVector vector;
+  ShTrainingConfig cfg;
+};
+
+/// Runs the launches of every grid as one flat `parallel_for` on `pool`
+/// and returns one dataset per grid. Each launch is a scripted attack
+/// labeled with the *ground-truth* safety potential k frames later; it
+/// stops at its label frame (`ClosedLoop::run`'s horizon). Each dataset
+/// holds its grid's samples in canonical grid order, so sample order and
+/// content are independent of the pool size and of the other grids.
+[[nodiscard]] std::vector<nn::Dataset> generate_sh_datasets(
+    const std::vector<ShLaunchGrid>& grids, const LoopConfig& base,
+    runtime::ThreadPool& pool);
+
+/// The dataset of one vector's grid, its launches fanned over
+/// `cfg.threads`.
 [[nodiscard]] nn::Dataset generate_sh_dataset(core::AttackVector v,
                                               const LoopConfig& base,
                                               const ShTrainingConfig& cfg);
@@ -91,9 +109,12 @@ struct ShTrainingConfig {
     core::AttackVector v, const std::string& cache_dir,
     const LoopConfig& base, const ShTrainingConfig& cfg);
 
-/// All three oracles, cached under `cache_dir`. The per-vector pipelines
-/// (generation + training) fan out across `cfg.threads`; trained weights
-/// are bit-identical at any thread count.
+/// All three oracles, cached under `cache_dir`, set up in two flat phases
+/// on one pool of `cfg.threads`: after every cached oracle loads, the
+/// launches of all vectors still missing run as one `parallel_for`, then
+/// their trainings run side by side, one per task, each saved as
+/// `load_or_train_oracle` saves it. Trained weights are bit-identical at
+/// any thread count.
 [[nodiscard]] OracleSet load_or_train_oracles(const std::string& cache_dir,
                                               const LoopConfig& base,
                                               const ShTrainingConfig& cfg);

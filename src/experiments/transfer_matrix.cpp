@@ -70,12 +70,10 @@ TransferMatrix run_transfer_matrix(const TransferConfig& cfg,
 
   // 1. One launch dataset per involved family, generated with the family's
   //    natural vector and split into train/holdout parts. The split seed is
-  //    decorrelated per family via the dataset fingerprint. The per-family
-  //    pipelines are independent — each one's randomness is a pure function
-  //    of (cfg.sh.seed, family grid) — so they fan out across the pool with
-  //    results identical at any thread count; with a parallel outer fan-out
-  //    each family's inner launch grid runs serially instead of
-  //    oversubscribing the machine.
+  //    decorrelated per family via the dataset fingerprint. Every family's
+  //    launches run as one flat grid on the pool, each launch's randomness
+  //    a pure function of (cfg.sh.seed, family grid), so the datasets are
+  //    identical at any thread count.
   std::set<std::string> family_set(out.eval_families.begin(),
                                    out.eval_families.end());
   for (const auto& t : train_sets) {
@@ -83,60 +81,45 @@ TransferMatrix run_transfer_matrix(const TransferConfig& cfg,
   }
   const std::vector<std::string> families(family_set.begin(),
                                           family_set.end());
-  const unsigned total_threads =
-      cfg.threads == 0 ? runtime::ThreadPool::default_threads() : cfg.threads;
-  std::vector<std::pair<nn::Dataset, nn::Dataset>> family_splits(
-      families.size());
-  {
-    const unsigned outer = std::min<unsigned>(
-        static_cast<unsigned>(std::max<std::size_t>(1, families.size())),
-        total_threads);
-    runtime::ThreadPool pool(outer);
-    pool.parallel_for(static_cast<int>(families.size()), [&](int i) {
-      const std::string& family = families[static_cast<std::size_t>(i)];
-      const core::AttackVector v = transfer_vector_for(family);
-      ShTrainingConfig fam_cfg = cfg.sh;
-      fam_cfg.threads = std::max(1u, total_threads / outer);
-      fam_cfg.curricula[v] = {family};
-      nn::Dataset all = generate_sh_dataset(v, loop, fam_cfg);
-      family_splits[static_cast<std::size_t>(i)] = all.split_seeded(
-          1.0 - cfg.holdout_fraction,
-          cfg.sh.seed ^ sh_dataset_fingerprint(v, fam_cfg));
-    });
+  std::vector<ShLaunchGrid> grids;
+  grids.reserve(families.size());
+  for (const auto& family : families) {
+    const core::AttackVector v = transfer_vector_for(family);
+    ShTrainingConfig fam_cfg = cfg.sh;
+    fam_cfg.curricula[v] = {family};
+    grids.push_back({v, std::move(fam_cfg)});
   }
-  std::map<std::string, const std::pair<nn::Dataset, nn::Dataset>*> splits;
+  runtime::ThreadPool pool(cfg.threads);
+  const std::vector<nn::Dataset> datasets =
+      generate_sh_datasets(grids, loop, pool);
+  std::map<std::string, std::pair<nn::Dataset, nn::Dataset>> splits;
   for (std::size_t i = 0; i < families.size(); ++i) {
-    splits[families[i]] = &family_splits[i];
+    splits[families[i]] = datasets[i].split_seeded(
+        1.0 - cfg.holdout_fraction,
+        cfg.sh.seed ^ sh_dataset_fingerprint(grids[i].vector, grids[i].cfg));
   }
 
   // 2. One oracle per train set, on the concatenated train splits of its
   //    member families. Every oracle starts from the same seeded weights so
   //    rows differ only by curriculum; each training is self-seeded
-  //    (Trainer derives its Rng from the config), so the per-train-set
-  //    trainings fan out across the pool with thread-count-invariant
-  //    weights.
+  //    (Trainer derives its Rng from the config), so the trainings run one
+  //    per task on the pool with thread-count-invariant weights.
   std::vector<std::shared_ptr<core::SafetyOracle>> oracles(train_sets.size());
-  {
-    const unsigned outer = std::min<unsigned>(
-        static_cast<unsigned>(std::max<std::size_t>(1, train_sets.size())),
-        total_threads);
-    runtime::ThreadPool pool(outer);
-    pool.parallel_for(static_cast<int>(train_sets.size()), [&](int ti) {
-      const TransferTrainSet& t = train_sets[static_cast<std::size_t>(ti)];
-      std::vector<nn::Dataset> parts;
-      parts.reserve(t.families.size());
-      for (const auto& family : t.families) {
-        parts.push_back(splits.at(family)->first);
-      }
-      const nn::Dataset train_data = nn::Dataset::concat(parts);
-      auto oracle = std::make_shared<core::SafetyOracle>(cfg.sh.seed ^ 0xabcd);
-      if (train_data.size() > 0) {
-        oracle->train(train_data, cfg.sh.train);
-        oracle->set_provenance({"transfer", join(t.families, ","), 0});
-      }
-      oracles[static_cast<std::size_t>(ti)] = std::move(oracle);
-    });
-  }
+  pool.parallel_for(static_cast<int>(train_sets.size()), [&](int ti) {
+    const TransferTrainSet& t = train_sets[static_cast<std::size_t>(ti)];
+    std::vector<nn::Dataset> parts;
+    parts.reserve(t.families.size());
+    for (const auto& family : t.families) {
+      parts.push_back(splits.at(family).first);
+    }
+    const nn::Dataset train_data = nn::Dataset::concat(parts);
+    auto oracle = std::make_shared<core::SafetyOracle>(cfg.sh.seed ^ 0xabcd);
+    if (train_data.size() > 0) {
+      oracle->train(train_data, cfg.sh.train);
+      oracle->set_provenance({"transfer", join(t.families, ","), 0});
+    }
+    oracles[static_cast<std::size_t>(ti)] = std::move(oracle);
+  });
 
   // 3. Predictive transfer: score each oracle on every family's held-out
   //    launches.
@@ -145,7 +128,7 @@ TransferMatrix run_transfer_matrix(const TransferConfig& cfg,
       TransferCell cell;
       cell.train_set = train_sets[ti].name;
       cell.eval_family = family;
-      const nn::Dataset& eval = splits.at(family)->second;
+      const nn::Dataset& eval = splits.at(family).second;
       if (oracles[ti]->trained() && eval.size() > 0) {
         int within = 0;
         double abs_err_sum = 0.0;

@@ -21,7 +21,8 @@ struct TransferConfig {
   /// Column families. Empty = every family in the global registry.
   std::vector<std::string> eval_families{};
   /// Launch grid + nn hyper-parameters shared by every cell (`curricula`
-  /// and `threads` are managed per cell by the harness).
+  /// is set per family by the harness, and `threads` is unused: the
+  /// matrix runs on `TransferConfig::threads`).
   ShTrainingConfig sh{};
   /// Fraction of each family's launches held out for evaluation (the
   /// remainder trains the oracles of the train sets containing the family).

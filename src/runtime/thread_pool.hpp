@@ -11,12 +11,12 @@
 namespace rt::runtime {
 
 /// Fixed-size thread pool shared by every parallel engine in the stack: the
-/// campaign scheduler, the dataset-generation grids, the pooled oracle
-/// trainings, and the minibatch trainer.
+/// campaign scheduler, the dataset-generation launch grids, and the pooled
+/// oracle trainings.
 ///
 /// Deliberately simple — a single locked queue, no work stealing: the tasks
-/// fanned over it are coarse (a campaign run, a layer's row block), so queue
-/// contention is negligible and the scheduling order never affects results
+/// fanned over it are coarse (a campaign drive, a training launch, a whole
+/// training), so queue contention is negligible and the scheduling order never affects results
 /// (every task writes to its own pre-assigned output slot, and all
 /// randomness is counter-based per task, see `stats::Rng::from_stream`).
 ///

@@ -238,6 +238,13 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
       std::string buf;  ///< bytes read, not yet parsed into frames
     };
     const std::size_t n = shards.size();
+    // The first member of each drive: its frame stands for the drive.
+    std::vector<char> leads(cells.size(), 0);
+    for (const Shard& shard : shards) {
+      for (const experiments::GridDrive& drive : shard) {
+        leads[drive.front()] = 1;
+      }
+    }
     std::vector<Stream> streams(n);
     for (Stream& st : streams) {
       int fds[2];
@@ -316,6 +323,7 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
         } catch (const experiments::SerdeError&) {
           return false;
         }
+        experiments::count_merged_cells(1, leads[f.cell] != 0 ? 1 : 0);
       }
       st.buf.erase(0, used);
       return true;

@@ -281,10 +281,11 @@ TEST(CampaignSerde, PinnedRecordsRoundTripByteForByte) {
 }
 
 // Every single-byte mutant of the pinned payload either throws SerdeError
-// or decodes to a record whose canonical bytes survive another round trip:
-// a damaged frame is rejected or read as some well-formed record, never
-// half-read. Each position gets three seeded replacement bytes, biased
-// toward the format's own metacharacters.
+// or decodes to a record that serializes back to the mutant's own bytes:
+// the reader accepts only canonical bytes, so a damaged frame is rejected
+// or read as the one record those bytes stand for, never half-read. Each
+// position gets three seeded replacement bytes, biased toward the format's
+// own metacharacters.
 TEST(CampaignSerde, SingleByteMutantsThrowOrRoundTrip) {
   const std::string text = serialize_campaign_result(pinned_campaign());
   const std::string_view alphabet = "0123456789abcdefd:\n -+";
@@ -309,16 +310,82 @@ TEST(CampaignSerde, SingleByteMutantsThrowOrRoundTrip) {
         continue;
       }
       ++decoded;
-      const std::string again = serialize_campaign_result(back);
-      std::string twice;
-      EXPECT_NO_THROW(
-          twice = serialize_campaign_result(deserialize_campaign_result(again)))
-          << "byte " << pos;
-      EXPECT_EQ(twice, again) << "byte " << pos;
+      EXPECT_EQ(serialize_campaign_result(back), mutant) << "byte " << pos;
     }
   }
   EXPECT_GT(thrown, 0u);
   EXPECT_GT(decoded, 0u);
+}
+
+// The bytes a lenient reader would take for padding or for another
+// spelling of a number, written over and inserted before every byte of the
+// pinned payload: each such mutant throws or is itself canonical.
+TEST(CampaignSerde, PaddingAndNumberSpellingMutantsThrowOrAreCanonical) {
+  const std::string text = serialize_campaign_result(pinned_campaign());
+  std::size_t decoded = 0;
+  for (std::size_t pos = 0; pos < text.size(); ++pos) {
+    for (const char c : std::string_view(" \t\r\n+-0")) {
+      for (const bool insert : {false, true}) {
+        std::string mutant = text;
+        if (insert) {
+          mutant.insert(pos, 1, c);
+        } else if (mutant[pos] != c) {
+          mutant[pos] = c;
+        } else {
+          continue;
+        }
+        CampaignResult back;
+        try {
+          back = deserialize_campaign_result(mutant);
+        } catch (const SerdeError&) {
+          continue;
+        }
+        ++decoded;
+        EXPECT_EQ(serialize_campaign_result(back), mutant)
+            << (insert ? "insert" : "replace") << " byte " << pos;
+      }
+    }
+  }
+  // Bytes inside netstring payloads still decode.
+  EXPECT_GT(decoded, 0u);
+}
+
+TEST(CampaignSerde, NonCanonicalSpellingsThrow) {
+  const std::string text = serialize_spec(pinned_spec());
+  // One edit of the canonical spec at a time.
+  const auto edited = [&](std::string_view from, std::string_view to) {
+    std::string out = text;
+    const std::size_t pos = out.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) out.replace(pos, from.size(), to);
+    return out;
+  };
+  EXPECT_NO_THROW(deserialize_spec(text));
+  EXPECT_THROW(deserialize_spec(" " + text), SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("\n-7\n", "\n-07\n")), SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("\n-7\n", "\n\n-7\n")), SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("\n-7\n", "\n-7 \n")), SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("\n-7\n", "\n-7\r\n")), SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("RTSPEC\n1\n", "RTSPEC\n01\n")),
+               SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("RTSPEC\n1\n", "RTSPEC\n+1\n")),
+               SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("\n1\n", "\n1\n\n")), SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("\n6:cut-in", "\n06:cut-in")),
+               SerdeError);
+  EXPECT_THROW(deserialize_spec(edited("cut-in\n", "cut-in\n\n")),
+               SerdeError);
+
+  CampaignSpec zero = pinned_spec();
+  zero.runs = 0;
+  const std::string zero_text = serialize_spec(zero);
+  // The runs line sits where the pinned spec's "-7" does.
+  const std::size_t pos = text.find("\n-7\n");
+  ASSERT_EQ(zero_text.substr(pos, 3), "\n0\n");
+  EXPECT_NO_THROW(deserialize_spec(zero_text));
+  std::string minus_zero = zero_text;
+  minus_zero.replace(pos, 3, "\n-0\n");
+  EXPECT_THROW(deserialize_spec(minus_zero), SerdeError);
 }
 
 // ------------------------------------------------------------ fail loudly

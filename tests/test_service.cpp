@@ -257,7 +257,7 @@ TEST(ShardedScheduler, PollErrorMidWaveReRunsOnlyTheCellsNotReceived) {
   // One poll covers every worker pipe, so a failed poll cannot be pinned
   // on one worker: it ends every live stream. The cells merged before it
   // are kept; only the rest are re-run, here by the in-process fallback
-  // (max_retries == 0), which counts each cell it runs in this process.
+  // (max_retries == 0), so every cell is counted once: merged or re-run.
   // Which poll lands mid-wave depends on when frames arrive, so the test
   // moves the failing poll along until one does.
   LoopConfig loop;
@@ -287,9 +287,9 @@ TEST(ShardedScheduler, PollErrorMidWaveReRunsOnlyTheCellsNotReceived) {
     EXPECT_TRUE(out.errors.empty()) << "skip " << skip;
     EXPECT_FALSE(out.first_failure) << "skip " << skip;
     EXPECT_EQ(grid_bytes(out.results), reference) << "skip " << skip;
-    const std::uint64_t rerun = moved("rt_campaign_cells_total");
-    EXPECT_EQ(rerun, moved("rt_shard_cells_recovered_in_process_total"))
-        << "skip " << skip;
+    EXPECT_EQ(moved("rt_campaign_cells_total"), cells) << "skip " << skip;
+    const std::uint64_t rerun =
+        moved("rt_shard_cells_recovered_in_process_total");
     mid_wave = rerun > 0 && rerun < cells;
   }
   EXPECT_TRUE(mid_wave) << "no failed poll landed mid-wave";
@@ -390,6 +390,39 @@ TEST(Drives, EveryGridCellSerializesLikeItsSoloRun) {
       ShardedCampaignScheduler(runner, opts).run_all_checked(specs, {}), solo,
       "2 workers, one crashing");
   EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 1u);
+}
+
+TEST(Drives, ParentCountsTheCellsAndDrivesForkedWorkersDeliver) {
+  // A forked worker's counter increments die with it, so the parent counts
+  // one cell per merged frame and one drive per merged first member: the
+  // in-process figures. A crashed worker's missing cells are re-run, and
+  // every cell is still counted once.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = drive_grid(/*runs=*/1, /*seed=*/6262);
+  const std::uint64_t cells = experiments::grid_cells(specs).size();
+  const std::uint64_t drives = experiments::grid_drives(specs).size();
+  ASSERT_LT(drives, cells);
+  ShardOptions opts;
+  opts.workers = 2;
+  {
+    const CounterDelta moved;
+    const auto out =
+        ShardedCampaignScheduler(runner, opts).run_all_checked(specs, {});
+    EXPECT_TRUE(out.errors.empty());
+    EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 0u);
+    EXPECT_EQ(moved("rt_campaign_cells_total"), cells);
+    EXPECT_EQ(moved("rt_campaign_drives_total"), drives);
+  }
+  opts.crash_shard = 1;
+  opts.crash_after_cells = 5;
+  opts.retry_backoff_ms = 1;
+  const CounterDelta moved;
+  const auto out =
+      ShardedCampaignScheduler(runner, opts).run_all_checked(specs, {});
+  EXPECT_TRUE(out.errors.empty());
+  EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 1u);
+  EXPECT_EQ(moved("rt_campaign_cells_total"), cells);
 }
 
 TEST(Drives, MonitorAlarmCountIsTheSoloRunsCount) {

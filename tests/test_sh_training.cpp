@@ -7,10 +7,13 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -470,30 +473,92 @@ TEST(TrainedOracleGolden, SmallGridMoveOutWeightsAreBitIdentical) {
   EXPECT_EQ(result.final_val_loss, 153.18231636430434);
 }
 
+// The paper-default oracles (default grid, 80-epoch training): every
+// deployed oracle's exact weights and fitted scaler.
+struct OraclePin {
+  AttackVector v;
+  std::uint64_t net_hash;
+  std::uint64_t oracle_hash;
+};
+constexpr OraclePin kDefaultOraclePins[] = {
+    {AttackVector::kMoveOut, 0x30df666f2c66b46fULL, 0xc2210ec90aefa063ULL},
+    {AttackVector::kMoveIn, 0x89e561c8e35cc6b1ULL, 0x9e6e761217e20013ULL},
+    {AttackVector::kDisappear, 0x4f090b7225019811ULL, 0xb7d97ba0e309b1f5ULL},
+};
+
+void expect_default_pins(const OracleSet& set, const std::string& label) {
+  ASSERT_EQ(set.size(), 3u) << label;
+  for (const OraclePin& pin : kDefaultOraclePins) {
+    ASSERT_TRUE(set.contains(pin.v)) << label;
+    const core::SafetyOracle& oracle = *set.at(pin.v);
+    EXPECT_EQ(oracle.net().content_hash(), pin.net_hash)
+        << label << " " << core::to_string(pin.v);
+    EXPECT_EQ(oracle.content_hash(), pin.oracle_hash)
+        << label << " " << core::to_string(pin.v);
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(TrainedOracleGolden, DefaultOraclesAreUnchanged) {
-  // The full paper-default pipeline per vector (default grid, 80-epoch
-  // training): every deployed oracle's exact weights and fitted scaler.
   LoopConfig loop;
   ShTrainingConfig cfg;
   cfg.threads = 1;
-  struct Pin {
-    AttackVector v;
-    std::uint64_t net_hash;
-    std::uint64_t oracle_hash;
-  };
-  const Pin pins[] = {
-      {AttackVector::kMoveOut, 0x30df666f2c66b46fULL, 0xc2210ec90aefa063ULL},
-      {AttackVector::kMoveIn, 0x89e561c8e35cc6b1ULL, 0x9e6e761217e20013ULL},
-      {AttackVector::kDisappear, 0x4f090b7225019811ULL,
-       0xb7d97ba0e309b1f5ULL},
-  };
-  for (const Pin& pin : pins) {
+  for (const OraclePin& pin : kDefaultOraclePins) {
     auto oracle = train_oracle(pin.v, loop, cfg);
     EXPECT_EQ(oracle->net().content_hash(), pin.net_hash)
         << core::to_string(pin.v);
     EXPECT_EQ(oracle->content_hash(), pin.oracle_hash)
         << core::to_string(pin.v);
   }
+}
+
+TEST(TrainedOracleGolden, DefaultOracleSetUpIsUnchanged) {
+  // The whole set-up path — cache lookup, launch grids, trainings, saves —
+  // returns the pinned oracles at one and at four threads, and from a
+  // cache that holds one valid file, one truncated file and no file.
+  namespace fs = std::filesystem;
+  LoopConfig loop;
+  ShTrainingConfig cfg;
+  TempDir dir;
+  for (const unsigned threads : {1u, 4u}) {
+    TempDir cold;
+    cfg.threads = threads;
+    expect_default_pins(load_or_train_oracles(cold.path(), loop, cfg),
+                        "cold cache, threads " + std::to_string(threads));
+    if (threads == 4) fs::copy(cold.path(), dir.path());
+  }
+
+  const std::string kept =
+      oracle_cache_path(dir.path(), AttackVector::kMoveOut, cfg);
+  const std::string truncated =
+      oracle_cache_path(dir.path(), AttackVector::kMoveIn, cfg);
+  const std::string absent =
+      oracle_cache_path(dir.path(), AttackVector::kDisappear, cfg);
+  const std::string kept_bytes = file_bytes(kept);
+  const std::string truncated_bytes = file_bytes(truncated);
+  const std::string absent_bytes = file_bytes(absent);
+  // An old stamp, so a rewrite could not leave the same mtime behind.
+  const auto stamp = fs::last_write_time(kept) - std::chrono::hours(24);
+  fs::last_write_time(kept, stamp);
+  fs::resize_file(truncated, truncated_bytes.size() / 2);
+  fs::remove(absent);
+
+  expect_default_pins(load_or_train_oracles(dir.path(), loop, cfg),
+                      "mixed cache");
+  EXPECT_EQ(file_bytes(kept), kept_bytes);
+  EXPECT_EQ(fs::last_write_time(kept), stamp);
+  EXPECT_EQ(file_bytes(truncated), truncated_bytes);
+  EXPECT_EQ(file_bytes(absent), absent_bytes);
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 3u);
 }
 
 // ------------------------------------------------ pooled oracle training
