@@ -227,11 +227,14 @@ inline std::unique_ptr<service::CampaignService> make_service(
 }
 
 /// Shared grid-run epilogue for drivers that route through a service:
-/// reports what the service did since `before` (a registry snapshot taken
-/// when the pass began) — cache traffic when a cache was configured, and
-/// worker forks, deaths and retry waves when misses ran on forked workers.
-inline void report_service_stats(const service::CampaignService& svc,
+/// drains its committer (so the cache is on disk and no thread still
+/// records spans), then reports what the service did since `before` (a
+/// registry snapshot taken when the pass began) — cache traffic when a
+/// cache was configured, and worker forks, deaths and retry waves when
+/// misses ran on forked workers.
+inline void report_service_stats(service::CampaignService& svc,
                                  const obs::MetricsSnapshot& before) {
+  svc.flush();
   const obs::MetricsSnapshot after = obs::MetricsRegistry::global().snapshot();
   const auto delta = [&](const char* name) {
     return static_cast<unsigned long long>(after.counter(name) -

@@ -413,6 +413,52 @@ if grep -q '"event":"client_drop"' build-release/server_socket.log; then
   exit 1
 fi
 
+# Drain on signal: a reply goes out before its cache entries are durable,
+# and SIGTERM must commit every staged entry before the server exits. Send
+# one miss request to a socket server on a fresh cache directory and
+# SIGTERM it the moment the reply's `end` arrives: its cache_summary must
+# count one store per spec, and a restarted server on the same directory
+# must answer the repeat from the cache alone, with identical bytes.
+echo "==> campaign_server drains its cache commits on SIGTERM"
+drain_cache="build-release/server_cache_drain"
+drain_sock="/tmp/rt_ci_drain_$$.sock"
+rm -rf "$drain_cache"
+for pass in 1 2; do
+  rm -f "$drain_sock"
+  ./build-release/examples/campaign_server --no-oracles --workers 2 \
+    --cache-dir "$drain_cache" --socket "$drain_sock" \
+    2>"build-release/server_drain$pass.log" &
+  drain_pid=$!
+  for _ in $(seq 1 200); do
+    [ -S "$drain_sock" ] && break
+    sleep 0.05
+  done
+  [ -S "$drain_sock" ] || { echo "ERROR: drain server socket never appeared" >&2; exit 1; }
+  ./build-release/examples/campaign_client --socket "$drain_sock" \
+    "$server_req" >"build-release/server_drain$pass.csv"
+  kill -TERM "$drain_pid"
+  wait "$drain_pid" || {
+    echo "ERROR: campaign_server did not exit 0 on SIGTERM (pass $pass)" >&2
+    exit 1
+  }
+done
+grep -q '"event":"cache_summary","hits":0,"misses":4,"stale":0,"corrupt":0,"stores":4,' \
+  build-release/server_drain1.log || {
+  echo "ERROR: SIGTERM did not commit one cache entry per spec" >&2
+  cat build-release/server_drain1.log >&2
+  exit 1
+}
+grep -q '"event":"cache_summary","hits":4,"misses":0,' \
+  build-release/server_drain2.log || {
+  echo "ERROR: the restarted server was not answered from the cache alone" >&2
+  cat build-release/server_drain2.log >&2
+  exit 1
+}
+cmp build-release/server_drain1.csv build-release/server_drain2.csv || {
+  echo "ERROR: the cached reply differs from the computed one" >&2
+  exit 1
+}
+
 if [ -x build-release/bench/bench_perception ]; then
   ./build-release/bench/bench_perception \
     --benchmark_filter='BM_CampaignSchedulerThroughput/1|BM_KalmanPredictUpdate|BM_TrackBirth' \

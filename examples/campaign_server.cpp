@@ -13,9 +13,11 @@
 // flags, start-up and the two front-end loops.
 //
 // Responses (socket mode) end with `end\n`; a request rejected by the full
-// queue is answered `busy\n` (and nothing else). A client line `shutdown`
-// — or SIGTERM/SIGINT — drains the queued requests, answers them, then
-// exits 0. RT_CHAOS arms the deterministic fault injector at startup (see
+// queue is answered `busy\n` (and nothing else). A reply goes out before
+// its cache entries are durable (CampaignService commits them on its own
+// thread). A client line `shutdown` — or SIGTERM/SIGINT — drains the
+// queued requests, answers them, commits every staged cache entry, then
+// exits 0; so does the end of a stdin batch. RT_CHAOS arms the deterministic fault injector at startup (see
 // service/fault_injection.hpp), which is how the chaos suite drives
 // client-write failures through a real server.
 //

@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -100,6 +102,14 @@ void Histogram::observe(double v) const {
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
+  // fork() copies the registry's mutex in whatever state another thread
+  // holds it, and a child that then registers a metric would block on it
+  // forever. These handlers take the mutex across every fork, so both
+  // processes come out of it with the mutex free.
+  static const int fork_safe = ::pthread_atfork(
+      [] { registry.mutex_.lock(); }, [] { registry.mutex_.unlock(); },
+      [] { registry.mutex_.unlock(); });
+  (void)fork_safe;
   return registry;
 }
 

@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <pthread.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,6 +99,15 @@ void append_json_escaped(std::string& out, const char* s) {
 
 Tracer& Tracer::global() {
   static Tracer tracer;
+  // fork() copies the tracer's mutex in whatever state another thread
+  // holds it (a thread registering its first span lane, say), and the
+  // child's clear() would then block on it forever. These handlers take
+  // the mutex across every fork, so both processes come out of it with
+  // the mutex free.
+  static const int fork_safe = ::pthread_atfork(
+      [] { tracer.mutex_.lock(); }, [] { tracer.mutex_.unlock(); },
+      [] { tracer.mutex_.unlock(); });
+  (void)fork_safe;
   return tracer;
 }
 

@@ -1,9 +1,11 @@
 #include "service/campaign_service.hpp"
 
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "core/safety_oracle.hpp"
+#include "experiments/campaign_serde.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -27,6 +29,7 @@ struct ServiceCounters {
   obs::Counter requests;
   obs::Counter spec_cache_hits;
   obs::Counter spec_errors;
+  obs::Gauge commit_queue;
 };
 
 const ServiceCounters& service_counters() {
@@ -38,7 +41,10 @@ const ServiceCounters& service_counters() {
         reg.counter("rt_service_spec_cache_hits_total",
                     "Request specs answered from the cell cache"),
         reg.counter("rt_service_spec_errors_total",
-                    "Request specs that ended as typed errors")};
+                    "Request specs that ended as typed errors"),
+        reg.gauge("rt_campaign_cache_commit_queue",
+                  "Finished campaigns staged for a cache store and not "
+                  "yet committed")};
   }();
   return c;
 }
@@ -77,7 +83,18 @@ CampaignService::CampaignService(const experiments::CampaignRunner& runner,
     CacheConfig cache = *config_.cache;
     cache.oracle_key = oracle_key(runner_.oracles());
     cache_ = std::make_unique<CampaignCellCache>(std::move(cache));
+    committer_ = std::thread([this] { commit_loop(); });
   }
+}
+
+CampaignService::~CampaignService() {
+  if (!committer_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(commit_mutex_);
+    stopping_ = true;
+  }
+  commit_ready_.notify_one();
+  committer_.join();
 }
 
 std::vector<CampaignResult> CampaignService::run_grid(
@@ -108,6 +125,12 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   std::vector<CampaignSpec> miss_specs;
   for (std::size_t i = 0; i < request.specs.size(); ++i) {
     if (cache_ && !cache_degraded()) {
+      if (const auto pending = staged(request.specs[i])) {
+        response.results[i] = *pending;
+        cache_->count_staged_hit();
+        counters.spec_cache_hits.inc();
+        continue;
+      }
       if (auto cached = cache_->lookup(request.specs[i])) {
         response.results[i] = std::move(*cached);
         counters.spec_cache_hits.inc();
@@ -119,14 +142,15 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   }
 
   if (!miss_specs.empty()) {
-    // Each campaign is committed the moment its last cell lands, while the
-    // rest of the grid is still running. Only complete campaigns fire the
-    // hook: an errored one has no runs and must be re-executed next time,
-    // not recalled empty.
+    // Each campaign is staged the moment its last cell lands, while the
+    // rest of the grid is still running, and the committer stores it off
+    // the reply path. Only complete campaigns fire the hook: an errored
+    // one has no runs and must be re-executed next time, not recalled
+    // empty.
     experiments::CampaignComplete commit;
     if (cache_ && !cache_degraded()) {
       commit = [this](std::size_t, const CampaignResult& result) {
-        store(result);
+        stage(result);
       };
     }
     GridOutcome outcome;
@@ -158,10 +182,62 @@ GridOutcome CampaignService::run_grid_checked(const GridRequest& request) {
   return response;
 }
 
-void CampaignService::store(const CampaignResult& result) {
-  std::lock_guard<std::mutex> lock(store_mutex_);
+void CampaignService::stage(const CampaignResult& result) {
+  Staged entry{experiments::serialize_spec(result.spec),
+               std::make_shared<const CampaignResult>(result)};
+  {
+    std::lock_guard<std::mutex> lock(commit_mutex_);
+    staged_[entry.key] = entry.result;
+    queue_.push_back(std::move(entry));
+    ++pending_;
+    service_counters().commit_queue.set(static_cast<std::int64_t>(pending_));
+  }
+  commit_ready_.notify_one();
+}
+
+std::shared_ptr<const CampaignResult> CampaignService::staged(
+    const CampaignSpec& spec) {
+  const std::string key = experiments::serialize_spec(spec);
+  std::lock_guard<std::mutex> lock(commit_mutex_);
+  const auto it = staged_.find(key);
+  return it == staged_.end() ? nullptr : it->second;
+}
+
+void CampaignService::flush() {
+  std::unique_lock<std::mutex> lock(commit_mutex_);
+  commit_done_.wait(lock, [this] { return pending_ == 0; });
+}
+
+void CampaignService::commit_loop() {
+  std::unique_lock<std::mutex> lock(commit_mutex_);
+  for (;;) {
+    commit_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and everything is committed
+    const Staged next = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    commit(*next.result);
+    lock.lock();
+    // Durable (or declined) now: lookups go to the disk. A later staging
+    // of the same spec keeps its own entry until its own commit.
+    const auto it = staged_.find(next.key);
+    if (it != staged_.end() && it->second == next.result) staged_.erase(it);
+    --pending_;
+    service_counters().commit_queue.set(static_cast<std::int64_t>(pending_));
+    if (pending_ == 0) commit_done_.notify_all();
+  }
+}
+
+void CampaignService::commit(const CampaignResult& result) {
   if (cache_degraded_) return;
-  if (cache_->store(result.spec, result)) {
+  bool stored = false;
+  try {
+    stored = cache_->store(result.spec, result);
+  } catch (const std::exception&) {
+    // Out of memory serializing the entry: a failed store like any other,
+    // and the committer thread lives on.
+  }
+  if (stored) {
     cache_fail_streak_ = 0;
   } else if (++cache_fail_streak_ >= kCacheFailThreshold) {
     // Disk is persistently unhealthy: stop adding a failing write + fsync

@@ -1,10 +1,15 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "experiments/campaign.hpp"
@@ -39,12 +44,21 @@ struct GridRequest {
 
 /// The campaign-as-a-service facade: one long-lived object that answers
 /// grid requests, consulting the content-hash cache first and executing
-/// only the misses (in-process or via forked shards), storing each fresh
-/// campaign back the moment its last cell lands (the grid's completion
-/// hook — one commit path for both executors). Because cache entries
+/// only the misses (in-process or via forked shards). Because cache entries
 /// round-trip bit-exactly and both executors honour the counter-based
 /// seeding contract, any mix of cached and freshly-computed cells is
 /// indistinguishable from a cold in-process run of the whole grid.
+///
+/// Replies never wait for the disk. The grid's completion hook (one commit
+/// path for both executors) only *stages* each fresh campaign the moment
+/// its last cell lands: it is queued in memory, and one committer thread,
+/// started only when the service has a cache, makes it durable through
+/// CampaignCellCache::store (temp file, fsync, rename, directory fsync)
+/// while the request goes on and replies. A lookup of a staged spec is
+/// served from memory and counted as a cache hit (and as a staged hit), so
+/// a repeat that arrives before the commit still hits. flush() and the
+/// destructor drain the committer. A crash before a commit loses only
+/// cache entries, never an answer already served.
 ///
 /// The service hands its cache an oracle key folded from each deployed
 /// oracle's content hash (CacheConfig::oracle_key), so services with
@@ -57,15 +71,22 @@ struct GridRequest {
 /// three consecutive failed stores — latch the cache off for the service's
 /// remaining lifetime (a full disk would otherwise add a failing write +
 /// fsync to every spec of every request, forever; execution continues
-/// uncached), and a request deadline turns unfinished campaigns into typed
-/// error records (run_grid_checked).
+/// uncached, and campaigns still staged are dropped), and a request
+/// deadline turns unfinished campaigns into typed error records
+/// (run_grid_checked).
 ///
 /// Requests, cache hits and errors are counted in the metrics registry
-/// (`rt_service_*_total`), next to the cache's and the sharder's counters.
+/// (`rt_service_*_total`), next to the cache's and the sharder's counters;
+/// the `rt_campaign_cache_commit_queue` gauge holds the campaigns staged
+/// and not yet committed.
 class CampaignService {
  public:
   CampaignService(const experiments::CampaignRunner& runner,
                   ServiceConfig config);
+  /// Drains the committer: every staged campaign is committed first.
+  ~CampaignService();
+  CampaignService(const CampaignService&) = delete;
+  CampaignService& operator=(const CampaignService&) = delete;
 
   /// Runs (or recalls) every spec; results in spec order. Rethrows the
   /// first execution failure (run_grid_checked degrades to typed errors
@@ -97,6 +118,12 @@ class CampaignService {
   /// True once consecutive failed stores latched the cache off.
   [[nodiscard]] bool cache_degraded() const { return cache_degraded_; }
 
+  /// Blocks until every campaign staged so far is committed to the cache
+  /// (or declined): afterwards the entries are on disk, byte-equal to what
+  /// a synchronous CampaignCellCache::store writes, and the cache counters
+  /// and the latch reflect them. Returns at once without a cache.
+  void flush();
+
   /// This service as the experiments::GridExecutor that the grid
   /// harnesses (defense grid, scenario search) run on; they know nothing
   /// about rt::service.
@@ -105,18 +132,46 @@ class CampaignService {
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
  private:
-  /// Commits one complete campaign to the cache and keeps the fail streak
-  /// and the cache-off latch. Called from the grid's completion hook, so
-  /// possibly from several pool threads at once.
-  void store(const experiments::CampaignResult& result);
+  /// A finished campaign waiting for its durable store, under its spec's
+  /// canonical bytes.
+  struct Staged {
+    std::string key;
+    std::shared_ptr<const experiments::CampaignResult> result;
+  };
+
+  /// The grid's completion hook: queues a copy of the campaign for the
+  /// committer and makes it visible to lookups. Called from several pool
+  /// threads at once under the in-process executor.
+  void stage(const experiments::CampaignResult& result);
+  /// The staged result for this spec, if it is still waiting.
+  [[nodiscard]] std::shared_ptr<const experiments::CampaignResult> staged(
+      const experiments::CampaignSpec& spec);
+  /// The committer thread: stores each staged campaign in order until the
+  /// destructor asks it to stop and the queue is empty.
+  void commit_loop();
+  /// Stores one campaign and keeps the fail streak and the cache-off
+  /// latch. Committer thread only.
+  void commit(const experiments::CampaignResult& result);
 
   const experiments::CampaignRunner& runner_;
   ServiceConfig config_;
   std::unique_ptr<CampaignCellCache> cache_;
   LastRequest last_;
-  std::mutex store_mutex_;
-  int cache_fail_streak_{0};  ///< guarded by store_mutex_
+  int cache_fail_streak_{0};  ///< committer thread only
   std::atomic<bool> cache_degraded_{false};
+
+  std::mutex commit_mutex_;  ///< guards the four fields below
+  std::condition_variable commit_ready_;  ///< work queued, or stopping
+  std::condition_variable commit_done_;   ///< pending_ dropped to 0
+  std::deque<Staged> queue_;              ///< FIFO, not yet picked up
+  /// Staged and not yet committed or declined (the one being stored
+  /// included), by spec bytes; lookups are served from it.
+  std::unordered_map<std::string,
+                     std::shared_ptr<const experiments::CampaignResult>>
+      staged_;
+  std::size_t pending_{0};  ///< queued + the one being stored
+  bool stopping_{false};
+  std::thread committer_;  ///< started only when there is a cache
 };
 
 }  // namespace rt::service

@@ -35,6 +35,7 @@ struct CacheCounters {
   obs::Counter corrupt;  ///< entry ignored: malformed/truncated/mismatched
   obs::Counter evictions;
   obs::Counter stores;
+  obs::Counter staged_hits;  ///< of `hits`: served before their store
   /// IO failures (write/fsync/rename on store, read errors on lookup),
   /// absorbed: a failed store declines, a failed read misses.
   obs::Counter io_errors;
@@ -55,7 +56,11 @@ const CacheCounters& cache_counters() {
         reg.counter("rt_campaign_cache_evictions_total",
                     "Entries evicted by the LRU size budget"),
         reg.counter("rt_campaign_cache_stores_total",
-                    "Entries durably stored"),
+                    "Entries durably stored (may trail the reply that "
+                    "computed them)"),
+        reg.counter("rt_campaign_cache_staged_hits_total",
+                    "Cache hits served from memory while their entry "
+                    "awaited its durable store"),
         reg.counter("rt_campaign_cache_io_errors_total",
                     "Cache reads/writes declined on I/O failure")};
   }();
@@ -297,14 +302,24 @@ std::optional<experiments::CampaignResult> CampaignCellCache::lookup(
   return result;
 }
 
+void CampaignCellCache::count_staged_hit() {
+  cache_counters().hits.inc();
+  cache_counters().staged_hits.inc();
+}
+
 bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
                               const experiments::CampaignResult& result) {
   RT_TRACE_SPAN("cache_store", "cache");
-  std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t fp =
       campaign_cell_fingerprint(spec, config_.code_version);
   const std::string path = path_of(fp);
-  const std::string tmp = path + ".tmp";
+  // One temp name per writer (process and store), so stores of one entry
+  // from two threads or two processes sharing the directory never write
+  // into each other's temp file.
+  const std::string tmp =
+      path + '.' + std::to_string(::getpid()) + '-' +
+      std::to_string(tmp_seq_.fetch_add(1, std::memory_order_relaxed)) +
+      ".tmp";
 
   const std::string payload = experiments::serialize_campaign_result(result);
   std::string blob = std::string(kCacheMagic) + ' ' +
@@ -319,7 +334,8 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
   // Crash-durable store: write the temp file, fsync IT, then rename over
   // the final name, then (best effort) fsync the directory so the rename
   // itself survives a power cut. Any failure declines the store — the tmp
-  // file is removed, the previous entry (if any) is untouched.
+  // file is removed, the previous entry (if any) is untouched. None of it
+  // holds the mutex, so a lookup never waits for this disk I/O.
   const auto decline = [&](int fd) {
     if (fd >= 0) ::close(fd);
     std::error_code ec;
@@ -345,8 +361,6 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
   if (sys_rename(FaultSite::kCacheRename, tmp.c_str(), path.c_str()) != 0) {
     return decline(-1);
   }
-  bytes_ -= std::min(bytes_, replaced);
-  bytes_ += blob.size();
   const int dirfd = ::open(config_.dir.c_str(), O_RDONLY);
   if (dirfd >= 0) {
     // Directory fsync is best-effort: some filesystems refuse it, and the
@@ -354,9 +368,12 @@ bool CampaignCellCache::store(const experiments::CampaignSpec& spec,
     (void)sys_fsync(FaultSite::kCacheFsync, dirfd);
     ::close(dirfd);
   }
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  bytes_ -= std::min(bytes_, replaced);
+  bytes_ += blob.size();
   cache_counters().stores.inc();
   touch_locked(path);
-
   if (config_.max_bytes > 0 && bytes_ > config_.max_bytes) {
     cache_counters().evictions.inc(evict_locked(
         config_.max_bytes - config_.max_bytes / kLowWaterDivisor));

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -67,15 +68,20 @@ struct CacheConfig {
 /// results: the header's FNV-1a content checksum catches byte corruption
 /// that would still parse (a flipped bit inside a hex-encoded double), and
 /// the serde layer underneath throws on any truncation, so a partial write
-/// can never load as zeros. Stores are crash-durable: write-temp, fsync,
-/// rename, then a best-effort fsync of the directory, so a power cut leaves
-/// either the old entry or the complete new one. All file IO goes through
-/// the rt::service fault-injection shims; IO failures are absorbed (a store
-/// declines, a lookup misses) and counted in
-/// `rt_campaign_cache_io_errors_total`, never thrown. Every lookup outcome,
-/// store and eviction is counted in the process-wide metrics registry
-/// (`rt_campaign_cache_*_total`). Instance methods are mutex-serialized,
-/// safe from concurrent threads.
+/// can never load as zeros. Stores are crash-durable: write a temp file
+/// named for its writer (process and store), fsync, rename, then a
+/// best-effort fsync of the directory, so a power cut leaves either the old
+/// entry or the complete new one. All file IO goes through the rt::service
+/// fault-injection shims; IO failures are absorbed (a store declines, a
+/// lookup misses) and counted in `rt_campaign_cache_io_errors_total`, never
+/// thrown. Every lookup outcome, store and eviction is counted in the
+/// process-wide metrics registry (`rt_campaign_cache_*_total`);
+/// `rt_campaign_cache_stores_total` counts durable stores, which under
+/// CampaignService may trail the reply that computed them. Instance methods
+/// are safe from concurrent threads: the cache's bookkeeping (byte total,
+/// access counter, sweeps) is mutex-serialized, but a store's write, fsyncs
+/// and rename run outside the mutex, so a lookup never waits on another
+/// thread's store I/O.
 ///
 /// A hit or a store costs O(1) file operations, plus a directory sweep
 /// once per eighth of the byte budget when the cache is full. The LRU
@@ -107,6 +113,10 @@ class CampaignCellCache {
   /// CampaignService's cache-off latch).
   bool store(const experiments::CampaignSpec& spec,
              const experiments::CampaignResult& result);
+
+  /// Counts a hit that CampaignService served from memory while the
+  /// entry still awaited its store: a cache hit, and a staged hit.
+  void count_staged_hit();
 
   /// Evicts oldest entries until the directory is within `limit_bytes`
   /// (pass the configured budget via the no-arg overload), measuring the
@@ -149,6 +159,8 @@ class CampaignCellCache {
   /// directory walk, moved by each store (minus any entry it replaced),
   /// reset by every sweep to what the sweep measured.
   std::uintmax_t bytes_{0};
+  /// Per-store sequence in temp file names.
+  std::atomic<std::uint64_t> tmp_seq_{0};
 };
 
 }  // namespace rt::service

@@ -38,13 +38,28 @@ constexpr TypeName kTypeNames[] = {
     {FaultType::kDisconnect, "disconnect"},
 };
 
-/// Blocks forever in short sleeps; the peer's timeout (and SIGKILL) is the
-/// only way out — exactly what a wedged worker looks like from outside.
-[[noreturn]] void hang_forever() {
+/// Blocks in short sleeps until this process disarms the injector. A
+/// forked worker's copy is never disarmed, so there the peer's timeout (and
+/// SIGKILL) is the only way out — exactly what a wedged worker looks like
+/// from outside; in the parent it holds an operation for as long as a test
+/// keeps the plan armed.
+void hang_while_armed() {
   struct timespec ts {};
   ts.tv_sec = 0;
-  ts.tv_nsec = 50 * 1000 * 1000;
-  for (;;) ::nanosleep(&ts, nullptr);
+  ts.tv_nsec = 1000 * 1000;
+  while (FaultInjector::instance().armed()) ::nanosleep(&ts, nullptr);
+}
+
+/// Firings also go to the metrics registry so chaos harnesses can assert
+/// on a snapshot instead of scraping text. Same caveat as
+/// injected_total(): forked workers count in their own process. arm()
+/// registers it, so no thread is still initializing it when another one
+/// forks a worker that fires a fault.
+const obs::Counter& injections_counter() {
+  static const obs::Counter fired = obs::MetricsRegistry::global().counter(
+      "rt_fault_injections_total",
+      "Deterministic fault-injection firings in this process");
+  return fired;
 }
 
 }  // namespace
@@ -67,6 +82,7 @@ FaultInjector& FaultInjector::instance() {
 }
 
 void FaultInjector::arm(FaultPlan plan) {
+  (void)injections_counter();
   armed_.store(false, std::memory_order_release);
   plan_ = std::move(plan);
   worker_.store(0, std::memory_order_relaxed);
@@ -148,14 +164,7 @@ FaultDecision FaultInjector::next(FaultSite site) {
     stats::Rng rng = stats::Rng::from_stream(key, n);
     if (rule.rate >= 1.0 || rng.uniform(0.0, 1.0) < rule.rate) {
       injected_[si].fetch_add(1, std::memory_order_relaxed);
-      // Firings also go to the metrics registry so chaos harnesses can
-      // assert on a snapshot instead of scraping text. Same caveat as
-      // injected_total(): forked workers count in their own process.
-      static const obs::Counter fired =
-          obs::MetricsRegistry::global().counter(
-              "rt_fault_injections_total",
-              "Deterministic fault-injection firings in this process");
-      fired.inc();
+      injections_counter().inc();
       return {rule.type, n};
     }
   }
@@ -186,7 +195,8 @@ ssize_t sys_read(FaultSite site, int fd, void* buf, std::size_t len) {
       errno = EIO;
       return -1;
     case FaultType::kHang:
-      hang_forever();
+      hang_while_armed();
+      break;
     default:
       break;
   }
@@ -215,7 +225,8 @@ ssize_t sys_write(FaultSite site, int fd, const void* buf, std::size_t len) {
       errno = EPIPE;
       return -1;
     case FaultType::kHang:
-      hang_forever();
+      hang_while_armed();
+      break;
     case FaultType::kTruncateFrame: {
       // Mid-frame stream death: a prefix reaches the pipe, then the writer
       // is gone. The reader must see a truncated frame, never a short one

@@ -38,7 +38,10 @@ enum class FaultType : std::uint8_t {
   kEintr,          ///< op fails with EINTR (storms arise from the schedule)
   kIoError,        ///< op fails with EIO
   kForkEagain,     ///< fork fails with EAGAIN
-  kHang,           ///< op blocks forever (until the peer's timeout kills us)
+  /// op blocks until this process disarms the injector, then runs
+  /// normally: forever in a forked worker (until the parent's timeout
+  /// kills it), a held cache store in the parent
+  kHang,
   kTruncateFrame,  ///< a prefix is written, then the op fails with EPIPE
   kCorruptFrame,   ///< one byte of the buffer is flipped before writing
   kEnospc,         ///< op fails with ENOSPC

@@ -287,7 +287,8 @@ void execute_request(CampaignService& svc, const GridRequest& request,
   log_json(record);
 }
 
-void log_cache_summary(const CampaignService& svc) {
+void log_cache_summary(CampaignService& svc) {
+  svc.flush();
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   const auto count = [&](const char* what) {
     return snap.counter(std::string("rt_campaign_cache_") + what + "_total");

@@ -79,9 +79,10 @@ void execute_request(CampaignService& svc, const GridRequest& request,
                      std::optional<std::uint64_t> enqueue_ns,
                      const std::function<void(const std::string&)>& reply);
 
-/// Logs the process's cumulative cache counters as a `cache_summary`
-/// record (one cache per server process).
-void log_cache_summary(const CampaignService& svc);
+/// Drains the service's committer, then logs the process's cumulative
+/// cache counters as a `cache_summary` record (one cache per server
+/// process), so its `stores` count every campaign the server computed.
+void log_cache_summary(CampaignService& svc);
 
 /// Bounded multi-producer single-consumer request queue. `push` fails when
 /// full or closed (the caller answers `busy`); `close` lets the consumer

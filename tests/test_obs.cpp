@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -278,6 +284,55 @@ TEST(Tracing, ArmedTracerNeverChangesCampaignBytes) {
     EXPECT_GT(Tracer::global().span_count(), 0u)
         << "tracer was armed but recorded nothing";
   }
+}
+
+/// Forks up to `forks` children while another thread runs `hammer` in a
+/// loop; each child runs `in_child` and exits. True at the first child
+/// that has not exited after two seconds (it is then killed): a child
+/// that inherited a mutex the hammering thread held at the fork blocks on
+/// it forever.
+bool a_child_hangs(const std::function<void()>& hammer, void (*in_child)(),
+                   int forks) {
+  std::atomic<bool> stop{false};
+  std::thread busy([&] {
+    while (!stop.load(std::memory_order_relaxed)) hammer();
+  });
+  bool hung = false;
+  for (int i = 0; i < forks && !hung; ++i) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      in_child();
+      ::_exit(0);
+    }
+    bool exited = false;
+    for (int ms = 0; ms < 2000 && !exited; ++ms) {
+      exited = ::waitpid(pid, nullptr, WNOHANG) == pid;
+      if (!exited) ::usleep(1000);
+    }
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+      hung = true;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  busy.join();
+  return hung;
+}
+
+TEST(ForkSafety, ChildNeverInheritsAHeldTracerMutex) {
+  // What a forked shard worker does first: clear the tracer it inherited.
+  EXPECT_FALSE(a_child_hangs([] { (void)Tracer::global().span_count(); },
+                            [] { Tracer::global().clear(); }, 100));
+}
+
+TEST(ForkSafety, ChildNeverInheritsAHeldRegistryMutex) {
+  EXPECT_FALSE(a_child_hangs(
+      [] { (void)MetricsRegistry::global().snapshot(); },
+      [] {
+        (void)MetricsRegistry::global().counter("rt_test_fork_child_total");
+      },
+      100));
 }
 
 }  // namespace

@@ -1083,6 +1083,7 @@ TEST(CampaignService, ShardedCacheEntriesMatchInProcessEntries) {
   in_proc.cache = CacheConfig{scratch_dir("svc_inproc")};
   CampaignService a(runner, in_proc);
   (void)a.run_grid(specs);
+  a.flush();
 
   ServiceConfig forked;
   forked.cache = CacheConfig{scratch_dir("svc_forked")};
@@ -1090,6 +1091,7 @@ TEST(CampaignService, ShardedCacheEntriesMatchInProcessEntries) {
   CampaignService b(runner, forked);
   const CounterDelta moved;
   (void)b.run_grid(specs);
+  b.flush();
   EXPECT_EQ(moved("rt_shard_forks_total"), 3u);
 
   for (const auto& spec : specs) {
@@ -1121,6 +1123,7 @@ TEST(CampaignService, ShardedStoresOverlapTheWave) {
   obs::Tracer::global().clear();
   obs::Tracer::global().arm(obs::TraceConfig{1 << 12});
   const auto results = svc.run_grid(specs);
+  svc.flush();  // the committer's last store span lands before disarm
   obs::Tracer::global().disarm();
   EXPECT_EQ(grid_bytes(results),
             grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
@@ -1198,6 +1201,7 @@ TEST(CampaignService, OracleServiceNeverServesANoOracleEntry) {
 
   CampaignService without(bare, cfg);
   const auto bare_bytes = grid_bytes(without.run_grid({spec}));
+  without.flush();
   const std::string armed_bytes = grid_bytes({armed.run(spec)});
   ASSERT_NE(bare_bytes, armed_bytes) << "the oracle must change the result";
 
@@ -1210,6 +1214,7 @@ TEST(CampaignService, OracleServiceNeverServesANoOracleEntry) {
   // is not served that entry either.
   EXPECT_EQ(grid_bytes(with.run_grid({spec})), armed_bytes);
   EXPECT_EQ(moved.cache("hits"), 1u);
+  with.flush();
   EXPECT_EQ(grid_bytes(without.run_grid({spec})), bare_bytes);
   EXPECT_EQ(moved.cache("hits"), 1u);
   EXPECT_EQ(moved.cache("stale"), 2u);
@@ -1263,6 +1268,7 @@ const char* const kServiceCounters[] = {
     "rt_campaign_cache_corrupt_total",
     "rt_campaign_cache_evictions_total",
     "rt_campaign_cache_stores_total",
+    "rt_campaign_cache_staged_hits_total",
     "rt_campaign_cache_io_errors_total",
     "rt_service_requests_total",
     "rt_service_spec_cache_hits_total",
@@ -1277,6 +1283,17 @@ const char* const kServiceCounters[] = {
 };
 
 using CounterDeltas = std::map<std::string, std::uint64_t>;
+
+/// The service-layer counters that moved since `before`, by how much.
+CounterDeltas moved_since(const obs::MetricsSnapshot& before) {
+  const auto after = obs::MetricsRegistry::global().snapshot();
+  CounterDeltas moved;
+  for (const char* name : kServiceCounters) {
+    const std::uint64_t d = after.counter(name) - before.counter(name);
+    if (d != 0) moved[name] = d;
+  }
+  return moved;
+}
 
 TEST(CampaignService, CounterDeltasArePinned) {
   // One cached service with two forked workers answers five requests: a
@@ -1299,16 +1316,11 @@ TEST(CampaignService, CounterDeltasArePinned) {
       std::optional<ArmedFaults> armed;
       if (faults) armed.emplace(*faults);
       const auto results = svc.run_grid(specs);
+      svc.flush();  // the request's stores meet its faults
       EXPECT_EQ(grid_bytes(results),
                 grid_bytes(CampaignScheduler(runner, 1).run_all(specs)));
     }
-    const auto after = obs::MetricsRegistry::global().snapshot();
-    CounterDeltas moved;
-    for (const char* name : kServiceCounters) {
-      const std::uint64_t d = after.counter(name) - before.counter(name);
-      if (d != 0) moved[name] = d;
-    }
-    return moved;
+    return moved_since(before);
   };
   const auto one_rule = [](FaultSite site, FaultType type) {
     FaultPlan plan;
@@ -1362,6 +1374,183 @@ TEST(CampaignService, CounterDeltasArePinned) {
                            {"rt_shard_fork_failures_total", 4},
                            {"rt_shard_cells_recovered_in_process_total", 2}}))
       << "fork EAGAIN";
+}
+
+
+TEST(CampaignService, RepeatWhileStagedIsServedFromMemoryLikeADiskHit) {
+  // The committer's first cache write hangs while the plan is armed, so
+  // every campaign of the cold request stays staged, deterministically,
+  // until the scope ends. A repeat in that window is served from memory:
+  // its rows are the executed rows, and it moves the counters exactly as
+  // the same repeat served from disk does, plus one staged hit per spec.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const std::vector<CampaignSpec> specs{small_spec("staged-a", 1),
+                                        small_spec("staged-b", 2),
+                                        small_spec("staged-c", 3)};
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_staged")};
+  cfg.workers = 2;
+  CampaignService svc(runner, cfg);
+
+  std::string executed;
+  std::string from_memory;
+  CounterDeltas staged_moved;
+  {
+    ArmedFaults hold(
+        FaultPlan{31, {{FaultSite::kCacheWrite, FaultType::kHang, 1.0, 1, 0}}});
+    executed = grid_bytes(svc.run_grid(specs));
+    const auto before = obs::MetricsRegistry::global().snapshot();
+    from_memory = grid_bytes(svc.run_grid(specs));
+    staged_moved = moved_since(before);
+    for (const auto& spec : specs) {
+      EXPECT_FALSE(fs::exists(svc.cache()->entry_path(spec)))
+          << spec.name << " was committed while the store was held";
+    }
+  }
+  svc.flush();
+  const auto before = obs::MetricsRegistry::global().snapshot();
+  const std::string from_disk = grid_bytes(svc.run_grid(specs));
+  const CounterDeltas disk_moved = moved_since(before);
+
+  EXPECT_EQ(from_memory, executed);
+  EXPECT_EQ(from_disk, executed);
+  EXPECT_EQ(disk_moved,
+            (CounterDeltas{{"rt_campaign_cache_hits_total", 3},
+                           {"rt_service_requests_total", 1},
+                           {"rt_service_spec_cache_hits_total", 3}}));
+  CounterDeltas expected = disk_moved;
+  expected["rt_campaign_cache_staged_hits_total"] = specs.size();
+  EXPECT_EQ(staged_moved, expected);
+
+  // What the committer wrote is what a synchronous store writes.
+  CacheConfig sync_cfg = svc.cache()->config();
+  sync_cfg.dir = scratch_dir("svc_staged_sync");
+  CampaignCellCache sync(sync_cfg);
+  for (const auto& result : CampaignScheduler(runner, 1).run_all(specs)) {
+    ASSERT_TRUE(sync.store(result.spec, result));
+    std::ifstream fa(svc.cache()->entry_path(result.spec), std::ios::binary);
+    std::ifstream fb(sync.entry_path(result.spec), std::ios::binary);
+    ASSERT_TRUE(fa.good() && fb.good()) << result.spec.name;
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(fa), {}),
+              std::string(std::istreambuf_iterator<char>(fb), {}))
+        << result.spec.name;
+  }
+}
+
+#if RT_OBS_TRACING
+TEST(CampaignService, TracedShardedRequestsWithStoresInFlightLoseNoWorker) {
+  // Forked workers clear the tracer they inherit, so a fork must never
+  // copy its mutex while the committer holds it (say, registering its
+  // first span lane). 200 fresh requests on two workers, each forking
+  // while the previous request's stores may still be in flight. A worker
+  // that blocked would be declared dead at the read timeout.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_fork_safe")};
+  cfg.workers = 2;
+  cfg.shard.read_timeout_ms = 10000;
+  CampaignService svc(runner, cfg);
+
+  constexpr int kRequests = 200;
+  obs::Tracer::global().clear();
+  obs::Tracer::global().arm(obs::TraceConfig{1 << 10});
+  const CounterDelta moved;
+  for (int r = 0; r < kRequests; ++r) {
+    const auto seed = static_cast<std::uint64_t>(2 * r + 1000);
+    (void)svc.run_grid(
+        {small_spec("fork-a", seed), small_spec("fork-b", seed + 1)});
+  }
+  svc.flush();
+  obs::Tracer::global().disarm();
+  obs::Tracer::global().clear();
+  EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 0u);
+  EXPECT_EQ(moved("rt_shard_forks_total"), 2u * kRequests);
+  EXPECT_EQ(moved.cache("stores"), 2u * kRequests);
+}
+#endif  // RT_OBS_TRACING
+
+// ------------------------------------------------------- first wave
+
+TEST(FirstWave, EqualCostDrivesAreStripedDriveIToShardIModW) {
+  for (unsigned workers = 1; workers <= 4; ++workers) {
+    for (std::size_t n = 0; n <= 9; ++n) {
+      const auto shards =
+          deal_by_cost(std::vector<double>(n, 3.5), workers);
+      ASSERT_EQ(shards.size(), workers);
+      for (unsigned w = 0; w < workers; ++w) {
+        std::vector<std::size_t> striped;
+        for (std::size_t d = w; d < n; d += workers) striped.push_back(d);
+        EXPECT_EQ(shards[w], striped) << n << " drives, shard " << w;
+      }
+    }
+  }
+}
+
+TEST(FirstWave, LongestDriveGoesFirstToTheLeastLoadedShard) {
+  // Order 4, 5, 0, 1, 2, 3 (costs 4, 2, then the ones in drive order):
+  // loads go (4,0) (4,2) (4,3) (4,4), a tie to shard 0 (5,4), then (5,5).
+  const auto shards = deal_by_cost({1, 1, 1, 1, 4, 2}, 2);
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_EQ(shards[0], (std::vector<std::size_t>{2, 4}));
+  EXPECT_EQ(shards[1], (std::vector<std::size_t>{0, 1, 3, 5}));
+}
+
+TEST(FirstWave, DriveCostIsAPureFunctionOfTheSpec) {
+  // DS-1 runs 40 s with one actor; DS-5 runs 40 s with nine.
+  CampaignSpec golden{"g", "DS-1", core::AttackVector::kDisappear,
+                      AttackMode::kGolden, 3, 1};
+  EXPECT_DOUBLE_EQ(drive_cost(golden), 40.0 * 2);
+  CampaignSpec attacked = golden;
+  attacked.mode = AttackMode::kNoSh;
+  EXPECT_DOUBLE_EQ(drive_cost(attacked), 40.0 * 2 * 1.25);
+  attacked.seed = 99;
+  attacked.runs = 7;
+  attacked.name = "other";
+  EXPECT_DOUBLE_EQ(drive_cost(attacked), 40.0 * 2 * 1.25);
+  CampaignSpec crowded = golden;
+  crowded.scenario = "DS-5";
+  EXPECT_DOUBLE_EQ(drive_cost(crowded), drive_cost(crowded));
+  EXPECT_GT(drive_cost(crowded), drive_cost(golden));
+  CampaignSpec shorter = golden;
+  shorter.params = sim::ScenarioRegistry::global().defaults("DS-1");
+  shorter.params->duration = 20.0;
+  EXPECT_DOUBLE_EQ(drive_cost(shorter), 20.0 * 2);
+  CampaignSpec unknown = golden;
+  unknown.scenario = "DS-99";
+  EXPECT_DOUBLE_EQ(drive_cost(unknown), 1.0);
+}
+
+TEST(FirstWave, UnequalGridStaysBitIdenticalUnderTheCrashHook) {
+  // Families of very different cost, dealt by cost rather than striped:
+  // the deal gives the in-process bytes, and the crash hook, which names
+  // a first-wave shard, kills exactly one worker on every pass.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  const auto specs = experiments::CampaignGridBuilder()
+                         .runs(3)
+                         .seed(6161)
+                         .scenarios({"DS-5", "DS-3"})
+                         .vectors({core::AttackVector::kDisappear})
+                         .modes({AttackMode::kNoSh, AttackMode::kGolden})
+                         .build();
+  const std::string reference =
+      grid_bytes(CampaignScheduler(runner, 1).run_all(specs));
+  for (int pass = 0; pass < 2; ++pass) {
+    ShardOptions opts;
+    opts.workers = 2;
+    opts.crash_shard = 1;
+    opts.crash_after_cells = 2;
+    opts.retry_backoff_ms = 1;
+    const CounterDelta moved;
+    const auto out =
+        ShardedCampaignScheduler(runner, opts).run_all_checked(specs, {});
+    EXPECT_TRUE(out.errors.empty());
+    EXPECT_EQ(grid_bytes(out.results), reference);
+    EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 1u);
+    EXPECT_EQ(moved("rt_shard_retry_waves_total"), 1u);
+  }
 }
 
 

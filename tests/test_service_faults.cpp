@@ -713,6 +713,7 @@ TEST(CampaignServiceFaults, PersistentStoreFailuresLatchTheCacheOff) {
     ArmedFaults armed(
         one_rule(15, FaultSite::kCacheWrite, FaultType::kIoError, 1.0));
     const auto results = svc.run_grid(specs);
+    svc.flush();  // the stores meet the armed faults
     EXPECT_EQ(grid_bytes(results), reference)
         << "a dead disk must not change results";
   }
@@ -813,6 +814,7 @@ TEST(CampaignServiceFaults, ExecutionFailureIsTypedAtTheFailingSpec) {
     EXPECT_TRUE(response.results[1].runs.empty()) << label;
     EXPECT_EQ(grid_bytes({response.results[0]}), reference) << label;
     if (svc.cache() != nullptr) {
+      svc.flush();
       EXPECT_EQ(moved.cache("stores"), 1u) << label;
       EXPECT_TRUE(svc.cache()->lookup(good).has_value()) << label;
       EXPECT_FALSE(svc.cache()->lookup(bad).has_value()) << label;
