@@ -113,6 +113,14 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
+namespace {
+/// Builds the registry, and so registers its fork handlers, while the program
+/// loads with a single thread, so no fork can race its first use (a child
+/// forked mid-construction would inherit the static's guard held).
+[[maybe_unused]] const MetricsRegistry& registry_at_load =
+    MetricsRegistry::global();
+}  // namespace
+
 detail::Metric* MetricsRegistry::find_or_create(const std::string& name,
                                                 MetricKind kind,
                                                 const std::string& help,

@@ -111,6 +111,13 @@ Tracer& Tracer::global() {
   return tracer;
 }
 
+namespace {
+/// Builds the tracer, and so registers its fork handlers, while the program
+/// loads with a single thread, so no fork can race its first use (a child
+/// forked mid-construction would inherit the static's guard held).
+[[maybe_unused]] const Tracer& tracer_at_load = Tracer::global();
+}  // namespace
+
 void Tracer::arm(TraceConfig config) {
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -186,7 +186,11 @@ void CampaignService::stage(const CampaignResult& result) {
   Staged entry{experiments::serialize_spec(result.spec),
                std::make_shared<const CampaignResult>(result)};
   {
-    std::lock_guard<std::mutex> lock(commit_mutex_);
+    std::unique_lock<std::mutex> lock(commit_mutex_);
+    // Backpressure: with kMaxStaged campaigns waiting, the hook waits for
+    // a commit, so a slow or hung disk slows execution down to its pace
+    // (as the inline store did) instead of growing memory without bound.
+    commit_done_.wait(lock, [this] { return pending_ < kMaxStaged; });
     staged_[entry.key] = entry.result;
     queue_.push_back(std::move(entry));
     ++pending_;
@@ -224,7 +228,7 @@ void CampaignService::commit_loop() {
     if (it != staged_.end() && it->second == next.result) staged_.erase(it);
     --pending_;
     service_counters().commit_queue.set(static_cast<std::int64_t>(pending_));
-    if (pending_ == 0) commit_done_.notify_all();
+    commit_done_.notify_all();
   }
 }
 

@@ -49,16 +49,19 @@ struct GridRequest {
 /// seeding contract, any mix of cached and freshly-computed cells is
 /// indistinguishable from a cold in-process run of the whole grid.
 ///
-/// Replies never wait for the disk. The grid's completion hook (one commit
-/// path for both executors) only *stages* each fresh campaign the moment
-/// its last cell lands: it is queued in memory, and one committer thread,
-/// started only when the service has a cache, makes it durable through
-/// CampaignCellCache::store (temp file, fsync, rename, directory fsync)
-/// while the request goes on and replies. A lookup of a staged spec is
-/// served from memory and counted as a cache hit (and as a staged hit), so
-/// a repeat that arrives before the commit still hits. flush() and the
-/// destructor drain the committer. A crash before a commit loses only
-/// cache entries, never an answer already served.
+/// Replies do not wait for the disk. The grid's completion hook (one
+/// commit path for both executors) only *stages* each fresh campaign the
+/// moment its last cell lands: it is queued in memory, and one committer
+/// thread, started only when the service has a cache, makes it durable
+/// through CampaignCellCache::store (temp file, fsync, rename, directory
+/// fsync) while the request goes on and replies. At most kMaxStaged
+/// campaigns wait at once; past that the hook waits for a commit, so a
+/// slow disk slows execution down to its pace instead of growing memory.
+/// A lookup of a staged spec is served from memory and counted as a cache
+/// hit (and as a staged hit), so a repeat that arrives before the commit
+/// still hits. flush() and the destructor drain the committer. A crash
+/// before a commit loses only cache entries, never an answer already
+/// served.
 ///
 /// The service hands its cache an oracle key folded from each deployed
 /// oracle's content hash (CacheConfig::oracle_key), so services with
@@ -81,6 +84,10 @@ struct GridRequest {
 /// and not yet committed.
 class CampaignService {
  public:
+  /// Most campaigns staged and not yet committed (the one being stored
+  /// included); staging one more waits for a commit.
+  static constexpr std::size_t kMaxStaged = 64;
+
   CampaignService(const experiments::CampaignRunner& runner,
                   ServiceConfig config);
   /// Drains the committer: every staged campaign is committed first.
@@ -140,7 +147,8 @@ class CampaignService {
   };
 
   /// The grid's completion hook: queues a copy of the campaign for the
-  /// committer and makes it visible to lookups. Called from several pool
+  /// committer and makes it visible to lookups, first waiting for a
+  /// commit while kMaxStaged are pending. Called from several pool
   /// threads at once under the in-process executor.
   void stage(const experiments::CampaignResult& result);
   /// The staged result for this spec, if it is still waiting.
@@ -162,7 +170,7 @@ class CampaignService {
 
   std::mutex commit_mutex_;  ///< guards the four fields below
   std::condition_variable commit_ready_;  ///< work queued, or stopping
-  std::condition_variable commit_done_;   ///< pending_ dropped to 0
+  std::condition_variable commit_done_;   ///< pending_ dropped
   std::deque<Staged> queue_;              ///< FIFO, not yet picked up
   /// Staged and not yet committed or declined (the one being stored
   /// included), by spec bytes; lookups are served from it.

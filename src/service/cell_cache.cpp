@@ -1,11 +1,13 @@
 #include "service/cell_cache.hpp"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -130,6 +132,25 @@ bool is_entry_file(const fs::path& path) {
          path.extension() == ".rtcr";
 }
 
+/// True for a store's temp file whose writer is gone:
+/// `cell_<fp>.rtcr.<pid>-<seq>.tmp` from a pid that names no live process
+/// (a store cut short by a crash or a kill), or the fixed
+/// `cell_<fp>.rtcr.tmp` of older versions. A live writer's file, this
+/// process's included, is not an orphan.
+bool is_orphan_tmp(const fs::path& path) {
+  const std::string name = path.filename().string();
+  if (name.rfind("cell_", 0) != 0 || path.extension() != ".tmp") return false;
+  const std::size_t at = name.find(".rtcr.");
+  if (at == std::string::npos) return false;
+  const std::string_view tail = std::string_view(name).substr(at + 6);
+  if (tail == "tmp") return true;
+  pid_t pid = 0;
+  const auto [end, err] =
+      std::from_chars(tail.data(), tail.data() + tail.size(), pid);
+  if (err != std::errc() || pid <= 0 || *end != '-') return false;
+  return ::kill(pid, 0) != 0 && errno == ESRCH;
+}
+
 /// Access counter from an entry's `.touch` sidecar; 0 (== "no recorded
 /// access, fall back to mtime") when absent or unreadable.
 std::uint64_t read_touch(const fs::path& entry) {
@@ -154,9 +175,16 @@ CampaignCellCache::CampaignCellCache(CacheConfig config)
   fs::create_directories(config_.dir);
   // Re-seed the monotonic access sequence from the max persisted counter,
   // so a restarted process keeps strictly increasing LRU order, and the
-  // running byte total from the entries already on disk.
+  // running byte total from the entries already on disk. Temp files whose
+  // writer died mid-store are removed: nothing else would ever reclaim
+  // them, and the byte budget does not count them.
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(config_.dir, ec)) {
+    if (is_orphan_tmp(de.path())) {
+      std::error_code rec;
+      fs::remove(de.path(), rec);
+      continue;
+    }
     if (is_entry_file(de.path())) {
       std::error_code sec;
       const auto size = de.file_size(sec);

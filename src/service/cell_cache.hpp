@@ -71,11 +71,13 @@ struct CacheConfig {
 /// can never load as zeros. Stores are crash-durable: write a temp file
 /// named for its writer (process and store), fsync, rename, then a
 /// best-effort fsync of the directory, so a power cut leaves either the old
-/// entry or the complete new one. All file IO goes through the rt::service
-/// fault-injection shims; IO failures are absorbed (a store declines, a
-/// lookup misses) and counted in `rt_campaign_cache_io_errors_total`, never
-/// thrown. Every lookup outcome, store and eviction is counted in the
-/// process-wide metrics registry (`rt_campaign_cache_*_total`);
+/// entry or the complete new one; a temp file whose writer died mid-store
+/// is removed when a cache next opens the directory. All file IO goes
+/// through the rt::service fault-injection shims; IO failures are absorbed
+/// (a store declines, a lookup misses) and counted in
+/// `rt_campaign_cache_io_errors_total`, never thrown. Every lookup
+/// outcome, store and eviction is counted in the process-wide metrics
+/// registry (`rt_campaign_cache_*_total`);
 /// `rt_campaign_cache_stores_total` counts durable stores, which under
 /// CampaignService may trail the reply that computed them. Instance methods
 /// are safe from concurrent threads: the cache's bookkeeping (byte total,

@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
-#include <exception>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,9 +21,7 @@
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/fault_injection.hpp"
-#include "sim/scenario_registry.hpp"
 #include "stats/hash.hpp"
-#include "stats/rng.hpp"
 
 namespace rt::service {
 
@@ -149,49 +146,6 @@ void write_frame(int fd, std::uint64_t cell, const std::string& payload,
 }
 
 }  // namespace
-
-double drive_cost(const CampaignSpec& spec) {
-  const sim::ScenarioRegistry& registry = sim::ScenarioRegistry::global();
-  if (!registry.contains(spec.scenario)) return 1.0;  // fails when run
-  // A stochastic family is costed at one fixed draw, so the estimate is a
-  // pure function of the spec.
-  stats::Rng rng(0);
-  sim::Scenario scenario;
-  try {
-    scenario = spec.params ? registry.make(spec.scenario, *spec.params, rng)
-                           : registry.make(spec.scenario, rng);
-  } catch (const std::exception&) {
-    return 1.0;  // a bad parameter fails the drive when it runs
-  }
-  // Every actor is detected, tracked and planned around on every frame,
-  // and the attacker's replica trackers add about a quarter on top.
-  const bool attacker = spec.mode != experiments::AttackMode::kGolden;
-  return scenario.duration *
-         static_cast<double>(1 + scenario.actors.size()) *
-         (attacker ? 1.25 : 1.0);
-}
-
-std::vector<std::vector<std::size_t>> deal_by_cost(
-    const std::vector<double>& costs, unsigned workers) {
-  std::vector<std::vector<std::size_t>> shards(std::max(1u, workers));
-  std::vector<std::size_t> order(costs.size());
-  for (std::size_t d = 0; d < order.size(); ++d) order[d] = d;
-  // Longest first; equal costs keep drive order.
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return costs[a] > costs[b];
-                   });
-  std::vector<double> load(shards.size(), 0.0);
-  for (const std::size_t d : order) {
-    // The least-loaded shard; ties go to the lowest one.
-    const auto w = static_cast<std::size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    shards[w].push_back(d);
-    load[w] += costs[d];
-  }
-  for (auto& shard : shards) std::sort(shard.begin(), shard.end());
-  return shards;
-}
 
 ShardedCampaignScheduler::ShardedCampaignScheduler(
     const CampaignRunner& runner, ShardOptions opts)
@@ -440,26 +394,15 @@ GridOutcome ShardedCampaignScheduler::run_all_checked(
     }
   };
 
-  // First wave: drives dealt by static cost (deal_by_cost), whole drives
-  // only, so a drive's member cells stay on one worker. Any partition
-  // yields identical results; dealing by cost keeps one worker from
-  // finishing a long family alone while the others sit idle, and a grid of
-  // equal-cost drives is striped, drive i to shard i % W. A grid without
-  // monitor variants has one drive per cell.
-  std::vector<double> spec_costs(specs.size());
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    spec_costs[s] = drive_cost(specs[s]);
-  }
-  std::vector<double> costs;
-  costs.reserve(drives.size());
-  for (const experiments::GridDrive& drive : drives) {
-    costs.push_back(spec_costs[cells[drive.front()].spec]);
-  }
+  // First wave: striped shards, drive i to shard i % W, so a drive's
+  // member cells stay on one worker. Any partition yields identical
+  // results; striping deals every spec's runs across all workers, so specs
+  // of unequal length (scenario families run for different times) cannot
+  // leave one worker finishing a long spec alone while the others sit
+  // idle. A grid without monitor variants has one drive per cell.
   std::vector<Shard> shards(workers);
-  const std::vector<std::vector<std::size_t>> dealt =
-      deal_by_cost(costs, workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    for (const std::size_t d : dealt[w]) shards[w].push_back(drives[d]);
+  for (std::size_t i = 0; i < drives.size(); ++i) {
+    shards[i % workers].push_back(drives[i]);
   }
   run_wave(shards, /*allow_crash_hook=*/true);
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "experiments/campaign.hpp"
@@ -35,36 +34,19 @@ struct ShardOptions {
   int crash_after_cells{0};
 };
 
-/// Static cost estimate of one drive of `spec`, a pure function of the
-/// spec: the scenario's simulated duration times (1 + its actor count),
-/// times 1.25 when an attacker runs (every mode but Golden). A stochastic
-/// family is costed at one fixed draw; a spec whose scenario cannot be
-/// built costs 1. Only the ratios matter: it orders drives, it times
-/// nothing.
-[[nodiscard]] double drive_cost(const experiments::CampaignSpec& spec);
-
-/// LPT deal of drives over `workers` shards: drives in descending cost
-/// (equal costs in drive order), each to the least-loaded shard (ties to
-/// the lowest shard). Returns each shard's drive indices, ascending. A
-/// pure function of its arguments; equal costs deal drive i to shard
-/// i % workers.
-[[nodiscard]] std::vector<std::vector<std::size_t>> deal_by_cost(
-    const std::vector<double>& costs, unsigned workers);
-
-/// Multi-process campaign grid execution: forks N workers over shards of
-/// the grid's drive list (experiments::GridSlots::drives), each worker
-/// simulating its drives in drive order and, after each, streaming one
-/// serialized RunResult frame per member cell back over its pipe. The
-/// first wave deals whole drives by a static cost (drive_cost, dealt by
-/// deal_by_cost: longest first, each to the least-loaded worker), so the
-/// member cells of a drive stay on one worker and the workers finish close
-/// together; a grid of equal-cost drives is striped, drive i to worker
-/// i % N. A grid without monitor variants has one drive per cell. The
-/// parent drains every worker pipe at once with a single poll and merges
-/// each frame into its pre-assigned experiments::GridSlots slot the moment
-/// it arrives, so the completion hook hands a campaign over (CampaignService
-/// stages it for the cache) while the workers are still computing the rest
-/// of the grid.
+/// Multi-process campaign grid execution: forks N workers over striped
+/// shards of the grid's drive list (experiments::GridSlots::drives; drive
+/// i goes to worker i % N, so the member cells of a drive stay on one
+/// worker), each worker simulating its drives in order and, after each,
+/// streaming one serialized RunResult frame per member cell back over its
+/// pipe. A grid without monitor variants has one drive per cell, so its
+/// cells are striped one by one. The parent drains every worker pipe at
+/// once with a single poll and merges each frame into its pre-assigned
+/// experiments::GridSlots slot the moment it arrives, so the completion
+/// hook hands a campaign over (CampaignService stages it for the cache)
+/// while the workers are still computing the rest of the grid. A campaign's
+/// drives are contiguous, so campaigns with at least N runs complete in
+/// spec order (monitor variants sharing drives complete together).
 ///
 /// Because every run's randomness is a pure function of (spec.seed,
 /// run_index) — the counter-based seeding contract — and doubles cross the

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -929,6 +932,30 @@ TEST(CellCache, ReopenedCacheCountsExistingBytes) {
   EXPECT_TRUE(fs::exists(cache.entry_path(entries[4].first)));
 }
 
+TEST(CellCache, OpenRemovesTempFilesOfDeadWriters) {
+  // A store killed between its write and its rename leaves its temp file
+  // behind; the next cache to open the directory removes it, and keeps
+  // every temp file of a live writer.
+  const std::string dir = scratch_dir("cache_orphan_tmp");
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(child, nullptr, 0), child);  // reaped: a dead pid
+  const std::string entry = dir + "/cell_00000000000000ab.rtcr";
+  const auto tmp_of = [&](long pid) {
+    return entry + '.' + std::to_string(pid) + "-3.tmp";
+  };
+  const std::vector<std::string> orphans = {tmp_of(child), entry + ".tmp"};
+  const std::vector<std::string> kept = {
+      tmp_of(::getpid()), tmp_of(::getppid()), dir + "/notes.tmp",
+      dir + "/cell_00000000000000ab.rtcr.x-1.tmp"};
+  for (const auto& path : orphans) std::ofstream(path) << "torn";
+  for (const auto& path : kept) std::ofstream(path) << "busy";
+  CampaignCellCache cache({dir, 0});
+  for (const auto& path : orphans) EXPECT_FALSE(fs::exists(path)) << path;
+  for (const auto& path : kept) EXPECT_TRUE(fs::exists(path)) << path;
+}
+
 TEST(CellCache, OverwriteDoesNotInflateBudget) {
   // Re-storing an entry replaces its bytes rather than adding to them. A
   // neighbour makes a wrongly inflated total observable: the sweep it
@@ -1438,6 +1465,62 @@ TEST(CampaignService, RepeatWhileStagedIsServedFromMemoryLikeADiskHit) {
   }
 }
 
+TEST(CampaignService, StagingIsCappedWhileTheDiskHangs) {
+  // A hung disk holds the committer's first store. The request stages
+  // campaigns until kMaxStaged are pending, then waits in its completion
+  // hook instead of growing the queue; released, it finishes with every
+  // campaign stored and its rows unchanged.
+  LoopConfig loop;
+  CampaignRunner runner(loop, {});
+  std::vector<CampaignSpec> specs;
+  for (std::size_t i = 0; i < CampaignService::kMaxStaged + 2; ++i) {
+    specs.push_back(small_spec("cap", 500 + i));
+    specs.back().runs = 1;
+  }
+  const std::string reference =
+      grid_bytes(CampaignScheduler(runner, 2).run_all(specs));
+  ServiceConfig cfg;
+  cfg.cache = CacheConfig{scratch_dir("svc_staging_cap")};
+  cfg.threads = 2;
+  CampaignService svc(runner, cfg);
+  const CounterDelta moved;
+  const auto queue = [] {
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    return static_cast<std::size_t>(
+        snap.gauge("rt_campaign_cache_commit_queue"));
+  };
+
+  std::string rows;
+  std::atomic<bool> replied{false};
+  {
+    ArmedFaults hold(
+        FaultPlan{37, {{FaultSite::kCacheWrite, FaultType::kHang, 1.0, 1, 0}}});
+    std::thread request([&] {
+      rows = grid_bytes(svc.run_grid(specs));
+      replied = true;
+    });
+    std::size_t peak = 0;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (peak < CampaignService::kMaxStaged && !replied &&
+           std::chrono::steady_clock::now() < give_up) {
+      peak = std::max(peak, queue());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    peak = std::max(peak, queue());
+    EXPECT_EQ(peak, CampaignService::kMaxStaged);
+    EXPECT_FALSE(replied) << "the request staged past the cap";
+    EXPECT_EQ(moved.cache("stores"), 0u);
+    FaultInjector::instance().disarm();  // releases the held store
+    request.join();
+  }
+  svc.flush();
+  EXPECT_EQ(rows, reference);
+  EXPECT_EQ(moved.cache("stores"), specs.size());
+  EXPECT_EQ(queue(), 0u);
+}
+
 #if RT_OBS_TRACING
 TEST(CampaignService, TracedShardedRequestsWithStoresInFlightLoseNoWorker) {
   // Forked workers clear the tracer they inherit, so a fork must never
@@ -1470,89 +1553,6 @@ TEST(CampaignService, TracedShardedRequestsWithStoresInFlightLoseNoWorker) {
   EXPECT_EQ(moved.cache("stores"), 2u * kRequests);
 }
 #endif  // RT_OBS_TRACING
-
-// ------------------------------------------------------- first wave
-
-TEST(FirstWave, EqualCostDrivesAreStripedDriveIToShardIModW) {
-  for (unsigned workers = 1; workers <= 4; ++workers) {
-    for (std::size_t n = 0; n <= 9; ++n) {
-      const auto shards =
-          deal_by_cost(std::vector<double>(n, 3.5), workers);
-      ASSERT_EQ(shards.size(), workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        std::vector<std::size_t> striped;
-        for (std::size_t d = w; d < n; d += workers) striped.push_back(d);
-        EXPECT_EQ(shards[w], striped) << n << " drives, shard " << w;
-      }
-    }
-  }
-}
-
-TEST(FirstWave, LongestDriveGoesFirstToTheLeastLoadedShard) {
-  // Order 4, 5, 0, 1, 2, 3 (costs 4, 2, then the ones in drive order):
-  // loads go (4,0) (4,2) (4,3) (4,4), a tie to shard 0 (5,4), then (5,5).
-  const auto shards = deal_by_cost({1, 1, 1, 1, 4, 2}, 2);
-  ASSERT_EQ(shards.size(), 2u);
-  EXPECT_EQ(shards[0], (std::vector<std::size_t>{2, 4}));
-  EXPECT_EQ(shards[1], (std::vector<std::size_t>{0, 1, 3, 5}));
-}
-
-TEST(FirstWave, DriveCostIsAPureFunctionOfTheSpec) {
-  // DS-1 runs 40 s with one actor; DS-5 runs 40 s with nine.
-  CampaignSpec golden{"g", "DS-1", core::AttackVector::kDisappear,
-                      AttackMode::kGolden, 3, 1};
-  EXPECT_DOUBLE_EQ(drive_cost(golden), 40.0 * 2);
-  CampaignSpec attacked = golden;
-  attacked.mode = AttackMode::kNoSh;
-  EXPECT_DOUBLE_EQ(drive_cost(attacked), 40.0 * 2 * 1.25);
-  attacked.seed = 99;
-  attacked.runs = 7;
-  attacked.name = "other";
-  EXPECT_DOUBLE_EQ(drive_cost(attacked), 40.0 * 2 * 1.25);
-  CampaignSpec crowded = golden;
-  crowded.scenario = "DS-5";
-  EXPECT_DOUBLE_EQ(drive_cost(crowded), drive_cost(crowded));
-  EXPECT_GT(drive_cost(crowded), drive_cost(golden));
-  CampaignSpec shorter = golden;
-  shorter.params = sim::ScenarioRegistry::global().defaults("DS-1");
-  shorter.params->duration = 20.0;
-  EXPECT_DOUBLE_EQ(drive_cost(shorter), 20.0 * 2);
-  CampaignSpec unknown = golden;
-  unknown.scenario = "DS-99";
-  EXPECT_DOUBLE_EQ(drive_cost(unknown), 1.0);
-}
-
-TEST(FirstWave, UnequalGridStaysBitIdenticalUnderTheCrashHook) {
-  // Families of very different cost, dealt by cost rather than striped:
-  // the deal gives the in-process bytes, and the crash hook, which names
-  // a first-wave shard, kills exactly one worker on every pass.
-  LoopConfig loop;
-  CampaignRunner runner(loop, {});
-  const auto specs = experiments::CampaignGridBuilder()
-                         .runs(3)
-                         .seed(6161)
-                         .scenarios({"DS-5", "DS-3"})
-                         .vectors({core::AttackVector::kDisappear})
-                         .modes({AttackMode::kNoSh, AttackMode::kGolden})
-                         .build();
-  const std::string reference =
-      grid_bytes(CampaignScheduler(runner, 1).run_all(specs));
-  for (int pass = 0; pass < 2; ++pass) {
-    ShardOptions opts;
-    opts.workers = 2;
-    opts.crash_shard = 1;
-    opts.crash_after_cells = 2;
-    opts.retry_backoff_ms = 1;
-    const CounterDelta moved;
-    const auto out =
-        ShardedCampaignScheduler(runner, opts).run_all_checked(specs, {});
-    EXPECT_TRUE(out.errors.empty());
-    EXPECT_EQ(grid_bytes(out.results), reference);
-    EXPECT_EQ(moved("rt_shard_worker_deaths_total"), 1u);
-    EXPECT_EQ(moved("rt_shard_retry_waves_total"), 1u);
-  }
-}
-
 
 // ------------------------------------------------------- request path
 

@@ -80,6 +80,15 @@ std::string scratch_dir(const char* name) {
   return dir.string();
 }
 
+/// Temp files (`*.tmp`, whatever their writer's name) left in a directory.
+std::size_t tmp_files(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    n += de.path().extension() == ".tmp" ? 1 : 0;
+  }
+  return n;
+}
+
 CampaignSpec small_spec(const char* name = "DS-1-chaos",
                         std::uint64_t seed = 4242, int runs = 2) {
   return {name, "DS-1", core::AttackVector::kDisappear, AttackMode::kNoSh,
@@ -542,7 +551,8 @@ TEST(CellCacheFaults, StoreIoErrorsDeclineAndLeaveNoEntry) {
   const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
-  CampaignCellCache cache({scratch_dir("chaos_store_eio")});
+  const std::string dir = scratch_dir("chaos_store_eio");
+  CampaignCellCache cache({dir});
   const CampaignSpec spec = small_spec();
   const CampaignResult fresh = runner.run(spec);
 
@@ -561,7 +571,7 @@ TEST(CellCacheFaults, StoreIoErrorsDeclineAndLeaveNoEntry) {
     EXPECT_FALSE(cache.store(spec, fresh));
     EXPECT_FALSE(fs::exists(cache.entry_path(spec)))
         << "a declined store must not leave a live entry";
-    EXPECT_FALSE(fs::exists(cache.entry_path(spec) + ".tmp"))
+    EXPECT_EQ(tmp_files(dir), 0u)
         << "a declined store must not leak its tmp file";
   }
   EXPECT_GE(moved.cache("io_errors"), 2u);
@@ -594,7 +604,8 @@ TEST(CellCacheFaults, FsyncAndRenameFailuresDecline) {
   const CounterDelta moved;
   LoopConfig loop;
   CampaignRunner runner(loop, {});
-  CampaignCellCache cache({scratch_dir("chaos_store_sync")});
+  const std::string dir = scratch_dir("chaos_store_sync");
+  CampaignCellCache cache({dir});
   const CampaignSpec spec = small_spec();
   const CampaignResult fresh = runner.run(spec);
   {
@@ -608,6 +619,7 @@ TEST(CellCacheFaults, FsyncAndRenameFailuresDecline) {
     EXPECT_FALSE(cache.store(spec, fresh));
   }
   EXPECT_FALSE(fs::exists(cache.entry_path(spec)));
+  EXPECT_EQ(tmp_files(dir), 0u) << "a declined store leaks no tmp file";
   EXPECT_EQ(moved.cache("io_errors"), 2u);
   EXPECT_EQ(moved.cache("stores"), 0u);
 }
